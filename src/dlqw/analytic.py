@@ -102,6 +102,7 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-8,
     achieved difference when doubling panels stops improving below tol.
     """
     prev = None
+    change = np.inf  # no difference yet: fewer than two panel counts tried
     panels = 1
     while panels <= max_panels:
         edges = np.linspace(a, b, panels + 1)
@@ -117,7 +118,8 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-8,
         prev = cur
         panels *= 2
     raise NumericalError(
-        f"quadrature did not converge to {tol}; last change {change:.3e}"
+        f"quadrature did not converge to {tol} within {max_panels} panels; "
+        f"last change {change:.3e}"
     )
 
 

@@ -31,6 +31,8 @@ from .walk import (
     WaveState,
     apply_coin_field,
     coin_matrices,
+    mix_components,
+    roll_components,
     shift_apply,
     step_coins,
 )
@@ -163,19 +165,45 @@ def rng_for_trajectory(seed: int, trajectory: int) -> np.random.Generator:
 def _draw_unscaled(entry: ParamNoise, rng: np.random.Generator, size=None) -> np.ndarray:
     if entry.delta == 0.0:
         return np.zeros(size if size is not None else ())
-    if entry.kind == "gaussian":
-        return rng.normal(0.0, entry.delta, size=size)
-    if entry.kind == "uniform":
-        half = np.sqrt(3.0) * entry.delta
+    return _draw(entry.kind, entry.delta, rng, size)
+
+
+def _draw(kind: str, delta, rng: np.random.Generator, size) -> np.ndarray:
+    """Draws of one noise kind; ``delta`` broadcasts against the trailing axis of ``size``."""
+    if kind == "gaussian":
+        return rng.normal(0.0, delta, size=size)
+    if kind == "uniform":
+        half = np.sqrt(3.0) * delta
         return rng.uniform(-half, half, size=size)
     # two-point: +-delta with equal probability
-    return entry.delta * (2 * rng.integers(0, 2, size=size) - 1).astype(float)
+    return delta * (2 * rng.integers(0, 2, size=size) - 1).astype(float)
 
 
 def sample_coin_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator) -> np.ndarray:
     """Draw one step's angle offsets omega^l = sqrt(eps) * omega_tilde^l."""
     root = np.sqrt(eps)
     return np.array([root * _draw_unscaled(e, rng) for e in spec.entries])
+
+
+def trajectory_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator,
+                       n_steps: int) -> np.ndarray:
+    """Offsets of ``n_steps`` steps, shape (n_steps, 4): the stream of
+    ``n_steps`` calls of :func:`sample_coin_offsets`, value for value.
+
+    The scalar loop draws step by step, each step in angle order.  When every
+    active angle has one kind, a single draw of shape (n_steps, n_active)
+    takes the same values from the generator in the same order.
+    """
+    active = [l for l, e in enumerate(spec.entries) if e.delta != 0.0]
+    kinds = {spec.entries[l].kind for l in active}
+    if len(kinds) > 1:
+        return np.array([sample_coin_offsets(spec, eps, rng) for _ in range(n_steps)])
+    out = np.zeros((n_steps, 4))
+    if active:
+        deltas = np.array([spec.entries[l].delta for l in active])
+        out[:, active] = np.sqrt(eps) * _draw(kinds.pop(), deltas, rng,
+                                              (n_steps, len(active)))
+    return out
 
 
 def trajectory_step(state: WaveState, field: AngleField, offsets, t: float) -> WaveState:
@@ -242,10 +270,11 @@ def run_ensemble(
 ) -> TrajectoryEnsemble:
     """Evolve ``n_traj`` independently noised trajectories and accumulate them.
 
-    Each trajectory k draws its offsets from :func:`rng_for_trajectory`
-    (seed, k), step by step, so the result is reproducible regardless of
-    batching or execution order.  The batched path requires spatially constant
-    barred angles; per-site fields fall back to a per-trajectory loop.
+    Each trajectory k draws the offsets of all its steps from
+    :func:`rng_for_trajectory` (seed, k) with :func:`trajectory_offsets`, so
+    the result is reproducible regardless of batching or execution order.
+    The batched path requires spatially constant barred angles; per-site
+    fields fall back to a per-trajectory loop.
     """
     if n_traj < 1:
         raise ConfigurationError("n_traj must be >= 1")
@@ -253,30 +282,23 @@ def run_ensemble(
     eps = grid.time_step
     ens = TrajectoryEnsemble(grid=grid, n_traj=n_traj, seed=seed)
 
-    homogeneous = not any(callable(f) for f in
-                          (field.xi0_bar, field.xi1_bar, field.theta_bar, field.chi_bar))
-    if not homogeneous:
+    if not field.is_constant:
         for k in range(n_traj):
-            rng = rng_for_trajectory(seed, k)
+            offsets = trajectory_offsets(spec, eps, rng_for_trajectory(seed, k), n_steps)
             s = init.copy()
             for j in range(n_steps):
-                s = trajectory_step(s, field, sample_coin_offsets(spec, eps, rng), t=j * eps)
+                s = trajectory_step(s, field, offsets[j], t=j * eps)
             ens.add(s)
         return ens
 
-    base = eps * np.array([
-        field.xi0_bar, field.xi1_bar, field.theta_bar, field.chi_bar], dtype=float)
-    root = np.sqrt(eps)
+    base = eps * np.array(field.rates, dtype=float)
     for start in range(0, n_traj, batch):
         ids = range(start, min(start + batch, n_traj))
         t_count = len(ids)
         # offsets[j, k, l]: step j, trajectory k, angle l -- one stream per trajectory
         offsets = np.empty((n_steps, t_count, 4))
         for kk, k in enumerate(ids):
-            rng = rng_for_trajectory(seed, k)
-            for j in range(n_steps):
-                for l, e in enumerate(spec.entries):
-                    offsets[j, kk, l] = root * _draw_unscaled(e, rng)
+            offsets[:, kk] = trajectory_offsets(spec, eps, rng_for_trajectory(seed, k), n_steps)
         amps = np.broadcast_to(init.amplitudes, (t_count, 2, grid.n_sites)).copy()
         for j in range(n_steps):
             amps[:, 0, :] = np.roll(amps[:, 0, :], -1, axis=1)
@@ -305,25 +327,43 @@ def ensemble_density(
     return run_ensemble(field, spec, init, n_steps, n_traj, seed).density()
 
 
-def _shift_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Apply the coin-conditioned shift on both sides of the block grid."""
-    out = np.empty_like(blocks)
-    for u, du in ((0, +1), (1, -1)):
-        for v, dv in ((0, +1), (1, -1)):
-            out[u, v] = np.roll(blocks[u, v], shift=(-du, -dv), axis=(0, 1))
-    return out
+# Coin-conditioned shift of the block grid, per block (u, v) = k // 2, k % 2:
+# coin component 0 moves left and 1 moves right, on both sides of rho.
+BLOCK_SHIFTS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+# sigma^3 rho sigma^3 and sigma^1 rho sigma^1 as mixes of the four blocks
+_PHASE_FLIP = np.kron(SIGMA[3], SIGMA[3]).real
+_COIN_FLIP = np.kron(SIGMA[1], SIGMA[1]).real
+
+
+def _coin_conjugate(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Blocks of M rho M^dag for one 2x2 coin M at every site."""
+    n = blocks.shape[-1]
+    return mix_components(np.kron(m, m.conj()), blocks.reshape(4, n, n)).reshape(blocks.shape)
 
 
 def walk_conjugate(rho: DensityGrid, field: AngleField, t: float,
                    offsets: tuple | None = None) -> np.ndarray:
-    """Blocks of U rho U^dag for the walk unitary at time t."""
-    coins = step_coins(field, t, rho.grid, offsets=offsets)
-    shifted = _shift_blocks(rho.blocks)
-    return np.einsum("xua,abxy,yvb->uvxy", coins, shifted, coins.conj())
+    """Blocks of U rho U^dag for the walk unitary at time t.
 
-
-def _coin_conjugate(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return np.einsum("ua,abxy,vb->uvxy", m, blocks, m.conj())
+    A constant coin C (no callable angle field, scalar offsets) acts as one
+    4x4 mix kron(C, conj C) of the shifted blocks; per-site coins act by a
+    broadcast multiply-add, first from the left and then from the right.
+    """
+    grid = rho.grid
+    n = grid.n_sites
+    shifted = roll_components(rho.blocks.reshape(4, n, n), BLOCK_SHIFTS)
+    if field.is_constant and all(np.ndim(o) == 0 for o in offsets or ()):
+        angles = grid.time_step * np.array(field.rates, dtype=float)
+        if offsets is not None:
+            angles = angles + np.asarray(offsets, dtype=float)
+        coin = coin_matrices(*angles)
+        return mix_components(np.kron(coin, coin.conj()), shifted).reshape(2, 2, n, n)
+    coins = step_coins(field, t, grid, offsets=offsets)
+    left = coins.transpose(1, 2, 0)[..., None]  # [u, a, x, 1]
+    right = coins.conj().transpose(1, 2, 0)[:, :, None, :]  # [v, b, 1, y]
+    shifted = shifted.reshape(2, 2, n, n)
+    half = left[:, 0, None] * shifted[None, 0] + left[:, 1, None] * shifted[None, 1]
+    return right[None, :, 0] * half[:, None, 0] + right[None, :, 1] * half[:, None, 1]
 
 
 def channel_step(
@@ -336,15 +376,16 @@ def channel_step(
     """One step of the flip-channel model.
 
     rho <- (1 - pi1 - pi2) U rho U^dag + pi1 s3 rho s3 + pi2 s1 rho s1,
-    with pi_l = eps * rate_l and U the walk unitary applied blockwise.
+    with pi_l = eps * rate_l and U the walk unitary applied blockwise.  The
+    two flip branches fold into one 4x4 mix of the unshifted blocks.
     """
     eps = rho.grid.time_step if eps is None else eps
     p1, p2 = rates.step_probabilities(eps)
-    out = (1.0 - p1 - p2) * walk_conjugate(rho, field, t)
-    if p1:
-        out += p1 * _coin_conjugate(rho.blocks, SIGMA[3])
-    if p2:
-        out += p2 * _coin_conjugate(rho.blocks, SIGMA[1])
+    out = walk_conjugate(rho, field, t)
+    if p1 or p2:
+        out *= 1.0 - p1 - p2
+        flips = p1 * _PHASE_FLIP + p2 * _COIN_FLIP
+        out += mix_components(flips, rho.blocks.reshape(4, -1)).reshape(out.shape)
     return DensityGrid(out, rho.grid)
 
 

@@ -16,6 +16,7 @@ per distance class of the periodic grid.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +26,14 @@ import numpy as np
 
 from .noise import DensityGrid
 from .observables import AntiDiagonalFields, DiagonalFields, MomentSeries, continuity_residual, moments
-from .walk import ConfigurationError, LatticeGrid, SIGMA, WaveState
+from .walk import (
+    ConfigurationError,
+    LatticeGrid,
+    SIGMA,
+    WaveState,
+    mix_components,
+    roll_components,
+)
 
 
 class NumericalError(RuntimeError):
@@ -60,6 +68,8 @@ U_CHAR = np.array(
 U_CHAR_INV = U_CHAR.conj().T
 LAMBDA = np.array([-1, -1, 1, 1])
 LAMBDA_P = np.array([-1, 1, -1, 1])
+# per-component (x, x') grid shift of one exact advection step
+ADVECTION_SHIFTS = tuple(zip(LAMBDA.tolist(), LAMBDA_P.tolist()))
 
 # Jacobians of the r-component system, kept for reference and verified in tests:
 # ADVECTION_X = i*P and ADVECTION_XP = ADVECTION_X.T with P the coupling matrix.
@@ -158,11 +168,7 @@ def homogeneous_step(cfield: CharacteristicField, dt: float) -> CharacteristicFi
     characteristic speeds, a pure permutation with no dispersion error.
     """
     _require_unit_cfl(cfield.grid, dt)
-    v = cfield.v
-    out = np.empty_like(v)
-    for mu in range(4):
-        out[mu] = np.roll(v[mu], shift=(LAMBDA[mu], LAMBDA_P[mu]), axis=(0, 1))
-    return CharacteristicField(out, cfield.grid)
+    return CharacteristicField(roll_components(cfield.v, ADVECTION_SHIFTS), cfield.grid)
 
 
 def _require_unit_cfl(grid: LatticeGrid, dt: float) -> None:
@@ -217,15 +223,17 @@ def source_step(
 ) -> CharacteristicField:
     """Pointwise source integration over dt in characteristic variables."""
     t_v = _source_propagator_v(dt, params.m, params.gamma1, params.gamma2, alpha)
-    return CharacteristicField(
-        np.einsum("ab,bxy->axy", t_v, cfield.v), cfield.grid
-    )
+    return CharacteristicField(mix_components(t_v, cfield.v), cfield.grid)
 
 
 def strang_step(
     cfield: CharacteristicField, dt: float, params: GeneratorParams, alpha: float = 0.5
 ) -> CharacteristicField:
-    """Half source, exact advection, half source; O(dt^2) accurate globally."""
+    """Half source, exact advection, half source; O(dt^2) accurate globally.
+
+    :func:`evolve` takes the same steps, with the half sources of adjacent
+    steps merged into one mix between snapshots.
+    """
     out = source_step(cfield, 0.5 * dt, params, alpha)
     out = homogeneous_step(out, dt)
     return source_step(out, 0.5 * dt, params, alpha)
@@ -347,6 +355,25 @@ class EvolveResult:
     final: PauliField
 
 
+def _step_marks(t_final: float, dt: float, n_snapshots: int,
+                snapshot_steps: list[int] | None) -> tuple[int, np.ndarray]:
+    """Step count of a run and its sorted snapshot steps.
+
+    Without ``snapshot_steps``, ``n_snapshots`` steps are spread evenly over
+    the run, both ends included.
+    """
+    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
+    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
+        raise ConfigurationError(f"t_final = {t_final} is not a multiple of dt = {dt}")
+    if snapshot_steps is None:
+        marks = np.unique(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1)).round().astype(int))
+    else:
+        marks = np.unique(np.asarray(snapshot_steps, dtype=int))
+        if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
+            raise ConfigurationError("snapshot steps outside the run")
+    return n_steps, marks
+
+
 def evolve(
     init: PauliField,
     params: GeneratorParams,
@@ -368,21 +395,16 @@ def evolve(
         raise ConfigurationError("t_final must be non-negative")
     grid = init.grid
     dt = grid.spacing
-    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
-    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
-        raise ConfigurationError(f"t_final = {t_final} is not a multiple of dt = {dt}")
-    if snapshot_steps is None:
-        marks = np.unique(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1)).round().astype(int))
-    else:
-        marks = np.unique(np.asarray(snapshot_steps, dtype=int))
-        if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
-            raise ConfigurationError("snapshot steps outside the run")
+    n_steps, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
 
-    half_source = None
-    if kernels is not None:
+    if kernels is None:
+        t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
+        t_full = t_half @ t_half
+    else:
         half_source = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
 
     cfield = v_transform(init)
+    on_diagonal = np.arange(grid.n_sites)
     times, means, seconds, traces, residuals = [], [], [], [], []
     diags: list[DiagonalFields] = []
     antis: list[AntiDiagonalFields] = []
@@ -393,13 +415,14 @@ def evolve(
     def record(step: int) -> None:
         nonlocal prev_diag, prev_t
         t = step * dt
-        field = v_inverse(cfield)
-        d = field.diagonal()
+        # the diagonal of v first, then the 4x4 transform: O(n), not O(n^2)
+        r_diag = U_CHAR_INV @ cfield.v[:, on_diagonal, on_diagonal]
+        d = DiagonalFields(grid.positions, r_diag.real)
         mean, second = moments(d.density, d.x, d.dx, check_normalization=False)
         times.append(t)
         means.append(mean)
         seconds.append(second)
-        traces.append(field.trace())
+        traces.append(float(r_diag[0].sum().real * dt))
         if prev_diag is None:
             residuals.append(0.0)
         else:
@@ -409,21 +432,34 @@ def evolve(
                 )
             )
         diags.append(d)
-        if keep_antidiagonals:
-            antis.append(field.antidiagonal())
-        if keep_fields:
-            fields.append(field.copy())
+        if keep_antidiagonals or keep_fields:
+            field = v_inverse(cfield)
+            if keep_antidiagonals:
+                antis.append(field.antidiagonal())
+            if keep_fields:
+                fields.append(field)
         prev_diag, prev_t = d, t
 
+    # Half source, advection, half source per step.  Between the steps where
+    # the state must be exact (snapshots, blow-up checks, the last step), the
+    # trailing half source of one step and the leading one of the next are
+    # applied as one full-step mix t_full; `pending` marks an owed half.
     mark_set = set(int(s) for s in marks)
+    pending = False
     if 0 in mark_set:
         record(0)
     for step in range(1, n_steps + 1):
-        if half_source is None:
-            cfield = strang_step(cfield, dt, params, alpha)
+        if kernels is None:
+            lead = t_full if pending else t_half
+            cfield = homogeneous_step(CharacteristicField(mix_components(lead, cfield.v), grid), dt)
+            pending = True
         else:
             cfield = half_source.apply(homogeneous_step(half_source.apply(cfield), dt))
-        if step % 64 == 0 or step == n_steps:
+        check = step % 64 == 0 or step == n_steps
+        if pending and (check or step in mark_set):
+            cfield = CharacteristicField(mix_components(t_half, cfield.v), grid)
+            pending = False
+        if check:
             peak = np.abs(cfield.v).max()
             if not np.isfinite(peak) or peak > 1e6:
                 raise NumericalError(
@@ -452,22 +488,22 @@ def diagonal_evolve(
     t_final: float,
     alpha: float = 0.5,
     n_snapshots: int = 21,
+    snapshot_steps: list[int] | None = None,
 ) -> EvolveResult:
     """Massless fast path: the diagonal (R^0, R^3) system is closed when m = 0.
 
     Same characteristic splitting as the full solver, restricted to the
     two-component system d_t R0 = d_x R3, d_t R3 = d_x R0 - gamma2 R3.
-    The phase-flip rate gamma1 does not enter these equations.
+    The phase-flip rate gamma1 does not enter these equations.  Snapshots
+    are taken as in :func:`evolve`.
     """
     if params.m != 0.0:
         raise ConfigurationError("diagonal fast path requires m = 0")
     dt = grid.spacing
-    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
-    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
-        raise ConfigurationError(f"t_final = {t_final} is not a multiple of dt = {dt}")
+    n_steps, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
     # characteristic variables w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left
     vmat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    lam = (-1, 1)
+    lam = ((-1,), (1,))
     f2 = np.array([[0.0, 0.0], [0.0, -params.gamma2]])
     lhs = np.eye(2) - (1 - alpha) * 0.5 * dt * f2
     rhs = np.eye(2) + alpha * 0.5 * dt * f2
@@ -475,7 +511,6 @@ def diagonal_evolve(
     t_w = vmat.T @ t_r @ vmat
 
     w = vmat.T @ np.stack([np.asarray(init_r0, float), np.asarray(init_r3, float)])
-    marks = np.unique(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1)).round().astype(int))
     mark_set = set(int(s) for s in marks)
     x = grid.positions
 
@@ -507,9 +542,7 @@ def diagonal_evolve(
     if 0 in mark_set:
         record(0)
     for step in range(1, n_steps + 1):
-        w = t_w @ w
-        w = np.stack([np.roll(w[k], lam[k]) for k in range(2)])
-        w = t_w @ w
+        w = t_w @ roll_components(t_w @ w, lam)
         if step in mark_set:
             record(step)
 
@@ -535,20 +568,6 @@ def write_diagonal_csv(path, diag: DiagonalFields, t: float | None = None) -> No
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def write_field_csv(path, field: PauliField) -> None:
-    n = field.grid.n_sites
-    x = field.grid.positions
-    xx = np.repeat(x, n)
-    yy = np.tile(x, n)
-    cols = [xx, yy]
-    for mu in range(4):
-        cols.append(field.r[mu].real.ravel())
-        cols.append(field.r[mu].imag.ravel())
-    header = "x,xp," + ",".join(f"re_r{mu},im_r{mu}" for mu in range(4))
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="", fmt="%.17g")
-
-
 def write_field_binary(path, field: PauliField, t: float) -> None:
     """Binary dump: magic 'DLQW', uint64 n, f8 dx, f8 t, then 4*n*n (re, im) f8 pairs."""
     n = field.grid.n_sites
@@ -562,11 +581,24 @@ def write_field_binary(path, field: PauliField, t: float) -> None:
 
 
 def read_field_binary(path) -> tuple[PauliField, float]:
+    """Read a dump of :func:`write_field_binary`; a truncated or overlong file is refused."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ConfigurationError(f"{path}: not a field dump (bad magic)")
-        n, dx, t = struct.unpack("<Qdd", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ConfigurationError(f"{path}: truncated header")
+        n, dx, t = struct.unpack("<Qdd", header)
         n = int(n)
-        raw = np.frombuffer(fh.read(4 * n * n * 2 * 8), dtype="<f8").reshape(4, n, n, 2)
+        expected = 4 * n * n * 2 * 8
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            problem = "truncated" if found < expected else "trailing bytes after the"
+            raise ConfigurationError(
+                f"{path}: {problem} field data (n = {n} needs {expected} bytes, "
+                f"found {found})"
+            )
+        body = fh.read(expected)
+    raw = np.frombuffer(body, dtype="<f8").reshape(4, n, n, 2)
     grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
     return PauliField(raw[..., 0] + 1j * raw[..., 1], grid), t

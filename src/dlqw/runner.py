@@ -8,6 +8,7 @@ The process exit status encodes whether all declared tolerance checks passed.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -225,8 +226,8 @@ def run_channel(cfg: ScenarioConfig, report: RunReport) -> None:
     def record(step):
         snaps_t.append(step * cfg.eps)
         snaps_p.append(rho.site_probabilities())
-        d = pde.pauli_from_density(rho).diagonal()
-        snaps_r3.append(d.R[3] * grid.spacing)
+        b = rho.blocks
+        snaps_r3.append((np.diagonal(b[0, 0]) - np.diagonal(b[1, 1])).real)
 
     if 0 in marks:
         record(0)
@@ -309,8 +310,7 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
                 raise ConfigurationError("diagonal fast path requires m = 0")
             field0 = pde.pauli_from_wave_state(state).diagonal()
             res = pde.diagonal_evolve(field0.R[0], field0.R[3], grid, params,
-                                      cfg.t_final, alpha=cfg.alpha,
-                                      n_snapshots=cfg.n_snapshots)
+                                      cfg.t_final, alpha=cfg.alpha, snapshot_steps=marks)
         else:
             field0 = pde.pauli_from_wave_state(state)
             res = pde.evolve(field0, params, cfg.t_final, alpha=cfg.alpha,
@@ -567,12 +567,31 @@ _RUNNERS = {
 }
 
 
+def _fresh_output_dir(base: str) -> str:
+    """Create and return ``base``, or ``base-2``, ``base-3``, ... if it exists.
+
+    Two runs started in the same second get distinct directories: creation
+    is atomic, so a name another run has taken is skipped.
+    """
+    os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
+    for k in itertools.count(1):
+        path = base if k == 1 else f"{base}-{k}"
+        try:
+            os.mkdir(path)
+            return path
+        except FileExistsError:
+            continue
+
+
 def run(cfg: ScenarioConfig, output_dir: str | None = None) -> RunReport:
     """Execute a scenario, write its outputs and report, and return the report."""
-    out = output_dir or cfg.output_dir or os.path.join(
-        default_output_root(), f"{cfg.scenario}-{time.strftime('%Y%m%d-%H%M%S')}"
-    )
-    os.makedirs(out, exist_ok=True)
+    out = output_dir or cfg.output_dir
+    if out:
+        os.makedirs(out, exist_ok=True)
+    else:
+        out = _fresh_output_dir(
+            os.path.join(default_output_root(), f"{cfg.scenario}-{time.strftime('%Y%m%d-%H%M%S')}")
+        )
     report = RunReport(scenario=cfg.scenario, label=cfg.label, output_dir=out,
                        config=cfg.metadata())
     _RUNNERS[cfg.scenario](cfg, report)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Union
 
 import numpy as np
@@ -104,10 +105,19 @@ class AngleField:
     def massive(cls, m: float) -> "AngleField":
         return cls(theta_bar=-m)
 
+    @property
+    def rates(self) -> tuple[ScalarOrField, ...]:
+        return (self.xi0_bar, self.xi1_bar, self.theta_bar, self.chi_bar)
+
+    @property
+    def is_constant(self) -> bool:
+        """True when no rate is a callable field, so one coin serves every site and time."""
+        return not any(callable(f) for f in self.rates)
+
     def evaluate(self, t: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """Evaluate the four barred rates at time t over positions x."""
         out = []
-        for f in (self.xi0_bar, self.xi1_bar, self.theta_bar, self.chi_bar):
+        for f in self.rates:
             v = f(t, x) if callable(f) else f
             out.append(np.broadcast_to(np.asarray(v, dtype=float), x.shape))
         return tuple(out)
@@ -224,6 +234,36 @@ def euler_angles(angles: CoinAngles) -> tuple[float, float, float]:
 def coin_from_euler(psi: float, phi: float, Theta: float, xi0: float = 0.0) -> CoinAngles:
     """Inverse of :func:`euler_angles` (the global phase xi0 is a free choice)."""
     return CoinAngles(xi0=xi0, xi1=0.5 * (psi + phi), theta=0.5 * Theta, chi=0.5 * (phi - psi))
+
+
+def mix_components(m: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Apply the (k, k) matrix ``m`` on the leading component axis at every cell.
+
+    ``field`` has shape (k, ...); the mix is one (k, k) @ (k, cells) matmul
+    on the contiguous field.
+    """
+    k = field.shape[0]
+    return (m @ field.reshape(k, -1)).reshape(field.shape)
+
+
+def roll_components(field: np.ndarray, shifts) -> np.ndarray:
+    """Roll component ``field[k]`` by the integer shifts ``shifts[k]``, one per cell axis.
+
+    Same result as ``np.roll(field[k], shifts[k], axis=(0, 1, ...))`` for each
+    k, written straight into the output without an intermediate copy.
+    """
+    out = np.empty_like(field)
+    for k, shift in enumerate(shifts):
+        src, dst = field[k], out[k]
+        pieces = []
+        for size, s in zip(src.shape, shift):
+            s %= size
+            pieces.append(((slice(None), slice(None)),) if s == 0 else
+                          ((slice(None, -s), slice(s, None)), (slice(-s, None), slice(None, s))))
+        for combo in product(*pieces):
+            src_idx, dst_idx = zip(*combo)
+            dst[dst_idx] = src[src_idx]
+    return out
 
 
 def shift_apply(state: WaveState) -> WaveState:

@@ -28,7 +28,7 @@ from dlqw.analytic import (
     telegraph_solution,
 )
 from dlqw.observables import diffusion_fit
-from dlqw.pde import diagonal_evolve, evolve, pauli_from_wave_state
+from dlqw.pde import NumericalError, diagonal_evolve, evolve, pauli_from_wave_state
 from dlqw.walk import ConfigurationError, DomainError, LatticeGrid, WaveState
 
 
@@ -262,6 +262,10 @@ class TestPacket:
 
         total = adaptive_gauss_legendre(weight, -0.5, 2.5, tol=1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_quadrature_without_a_second_panel_count_raises(self):
+        with pytest.raises(NumericalError):
+            adaptive_gauss_legendre(np.cos, 0.0, 1.0, max_panels=1)
 
 
 class TestVelocityFormulas:

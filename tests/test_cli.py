@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dlqw.cli import main
@@ -85,6 +86,12 @@ class TestPresets:
         with pytest.raises(ConfigurationError):
             load_config("preset:nope")
 
+    @pytest.mark.parametrize("name", ["acceptance-equivalence-channel",
+                                      "acceptance-equivalence-trajectories"])
+    def test_equivalence_presets_pass_their_gates(self, tmp_path, name):
+        report = run(load_config(f"preset:{name}"), str(tmp_path / name))
+        assert report.passed, report.human_summary()
+
 
 class TestRunner:
     def test_deterministic_outputs(self, tmp_path):
@@ -115,6 +122,27 @@ class TestRunner:
         assert ok, messages
         assert any("x_plateau reproduced" in m for m in messages)
         assert any("d_est reproduced" in m for m in messages)
+
+    @pytest.mark.filterwarnings("ignore:m = 0")
+    def test_log_spaced_diagonal_run_records_geometric_times(self, tmp_path):
+        cfg = parse_config(
+            "scenario = lindblad\nfast = diagonal\nm = 0\ngamma2 = 0.5\ndx = 0.05\n"
+            "t_final = 20\nhalf_width = 30\nn_snapshots = 9\nsnapshot_spacing = log\n"
+        )
+        run(cfg, str(tmp_path / "run"))
+        times = np.loadtxt(tmp_path / "run" / "moments.csv", delimiter=",", skiprows=1)[:, 0]
+        steps = np.geomspace(1, 400, 8).round()
+        np.testing.assert_allclose(times, np.concatenate([[0.0], 0.05 * steps]), rtol=1e-12)
+        ratios = times[2:] / times[1:-1]
+        assert ratios.min() >= 2.0  # uniform spacing would give ratios near 1
+
+    def test_default_output_dirs_are_distinct(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DLQW_OUTPUT_ROOT", str(tmp_path / "out"))
+        monkeypatch.setattr("time.strftime", lambda fmt: "20260101-000000")
+        cfg = parse_config("scenario = walk\ntheta = 0.5\nn_steps = 10\n")
+        dirs = {run(cfg).output_dir for _ in range(3)}
+        assert len(dirs) == 3
+        assert all(d.startswith(str(tmp_path / "out" / "walk-20260101-000000")) for d in dirs)
 
     def test_moments_csv_columns(self, tmp_path):
         cfg = parse_config(

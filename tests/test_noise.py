@@ -15,6 +15,7 @@ from dlqw.noise import (
     run_ensemble,
     sample_coin_offsets,
     sample_smooth_field,
+    trajectory_offsets,
     trajectory_step,
     two_point_channel_step,
 )
@@ -231,6 +232,27 @@ class TestTrajectoryStep:
         offs[2] = 0.05 * np.sin(grid.positions)
         out = trajectory_step(s, AngleField(), tuple(offs), t=0.0)
         assert abs(out.norm() - 1.0) < 1e-12
+
+
+class TestTrajectoryOffsets:
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec.single("theta", "gaussian", 0.6),
+        NoiseSpec.single("chi", "uniform", 0.3),
+        NoiseSpec.single("xi1", "two-point", 0.5),
+        NoiseSpec(xi0=ParamNoise("gaussian", 0.2), theta=ParamNoise("gaussian", 0.7)),
+        NoiseSpec(xi1=ParamNoise("uniform", 0.4), chi=ParamNoise("uniform", 0.9)),
+        NoiseSpec(xi0=ParamNoise("two-point", 1.0), xi1=ParamNoise("two-point", 0.1),
+                  chi=ParamNoise("two-point", 0.5)),
+        NoiseSpec(xi0=ParamNoise("gaussian", 0.4), theta=ParamNoise("uniform", 0.5)),
+        NoiseSpec(xi1=ParamNoise("two-point", 0.4), theta=ParamNoise("gaussian", 0.5)),
+        NoiseSpec(),
+    ])
+    def test_matches_step_by_step_draws(self, spec):
+        rng_a, rng_b = rng_for_trajectory(4, 2), rng_for_trajectory(4, 2)
+        scalar = np.array([sample_coin_offsets(spec, 0.05, rng_a) for _ in range(30)])
+        np.testing.assert_array_equal(trajectory_offsets(spec, 0.05, rng_b, 30), scalar)
+        # both generators end in the same state
+        assert rng_a.random() == rng_b.random()
 
 
 class TestEnsembleDensity:

@@ -271,6 +271,14 @@ class TestMasslessStructure:
             np.testing.assert_allclose(a.R[0], b.R[0], atol=1e-12)
             np.testing.assert_allclose(a.R[3], b.R[3], atol=1e-12)
 
+    def test_fast_path_takes_snapshot_steps(self):
+        grid = make_grid(64, 0.05)
+        d0 = gaussian_pauli(grid, width=0.4).diagonal()
+        steps = [0, 1, 2, 4, 8, 16]
+        res = diagonal_evolve(d0.R[0], d0.R[3], grid, GeneratorParams(gamma2=0.5), 0.8,
+                              snapshot_steps=steps)
+        np.testing.assert_allclose(res.series.times, 0.05 * np.array(steps), rtol=1e-12)
+
     def test_fast_path_requires_massless(self):
         grid = make_grid(16, 0.1)
         with pytest.raises(ConfigurationError):
@@ -423,6 +431,21 @@ class TestBinaryFormat:
         assert t == 1.75
         assert back.grid.spacing == 0.25
         np.testing.assert_array_equal(back.r, field.r)
+
+    @pytest.mark.parametrize("cut", [1, 100, 4 * 12 * 12 * 16, 4 * 12 * 12 * 16 + 20])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "snap.dlqw"
+        write_field_binary(path, hermitian_field(make_grid(12, 0.25), seed=2), t=0.5)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ConfigurationError):
+            read_field_binary(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "snap.dlqw"
+        write_field_binary(path, hermitian_field(make_grid(12, 0.25), seed=2), t=0.5)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ConfigurationError):
+            read_field_binary(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

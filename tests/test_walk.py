@@ -14,6 +14,8 @@ from dlqw.walk import (
     coin_from_euler,
     coin_matrix,
     euler_angles,
+    mix_components,
+    roll_components,
     shift_apply,
     walk_step,
 )
@@ -99,6 +101,28 @@ class TestShift:
         for _ in range(grid.n_sites):
             out = shift_apply(out)
         np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=0)
+
+
+class TestMixAndShift:
+    @pytest.mark.parametrize("shifts", [((-1, -1), (-1, 1), (1, -1), (1, 1)),
+                                        ((0, 0), (2, -3), (-5, 0), (7, 7))])
+    def test_roll_matches_numpy_roll(self, shifts):
+        rng = np.random.default_rng(1)
+        field = rng.normal(size=(4, 5, 7)) + 1j * rng.normal(size=(4, 5, 7))
+        want = np.stack([np.roll(field[k], s, axis=(0, 1)) for k, s in enumerate(shifts)])
+        np.testing.assert_array_equal(roll_components(field, shifts), want)
+
+    def test_roll_one_axis(self):
+        field = np.arange(12.0).reshape(2, 6)
+        out = roll_components(field, ((-1,), (1,)))
+        np.testing.assert_array_equal(out, [np.roll(field[0], -1), np.roll(field[1], 1)])
+
+    def test_mix_matches_componentwise_sum(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        field = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+        want = np.einsum("ab,bxy->axy", m, field)
+        np.testing.assert_allclose(mix_components(m, field), want, rtol=0, atol=1e-14)
 
 
 class TestWalkStep:
@@ -207,6 +231,12 @@ class TestAsymptoticSpread:
         assert asymptotic_spread(0.0) == 1.0
         assert asymptotic_spread(np.pi / 2) == pytest.approx(0.0, abs=1e-8)
         assert asymptotic_spread(np.pi / 4) == pytest.approx(0.541196, abs=1e-6)
+
+
+class TestAngleField:
+    def test_constant_unless_a_rate_is_callable(self):
+        assert AngleField(theta_bar=-1.0, xi1_bar=0.3).is_constant
+        assert not AngleField(chi_bar=lambda t, x: 0.1 * x).is_constant
 
 
 class TestLatticeGrid:
