@@ -578,9 +578,9 @@ def _fresh_output_dir(base: str) -> str:
         path = base if k == 1 else f"{base}-{k}"
         try:
             os.mkdir(path)
-            return path
         except FileExistsError:
             continue
+        return path
 
 
 def run(cfg: ScenarioConfig, output_dir: str | None = None) -> RunReport:
@@ -589,9 +589,8 @@ def run(cfg: ScenarioConfig, output_dir: str | None = None) -> RunReport:
     if out:
         os.makedirs(out, exist_ok=True)
     else:
-        out = _fresh_output_dir(
-            os.path.join(default_output_root(), f"{cfg.scenario}-{time.strftime('%Y%m%d-%H%M%S')}")
-        )
+        stamp = time.strftime("%Y%m%d-%H%M%S")
+        out = _fresh_output_dir(os.path.join(default_output_root(), f"{cfg.scenario}-{stamp}"))
     report = RunReport(scenario=cfg.scenario, label=cfg.label, output_dir=out,
                        config=cfg.metadata())
     _RUNNERS[cfg.scenario](cfg, report)

@@ -268,10 +268,7 @@ def roll_components(field: np.ndarray, shifts) -> np.ndarray:
 
 def shift_apply(state: WaveState) -> WaveState:
     """Coin-conditioned shift: L components move one site left, R one site right."""
-    amp = np.empty_like(state.amplitudes)
-    amp[0] = np.roll(state.amplitudes[0], -1)
-    amp[1] = np.roll(state.amplitudes[1], +1)
-    return WaveState(amp, state.grid)
+    return WaveState(roll_components(state.amplitudes, ((-1,), (1,))), state.grid)
 
 
 def apply_coin_field(state: WaveState, coins: np.ndarray) -> WaveState:
