@@ -27,5 +27,5 @@ def test_matches_golden(name):
             np.testing.assert_array_equal(got, want, err_msg=key)
         else:
             scale = float(np.abs(want).max()) if want.size else 0.0
-            np.testing.assert_allclose(got, want, rtol=0, atol=RTOL * scale + 1e-300,
+            np.testing.assert_allclose(got, want, rtol=0, atol=RTOL * scale,
                                        err_msg=key)
