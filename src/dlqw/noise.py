@@ -346,8 +346,8 @@ def walk_conjugate(rho: DensityGrid, field: AngleField, t: float,
     """Blocks of U rho U^dag for the walk unitary at time t.
 
     A constant coin C (no callable angle field, scalar offsets) acts as one
-    4x4 mix kron(C, conj C) of the shifted blocks; per-site coins act by a
-    broadcast multiply-add, first from the left and then from the right.
+    4x4 mix kron(C, conj C) of the shifted blocks; per-site coins act on
+    both sides of each block by one einsum.
     """
     grid = rho.grid
     n = grid.n_sites
@@ -359,11 +359,7 @@ def walk_conjugate(rho: DensityGrid, field: AngleField, t: float,
         coin = coin_matrices(*angles)
         return mix_components(np.kron(coin, coin.conj()), shifted).reshape(2, 2, n, n)
     coins = step_coins(field, t, grid, offsets=offsets)
-    left = coins.transpose(1, 2, 0)[..., None]  # [u, a, x, 1]
-    right = coins.conj().transpose(1, 2, 0)[:, :, None, :]  # [v, b, 1, y]
-    shifted = shifted.reshape(2, 2, n, n)
-    half = left[:, 0, None] * shifted[None, 0] + left[:, 1, None] * shifted[None, 1]
-    return right[None, :, 0] * half[:, None, 0] + right[None, :, 1] * half[:, None, 1]
+    return np.einsum("xua,abxy,yvb->uvxy", coins, shifted.reshape(2, 2, n, n), coins.conj())
 
 
 def channel_step(

@@ -226,17 +226,35 @@ def source_step(
     return CharacteristicField(mix_components(t_v, cfield.v), cfield.grid)
 
 
+SourceMap = Callable[[CharacteristicField], CharacteristicField]
+
+
+def _half_sources(dt: float, params: GeneratorParams, alpha: float) -> tuple[SourceMap, SourceMap]:
+    """Half-step source of homogeneous noise and its square, as field maps."""
+    t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
+    t_full = t_half @ t_half
+    return (lambda c: CharacteristicField(mix_components(t_half, c.v), c.grid),
+            lambda c: CharacteristicField(mix_components(t_full, c.v), c.grid))
+
+
+def _strang_steps(cfield: CharacteristicField, n_steps: int, dt: float,
+                  half_source: SourceMap, full_source: SourceMap) -> CharacteristicField:
+    """``n_steps`` >= 1 Strang steps: half source, exact advection, half source.
+
+    The trailing half source of each step and the leading one of the next are
+    applied together as ``full_source``, so only the last step ends on a half.
+    """
+    cfield = homogeneous_step(half_source(cfield), dt)
+    for _ in range(n_steps - 1):
+        cfield = homogeneous_step(full_source(cfield), dt)
+    return half_source(cfield)
+
+
 def strang_step(
     cfield: CharacteristicField, dt: float, params: GeneratorParams, alpha: float = 0.5
 ) -> CharacteristicField:
-    """Half source, exact advection, half source; O(dt^2) accurate globally.
-
-    :func:`evolve` takes the same steps, with the half sources of adjacent
-    steps merged into one mix between snapshots.
-    """
-    out = source_step(cfield, 0.5 * dt, params, alpha)
-    out = homogeneous_step(out, dt)
-    return source_step(out, 0.5 * dt, params, alpha)
+    """Half source, exact advection, half source; O(dt^2) accurate globally."""
+    return _strang_steps(cfield, 1, dt, *_half_sources(dt, params, alpha))
 
 
 @dataclass(frozen=True)
@@ -398,10 +416,12 @@ def evolve(
     n_steps, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
 
     if kernels is None:
-        t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
-        t_full = t_half @ t_half
+        half_source, full_source = _half_sources(dt, params, alpha)
     else:
-        half_source = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
+        half_source = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha).apply
+
+        def full_source(c: CharacteristicField) -> CharacteristicField:
+            return half_source(half_source(c))
 
     cfield = v_transform(init)
     on_diagonal = np.arange(grid.n_sites)
@@ -440,33 +460,24 @@ def evolve(
                 fields.append(field)
         prev_diag, prev_t = d, t
 
-    # Half source, advection, half source per step.  Between the steps where
-    # the state must be exact (snapshots, blow-up checks, the last step), the
-    # trailing half source of one step and the leading one of the next are
-    # applied as one full-step mix t_full; `pending` marks an owed half.
+    # The state must be exact at snapshots, at every 64th step (blow-up
+    # check) and at the last step; the steps between them run fused.
     mark_set = set(int(s) for s in marks)
-    pending = False
+    checks = set(range(64, n_steps + 1, 64)) | {n_steps}
     if 0 in mark_set:
         record(0)
-    for step in range(1, n_steps + 1):
-        if kernels is None:
-            lead = t_full if pending else t_half
-            cfield = homogeneous_step(CharacteristicField(mix_components(lead, cfield.v), grid), dt)
-            pending = True
-        else:
-            cfield = half_source.apply(homogeneous_step(half_source.apply(cfield), dt))
-        check = step % 64 == 0 or step == n_steps
-        if pending and (check or step in mark_set):
-            cfield = CharacteristicField(mix_components(t_half, cfield.v), grid)
-            pending = False
-        if check:
+    done = 0
+    for stop in sorted((checks | mark_set) - {0}):
+        cfield = _strang_steps(cfield, stop - done, dt, half_source, full_source)
+        done = stop
+        if stop in checks:
             peak = np.abs(cfield.v).max()
             if not np.isfinite(peak) or peak > 1e6:
                 raise NumericalError(
-                    f"field blow-up at t={step * dt:.6g} (max |v| = {peak:.3e})"
+                    f"field blow-up at t={stop * dt:.6g} (max |v| = {peak:.3e})"
                 )
-        if step in mark_set:
-            record(step)
+        if stop in mark_set:
+            record(stop)
 
     final = v_inverse(cfield)
     series = MomentSeries(

@@ -212,14 +212,21 @@ class TestStrangStep:
         for _ in range(1000):
             v = strang_step(v, grid.spacing, params)
         assert abs(v_inverse(v).trace() - t0) < 1e-8
+        # evolve runs the same steps fused between snapshots and checks
+        final = evolve(field, params, 1000 * grid.spacing, n_snapshots=2).final
+        assert abs(final.trace() - t0) < 1e-8
 
     def test_hermiticity_preserved(self):
         grid = make_grid(64, 0.05)
         params = GeneratorParams(m=0.8, gamma1=0.2, gamma2=0.5)
-        v = v_transform(gaussian_pauli(grid, width=0.4))
+        field = gaussian_pauli(grid, width=0.4)
+        v = v_transform(field)
         for _ in range(200):
             v = strang_step(v, grid.spacing, params)
         assert v_inverse(v).hermiticity_defect() < 1e-10
+        final = evolve(field, params, 200 * grid.spacing, n_snapshots=2).final
+        assert final.hermiticity_defect() < 1e-10
+        np.testing.assert_allclose(final.r, v_inverse(v).r, rtol=0, atol=1e-12)
 
     def test_self_convergence_second_order(self):
         # same physical problem on dx, dx/2, dx/4; errors on shared points
