@@ -16,6 +16,7 @@ per distance class of the periodic grid.
 
 from __future__ import annotations
 
+import copy
 import os
 import struct
 from dataclasses import dataclass
@@ -343,6 +344,12 @@ class KernelSourceOperator:
             t_r = _propagator_from_f(f, dt, alpha)
             self._props.append(U_CHAR @ t_r @ U_CHAR_INV)
 
+    def squared(self) -> "KernelSourceOperator":
+        """This operator applied twice, as one pass over the field."""
+        out = copy.copy(self)
+        out._props = [t_v @ t_v for t_v in self._props]
+        return out
+
     def apply(self, cfield: CharacteristicField) -> CharacteristicField:
         flat = cfield.v.reshape(4, -1)
         out = np.empty_like(flat)
@@ -418,10 +425,8 @@ def evolve(
     if kernels is None:
         half_source, full_source = _half_sources(dt, params, alpha)
     else:
-        half_source = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha).apply
-
-        def full_source(c: CharacteristicField) -> CharacteristicField:
-            return half_source(half_source(c))
+        half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
+        half_source, full_source = half.apply, half.squared().apply
 
     cfield = v_transform(init)
     on_diagonal = np.arange(grid.n_sites)
