@@ -1,7 +1,7 @@
-"""Small-grid golden cases for the grid solver, the flip channel and the ensemble.
+"""Golden cases for the grid solver, the flip channel, the ensemble and the moment evolution.
 
 Each case returns a dict of arrays: a moment series (``times``, ``mean_x``,
-``second_moment``, ``trace``) and the final diagonals.  ``tests/golden/*.npz``
+``second_moment``, ``trace``) and, where there is a lattice, the final diagonals.  ``tests/golden/*.npz``
 holds the arrays as an earlier version of the program computed them;
 ``test_golden.py`` requires the current program to reproduce them, to 1e-12
 relative on the deterministic cases and bit for bit on the Monte-Carlo ones.
@@ -167,6 +167,47 @@ def ensemble_mixed_kinds() -> dict[str, np.ndarray]:
     return _ensemble_arrays(AngleField(theta_bar=-0.6), spec, init, [5, 11], 30, seed=3)
 
 
+def _series_arrays(series) -> dict[str, np.ndarray]:
+    return dict(times=series.times, mean_x=series.mean_x,
+                second_moment=series.second_moment, trace=series.trace)
+
+
+_LOG_TIMES = np.concatenate([[0.0], np.geomspace(0.4, 400.0, 16)])
+
+
+def spectral_massive_noisy() -> dict[str, np.ndarray]:
+    """Exact moments with m, gamma1, gamma2 > 0 on 17 log-spaced times to t = 400."""
+    wp = analytic.DiracWavepacket(p0=0.5, sigma=0.05, m=0.5)
+    params = pde.GeneratorParams(m=0.5, gamma1=0.15, gamma2=0.5)
+    return _series_arrays(analytic.spectral_moments(wp, params, _LOG_TIMES))
+
+
+def spectral_free_log() -> dict[str, np.ndarray]:
+    """Exact moments with gamma = 0 on log times: eigenvalue 0 is twofold at every p."""
+    wp = analytic.DiracWavepacket(p0=0.5, sigma=0.05, m=0.5)
+    params = pde.GeneratorParams(m=0.5)
+    return _series_arrays(analytic.spectral_moments(wp, params, _LOG_TIMES))
+
+
+def spectral_uniform() -> dict[str, np.ndarray]:
+    """Exact moments on 121 uniform times, so one time step serves the whole run."""
+    wp = analytic.DiracWavepacket(p0=5.0, sigma=0.5, m=0.5)
+    params = pde.GeneratorParams(m=0.5, gamma2=0.5)
+    return _series_arrays(analytic.spectral_moments(wp, params, np.linspace(0.0, 60.0, 121)))
+
+
+def spectral_group_velocity() -> dict[str, np.ndarray]:
+    """The runner's three-point early-time velocity and the series it reads."""
+    cfg = config.parse_config(
+        "scenario = lindblad\nfast = spectral\nm = 3\ngamma2 = 0.05\np0 = 1\n"
+        "sigma = 0.1\ndx = 0.05\nhalf_width = 40\nt_final = 10\nvg_target = 0.316\n")
+    wp = analytic.DiracWavepacket(cfg.p0, cfg.sigma, cfg.m)
+    params = pde.GeneratorParams(m=cfg.m, gamma2=cfg.gamma2)
+    out = _series_arrays(analytic.spectral_moments(wp, params, np.array([0.0, 0.02, 0.04])))
+    out["vg_measured"] = np.array([runner._measured_group_velocity(cfg)])
+    return out
+
+
 # name -> (builder, exact): exact cases must match bit for bit
 CASES = {
     "evolve_massive_noisy": (evolve_massive_noisy, False),
@@ -177,6 +218,10 @@ CASES = {
     "ensemble_single_angle": (ensemble_single_angle, True),
     "ensemble_two_point_pair": (ensemble_two_point_pair, True),
     "ensemble_mixed_kinds": (ensemble_mixed_kinds, True),
+    "spectral_massive_noisy": (spectral_massive_noisy, False),
+    "spectral_free_log": (spectral_free_log, False),
+    "spectral_uniform": (spectral_uniform, False),
+    "spectral_group_velocity": (spectral_group_velocity, False),
 }
 
 

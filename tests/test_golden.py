@@ -1,4 +1,5 @@
-"""The grid solver, the flip channel and the ensemble reproduce their golden outputs.
+"""The grid solver, the flip channel, the ensemble and the moment evolution
+reproduce their golden outputs.
 
 Deterministic cases match each stored array to 1e-12 relative to that
 array's largest entry; Monte-Carlo cases match bit for bit.  See
