@@ -182,6 +182,12 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append(f"unknown kernel_channel {values.get('kernel_channel')!r}")
     if values.get("snapshot_spacing", "uniform") not in ("uniform", "log"):
         errors.append("snapshot_spacing must be 'uniform' or 'log'")
+    if values.get("t_final", 0.0) < 0:
+        errors.append("t_final must be >= 0")
+    elif values.get("t_final", 0.0) == 0 and values.get("snapshot_spacing") == "log":
+        errors.append("snapshot_spacing = log requires t_final > 0")
+    if values.get("n_snapshots", 2) < 2:
+        errors.append("n_snapshots must be >= 2")
 
     if errors:
         raise ConfigError(errors)

@@ -189,6 +189,19 @@ class TestMain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ("t_final = -1\n", "t_final must be >= 0"),
+        ("t_final = 0\nsnapshot_spacing = log\n", "requires t_final > 0"),
+        ("t_final = 10\nsnapshot_spacing = log\nn_snapshots = 0\n", "n_snapshots must be >= 2"),
+    ])
+    def test_bad_snapshot_config_exit_two(self, tmp_path, capsys, extra, message):
+        cfg_path = tmp_path / "snapshots.cfg"
+        cfg_path.write_text("scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\n"
+                            "dx = 0.05\nhalf_width = 40\n" + extra)
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_presets_listed(self, capsys):
         assert main(["presets"]) == 0
         assert "fig1-left" in capsys.readouterr().out
