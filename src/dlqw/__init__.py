@@ -17,7 +17,6 @@ from .analytic import (
     build_packet,
     expm_stack,
     fourier_propagate,
-    free_evolve,
     group_velocity,
     limit_position,
     spectral_moments,

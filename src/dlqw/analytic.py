@@ -358,24 +358,6 @@ def build_packet(p0: float, sigma: float, m: float, grid: LatticeGrid) -> GridPa
     return GridPacket(packet=packet, grid=grid, momenta=p, amplitudes=spinor)
 
 
-def free_evolve(packet: GridPacket, t: float) -> WaveState:
-    """Free evolution of the packet: multiply momentum amplitudes by e^{-i E t}."""
-    return packet.state(t)
-
-
-@dataclass(frozen=True)
-class MomentumGenerator:
-    """The 4x4 transport generator between momentum bras p and kets q."""
-
-    p: float
-    q: float
-    params: GeneratorParams
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return generator_matrix(self.p, self.q, self.params)
-
-
 def generator_matrix(p, q, params: GeneratorParams) -> np.ndarray:
     """G(p, q) acting on the Pauli vector (r^0, r^1, r^2, r^3) in momentum space."""
     pa = np.asarray(p, dtype=float)
@@ -463,6 +445,145 @@ def fourier_propagate(init: PauliField, params: GeneratorParams, t: float,
     return PauliField(r_new, grid)
 
 
+# d/ds of the generator at s = p - q = 0: G(p, q) = G(p, p) + s * _G_OFFSET
+_G_OFFSET = np.array(
+    [
+        [0, 0, 0, 1j],
+        [0, 0, -1, 0],
+        [0, 1, 0, 0],
+        [1j, 0, 0, 0],
+    ],
+    dtype=complex,
+)
+
+# Momenta whose eigenvector matrix V has a 1-norm condition number above this
+# keep the Pade path.  The eigenbasis blocks lose about 0.4 * eps * cond(V)^3
+# relative to exp(dt * big) (measured), so 20 keeps them within 1e-12.  Most
+# momenta have cond(V) ~ 3; only those near an exceptional point, where a
+# damped 2x2 block is critically damped, exceed it.
+_EIG_COND_MAX = 20.0
+# Divided differences of e^{dt x} lose digits to cancellation when eigenvalues
+# are close.  Below _SERIES_GAP in |gap| * dt, a pair takes the form
+# e^{dt mean} sinh(dt gap/2) / (gap/2), which has none, and a triple (by its
+# widest gap) a series about its mean, summed until the next term is below
+# _SERIES_TOL of the first.
+_SERIES_GAP = 1.0
+_SERIES_TOL = 1e-17
+
+# the 20 index triples i <= j <= k, and each ordered triple's position among them
+_TRIPLES = np.array([(i, j, k) for i in range(4) for j in range(i, 4) for k in range(j, 4)])
+_TRIPLE_OF = np.array([
+    [tuple(t) for t in _TRIPLES.tolist()].index(tuple(sorted((i, j, k))))
+    for i in range(4) for j in range(4) for k in range(4)
+])
+_DIAGONAL_TRIPLES = [_TRIPLE_OF[21 * i] for i in range(4)]  # (i, i, i)
+# a triple's three pairs (by position) and, for each, the position left over
+_PAIR_A, _PAIR_C, _PAIR_MID = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([2, 1, 0])
+
+
+def _moment_generator(g0: np.ndarray) -> np.ndarray:
+    """The 12x12 generator of (r, dr/ds, d2r/ds2) at s = 0, per momentum."""
+    big = np.zeros(g0.shape[:-2] + (12, 12), dtype=complex)
+    big[..., 0:4, 0:4] = g0
+    big[..., 4:8, 4:8] = g0
+    big[..., 8:12, 8:12] = g0
+    big[..., 4:8, 0:4] = _G_OFFSET
+    big[..., 8:12, 4:8] = 2.0 * _G_OFFSET
+    return big
+
+
+class _EigenPropagator:
+    """exp(dt * big) for the 12x12 moment system, kept in the eigenbasis of g0.
+
+    With g0 = V diag(lam) W and B = W _G_OFFSET V, the lower block triangle of
+    exp(dt * big) is E = e^{dt lam}, L_ij = B_ij f[li, lj] and 2 K with
+    K_ik = sum_j B_ij B_jk f[li, lj, lk], where f[...] are the divided
+    differences of x -> e^{dt x} (Van Loan 1978; Najfeld & Havel 1995).
+    Everything that depends only on lam is computed here once, so a new dt
+    costs a few gathers on (16, n) pair and (20, n) triple arrays.  Arrays
+    keep the momentum axis last, so a step is a few contiguous multiply-adds.
+    """
+
+    def __init__(self, lam: np.ndarray, v: np.ndarray):
+        # lam (n, 4) and v (n, 4, 4) as np.linalg.eig returns them
+        n = lam.shape[0]
+        self.v = v
+        self.w = np.linalg.inv(v)
+        b = self.w @ _G_OFFSET @ v
+        lam = self.lam = np.ascontiguousarray(lam.T)  # (4, n)
+        self.b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (4, 4, n)
+        self.bb = self.b[:, :, None, :] * self.b[None, :, :, :]  # B_ij B_jk, (4, 4, 4, n)
+        gap = (lam[:, None] - lam[None, :]).reshape(16, n)
+        # gaps this small are on the series side for any dt, and 1/gap could overflow
+        self.abs_gap2 = np.abs(gap)
+        self.inv_gap2 = np.divide(1.0, gap, out=np.zeros_like(gap), where=self.abs_gap2 > 1e-150)
+        self.abs_gap2[::5] = np.inf  # the diagonal, f[li, li] = dt e^{dt li}, is set apart
+        self.mean2 = 0.5 * (lam[:, None] + lam[None, :]).reshape(16, n)
+        self.half2 = 0.5 * gap
+
+        # f[a, mid, c] = (f[a, mid] - f[mid, c]) / (a - c) over the farthest pair (a, c)
+        idx = np.broadcast_to(_TRIPLES[:, :, None], (20, 3, n))
+        l3 = lam[_TRIPLES]  # (20, 3, n)
+        far = np.argmax(np.abs(l3[:, _PAIR_A] - l3[:, _PAIR_C]), axis=1)[:, None]
+        a = np.take_along_axis(idx, _PAIR_A[far], axis=1)[:, 0]
+        c = np.take_along_axis(idx, _PAIR_C[far], axis=1)[:, 0]
+        mid = np.take_along_axis(idx, _PAIR_MID[far], axis=1)[:, 0]
+        self.pair_am, self.pair_mc = 4 * a + mid, 4 * mid + c  # rows of the (16, n) array
+        gap3 = np.take_along_axis(lam, a, axis=0) - np.take_along_axis(lam, c, axis=0)
+        self.abs_gap3 = np.abs(gap3)
+        self.inv_gap3 = np.divide(1.0, gap3, out=np.zeros_like(gap3),
+                                  where=self.abs_gap3 > 1e-150)
+        self.abs_gap3[_DIAGONAL_TRIPLES] = np.inf  # f[li, li, li] = dt^2/2 e^{dt li}
+        # series about the triple's mean: elementary symmetric e2, e3 of the deviations
+        self.mean3 = l3.mean(axis=1)
+        d0, d1, d2 = (l3 - self.mean3[:, None]).transpose(1, 0, 2)
+        self.e2 = d0 * d1 + d0 * d2 + d1 * d2
+        self.e3 = d0 * d1 * d2
+
+    def blocks(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(E, L, K) in eigen coordinates, shapes (4, n), (4, 4, n), (4, 4, n)."""
+        n = self.lam.shape[1]
+        e = np.exp(dt * self.lam)
+        f2 = (e[:, None] - e[None, :]).reshape(16, n) * self.inv_gap2
+        near = self.abs_gap2 * dt < _SERIES_GAP
+        x = dt * self.half2[near]
+        sinhc = np.divide(np.sinh(x), x, out=np.ones_like(x), where=np.abs(x) > 1e-8)
+        f2[near] = dt * np.exp(dt * self.mean2[near]) * sinhc
+        f2[::5] = dt * e
+
+        f3 = (np.take_along_axis(f2, self.pair_am, axis=0)
+              - np.take_along_axis(f2, self.pair_mc, axis=0)) * self.inv_gap3
+        near = self.abs_gap3 * dt < _SERIES_GAP
+        if near.any():
+            # no deviation from the mean exceeds 2/3 of the widest gap
+            reach = 2.0 / 3.0 * dt * float(self.abs_gap3[near].max())
+            f3[near] = np.exp(dt * self.mean3[near]) * _triple_series(
+                dt, dt**2 * self.e2[near], dt**3 * self.e3[near], reach)
+        f3[_DIAGONAL_TRIPLES] = 0.5 * dt**2 * e
+
+        l = self.b * f2.reshape(4, 4, n)
+        k = (self.bb * f3[_TRIPLE_OF].reshape(4, 4, 4, n)).sum(axis=1)
+        return e, l, k
+
+
+def _triple_series(dt: float, u2: np.ndarray, u3: np.ndarray, reach: float) -> np.ndarray:
+    """e^{-dt mean} f[a, b, c] from the deviations' scaled e2 = u2 / dt^2, e3 = u3 / dt^3.
+
+    f = e^{dt mean} sum_k dt^{k+2} h_k / (k+2)!, where the complete symmetric
+    polynomials h_k of deviations that sum to zero obey h_k = -e2 h_{k-2} + e3 h_{k-3}.
+    With every |deviation| * dt <= reach, term k is at most reach^k / k! of
+    the first.
+    """
+    h = [np.ones_like(u2), np.zeros_like(u2), -u2]
+    total = 0.5 - u2 / 24.0
+    k = 3
+    while reach**k / math.factorial(k) >= _SERIES_TOL:
+        h.append(-u2 * h[k - 2] + u3 * h[k - 3])
+        total += h[k] / math.factorial(k + 2)
+        k += 1
+    return dt**2 * total
+
+
 def spectral_moments(
     packet: DiracWavepacket,
     params: GeneratorParams,
@@ -476,8 +597,13 @@ def spectral_moments(
     offset s = p - q, so the Pauli vector at s = 0 together with its first two
     s-derivatives obeys a closed 12-dimensional linear system per momentum p.
     Integrals of those blocks give the trace and the first two position
-    moments; the only approximations are the momentum quadrature and the
-    matrix exponentials.
+    moments.  The system is propagated in the eigenbasis of the 4x4 generator
+    (``_EigenPropagator``): one eigendecomposition per momentum, and a few
+    array operations per distinct time step.  The approximations are the
+    momentum quadrature and the eigenbasis rounding, which the cond(V) guard
+    bounds: momenta whose eigenvector matrix has a condition number above
+    ``_EIG_COND_MAX`` (near an exceptional point) are propagated by Pade
+    matrix exponentials of the 12x12 system instead.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0):
@@ -492,46 +618,47 @@ def spectral_moments(
         # (bra)^dag sigma^mu (ket) per momentum, shape (4, n_p)
         return np.einsum("xa,mab,xb->mx", bra.conj(), SIGMA, ket)
 
+    # the Pauli vector and its first two s-derivatives at s = 0, each (4, n_p)
     m0 = pauli_form(psi, psi)
     m1 = -pauli_form(dpsi, psi)
     m2 = pauli_form(d2psi, psi)
 
-    g0 = generator_matrix(p, p, params)  # (n_p, 4, 4)
-    g1 = np.array(
-        [
-            [0, 0, 0, 1j],
-            [0, 0, -1, 0],
-            [0, 1, 0, 0],
-            [1j, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
-    big = np.zeros((n_momenta, 12, 12), dtype=complex)
-    big[:, 0:4, 0:4] = g0
-    big[:, 4:8, 4:8] = g0
-    big[:, 8:12, 8:12] = g0
-    big[:, 4:8, 0:4] = g1
-    big[:, 8:12, 4:8] = 2.0 * g1
+    g0 = generator_matrix(p, p, params)  # (n_p, 4, 4), real at p = q
+    lam, vec = np.linalg.eig(g0.real)
+    ok = np.linalg.cond(vec, 1) <= _EIG_COND_MAX
+    bad = ~ok
+    prop = _EigenPropagator(lam[ok], vec[ok])
+    # eigen coordinates z = W m of each 4-block; only row 0 of V is read back
+    z0, z1, z2 = (np.einsum("xab,bx->ax", prop.w, m[:, ok]) for m in (m0, m1, m2))
+    row0 = prop.v[:, 0, :].T
+    big = _moment_generator(g0[bad])
+    y = np.concatenate([m0.T, m1.T, m2.T], axis=1)[bad]  # (n_bad, 12)
 
-    y = np.concatenate([m0.T, m1.T, m2.T], axis=1)  # (n_p, 12)
-
-    means, seconds, traces = [], [], []
+    series = np.empty((times.size, 3))  # trace, mean, second moment
+    read = np.empty((3, n_momenta), dtype=complex)
     prev_t = 0.0
-    prop_cache: dict[float, np.ndarray] = {}
-    for t in times:
+    prop_cache: dict[float, tuple] = {}
+    for i, t in enumerate(times):
         dt = t - prev_t
         if dt > 0:
             key = round(dt, 15)
             if key not in prop_cache:
-                prop_cache[key] = expm_stack(dt * big)
-            y = np.einsum("xab,xb->xa", prop_cache[key], y)
+                fallback = expm_stack(dt * big) if bad.any() else None
+                prop_cache[key] = prop.blocks(dt) + (fallback,)
+            e, l, k, fallback = prop_cache[key]
+            z2 = e * z2 + 2.0 * ((l * z1).sum(axis=1) + (k * z0).sum(axis=1))
+            z1 = e * z1 + (l * z0).sum(axis=1)
+            z0 = e * z0
+            if fallback is not None:
+                y = np.einsum("xab,xb->xa", fallback, y)
         prev_t = t
-        traces.append(float(np.trapezoid(y[:, 0].real, p)))
-        means.append(float(np.trapezoid((1j * y[:, 4]).real, p)))
-        seconds.append(float(np.trapezoid((-y[:, 8]).real, p)))
+        read[:, ok] = [(row0 * z).sum(axis=0) for z in (z0, z1, z2)]
+        read[:, bad] = y[:, 0::4].T
+        # trace = int r0, <x> = int i dr0/ds, <x^2> = -int d2r0/ds2
+        series[i] = np.trapezoid(np.stack([read[0].real, -read[1].imag, -read[2].real]), p)
     return MomentSeries(
         times=times,
-        mean_x=np.array(means),
-        second_moment=np.array(seconds),
-        trace=np.array(traces),
+        mean_x=series[:, 1].copy(),
+        second_moment=series[:, 2].copy(),
+        trace=series[:, 0].copy(),
     )

@@ -476,7 +476,7 @@ def run_dirac_free(cfg: ScenarioConfig, report: RunReport) -> None:
     times = np.linspace(0.0, cfg.t_final, max(cfg.n_snapshots, 3))
     means, seconds = [], []
     for t in times:
-        p = analytic.free_evolve(pk, t).probabilities()
+        p = pk.state(t).probabilities()
         dens = p / grid.spacing
         mean, second = observables.moments(dens, x, grid.spacing,
                                            check_normalization=False)
@@ -486,7 +486,7 @@ def run_dirac_free(cfg: ScenarioConfig, report: RunReport) -> None:
                                       second_moment=np.array(seconds))
     _write_moments_csv(report.add_file("moments.csv"), series)
     _write_density_csv(report.add_file("density.csv"), x,
-                       analytic.free_evolve(pk, cfg.t_final).probabilities() / grid.spacing)
+                       pk.state(cfg.t_final).probabilities() / grid.spacing)
     v_formula = analytic.group_velocity(cfg.p0, cfg.m)
     v_measured = float((means[-1] - means[0]) / (times[-1] - times[0]))
     report.metrics.update(

@@ -1,8 +1,9 @@
 """Golden cases for the grid solver, the flip channel, the ensemble and the moment evolution.
 
 Each case returns a dict of arrays: a moment series (``times``, ``mean_x``,
-``second_moment``, ``trace``) and, where there is a lattice, the final diagonals.  ``tests/golden/*.npz``
-holds the arrays as an earlier version of the program computed them;
+``second_moment``, ``trace``) and, where there is a lattice, the final
+diagonals.  ``tests/golden/*.npz`` holds the arrays as an earlier version of
+the program computed them;
 ``test_golden.py`` requires the current program to reproduce them, to 1e-12
 relative on the deterministic cases and bit for bit on the Monte-Carlo ones.
 

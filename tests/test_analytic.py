@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dlqw import analytic
 from dlqw.analytic import (
     DiracWavepacket,
     GeneratorParams,
     InitialData1D,
-    MomentumGenerator,
     TelegraphParams,
     adaptive_gauss_legendre,
     bessel_i,
@@ -19,7 +19,6 @@ from dlqw.analytic import (
     eigenvectors,
     expm_stack,
     fourier_propagate,
-    free_evolve,
     free_hamiltonian,
     generator_matrix,
     group_velocity,
@@ -226,7 +225,7 @@ class TestPacket:
         x = pk.grid.positions
         means = []
         for t in (0.0, 0.5):
-            p = free_evolve(pk, t).probabilities()
+            p = pk.state(t).probabilities()
             means.append(float(np.sum(x * p)))
         v = (means[1] - means[0]) / 0.5
         assert v == pytest.approx(0.316, abs=0.316 * 0.01)
@@ -236,15 +235,16 @@ class TestPacket:
         x = pk.grid.positions
         v_g = group_velocity(1.0, 3.0)
         for t in (2.0, 10.0):
-            p = free_evolve(pk, t).probabilities()
+            p = pk.state(t).probabilities()
             mean = float(np.sum(x * p))
             assert mean == pytest.approx(v_g * t, rel=0.01)
 
     def test_free_evolution_unitary(self):
         pk = self.make()
-        assert abs(free_evolve(pk, 7.0).norm() - 1.0) < 1e-12
+        assert abs(pk.state(7.0).norm() - 1.0) < 1e-12
+        at_zero = np.fft.ifft(pk.amplitudes, axis=1)
         np.testing.assert_allclose(
-            free_evolve(pk, 0.0).amplitudes, pk.state(0.0).amplitudes, atol=1e-15
+            pk.state(0.0).amplitudes, at_zero / np.linalg.norm(at_zero), atol=1e-15
         )
 
     def test_bandwidth_validation(self):
@@ -324,7 +324,7 @@ class TestExpmStack:
 class TestMomentumGenerator:
     def test_entries(self):
         params = GeneratorParams(m=0.7, gamma1=0.2, gamma2=0.9)
-        g = MomentumGenerator(p=1.3, q=0.4, params=params).matrix
+        g = generator_matrix(1.3, 0.4, params)
         assert g[0, 3] == pytest.approx(1j * 0.9)
         assert g[3, 0] == pytest.approx(1j * 0.9)
         assert g[1, 2] == pytest.approx(1.7)
@@ -438,3 +438,58 @@ class TestSpectralMoments:
         sel = (series.times > (reg.t_mid or 1.0)) & np.isfinite(eta)
         tail = eta[sel]
         assert np.all(np.diff(tail) <= 0.05)
+
+
+class TestEigenPropagator:
+    """The eigenbasis blocks of spectral_moments against the 12x12 Pade exponential."""
+
+    @given(m=st.floats(0, 3), gamma1=st.floats(0, 2), gamma2=st.floats(0, 2),
+           p=st.floats(-5, 5), dt=st.floats(1e-3, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_pade(self, m, gamma1, gamma2, p, dt):
+        g0 = generator_matrix(np.array([p]), np.array([p]),
+                              GeneratorParams(m=m, gamma1=gamma1, gamma2=gamma2))
+        lam, v = np.linalg.eig(g0.real)
+        assume(np.linalg.cond(v, 1)[0] <= analytic._EIG_COND_MAX)
+        prop = analytic._EigenPropagator(lam, v)
+        e, l, k = (np.moveaxis(block, -1, 0) for block in prop.blocks(dt))
+        w = prop.w
+        ref = expm_stack(dt * analytic._moment_generator(g0))
+        for got, want in (((v * e[:, None, :]) @ w, ref[:, 0:4, 0:4]),
+                          (v @ l @ w, ref[:, 4:8, 0:4]),
+                          (v @ l @ w, ref[:, 8:12, 4:8] / 2.0),
+                          (v @ (2.0 * k) @ w, ref[:, 8:12, 0:4])):
+            scale = float(np.abs(want).max())
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * scale)
+
+    def test_exceptional_point_falls_back_to_pade(self, monkeypatch):
+        # with m -> 0 the (r1, r2) block is critically damped at p = gamma2 / 4,
+        # which the grid of 201 momenta over [0.025, 0.225] hits at its centre
+        wp = DiracWavepacket(p0=0.125, sigma=0.05, m=1e-7)
+        params = GeneratorParams(m=1e-7, gamma2=0.5)
+        times = np.concatenate([[0.0], np.geomspace(0.1, 40.0, 9)])
+        grid = dict(n_momenta=201, span=2.0)
+        p = np.linspace(0.025, 0.225, 201)
+        g0 = generator_matrix(p, p, params)
+        assert np.linalg.cond(np.linalg.eig(g0.real)[1], 1)[100] > 1e6
+
+        rows = []
+        pade = analytic.expm_stack
+
+        def counting_expm(a):
+            rows.append(a.shape[0])
+            return pade(a)
+
+        monkeypatch.setattr(analytic, "expm_stack", counting_expm)
+        series = spectral_moments(wp, params, times, **grid)
+        assert len(rows) == times.size - 1 and 0 < rows[0] < 201
+        assert set(rows) == {rows[0]}
+
+        rows.clear()
+        monkeypatch.setattr(analytic, "_EIG_COND_MAX", -1.0)  # every momentum on Pade
+        ref = spectral_moments(wp, params, times, **grid)
+        assert rows == [201] * (times.size - 1)
+        for name in ("mean_x", "second_moment", "trace"):
+            got, want = getattr(series, name), getattr(ref, name)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(),
+                                       err_msg=name)
