@@ -522,12 +522,10 @@ class _EigenPropagator:
         self.half2 = 0.5 * gap
 
         # f[a, mid, c] = (f[a, mid] - f[mid, c]) / (a - c) over the farthest pair (a, c)
-        idx = np.broadcast_to(_TRIPLES[:, :, None], (20, 3, n))
         l3 = lam[_TRIPLES]  # (20, 3, n)
-        far = np.argmax(np.abs(l3[:, _PAIR_A] - l3[:, _PAIR_C]), axis=1)[:, None]
-        a = np.take_along_axis(idx, _PAIR_A[far], axis=1)[:, 0]
-        c = np.take_along_axis(idx, _PAIR_C[far], axis=1)[:, 0]
-        mid = np.take_along_axis(idx, _PAIR_MID[far], axis=1)[:, 0]
+        far = np.argmax(np.abs(l3[:, _PAIR_A] - l3[:, _PAIR_C]), axis=1)  # (20, n)
+        rows = np.arange(20)[:, None]
+        a, c, mid = (_TRIPLES[rows, pos[far]] for pos in (_PAIR_A, _PAIR_C, _PAIR_MID))
         self.pair_am, self.pair_mc = 4 * a + mid, 4 * mid + c  # rows of the (16, n) array
         gap3 = np.take_along_axis(lam, a, axis=0) - np.take_along_axis(lam, c, axis=0)
         self.abs_gap3 = np.abs(gap3)
@@ -574,12 +572,14 @@ def _triple_series(dt: float, u2: np.ndarray, u3: np.ndarray, reach: float) -> n
     With every |deviation| * dt <= reach, term k is at most reach^k / k! of
     the first.
     """
-    h = [np.ones_like(u2), np.zeros_like(u2), -u2]
+    h_3, h_2, h_1 = np.ones_like(u2), np.zeros_like(u2), -u2  # h_{k-3}, h_{k-2}, h_{k-1}
     total = 0.5 - u2 / 24.0
     k = 3
     while reach**k / math.factorial(k) >= _SERIES_TOL:
-        h.append(-u2 * h[k - 2] + u3 * h[k - 3])
-        total += h[k] / math.factorial(k + 2)
+        h_k = u3 * h_3
+        h_k -= u2 * h_2
+        total += h_k * (1.0 / math.factorial(k + 2))
+        h_3, h_2, h_1 = h_2, h_1, h_k
         k += 1
     return dt**2 * total
 
@@ -656,9 +656,5 @@ def spectral_moments(
         read[:, bad] = y[:, 0::4].T
         # trace = int r0, <x> = int i dr0/ds, <x^2> = -int d2r0/ds2
         series[i] = np.trapezoid(np.stack([read[0].real, -read[1].imag, -read[2].real]), p)
-    return MomentSeries(
-        times=times,
-        mean_x=series[:, 1].copy(),
-        second_moment=series[:, 2].copy(),
-        trace=series[:, 0].copy(),
-    )
+    trace, mean_x, second = series.T.copy()
+    return MomentSeries(times=times, mean_x=mean_x, second_moment=second, trace=trace)
