@@ -9,11 +9,13 @@ relative on the deterministic cases and bit for bit on the Monte-Carlo ones.
 
 Regenerate the files only when a change is meant to alter these outputs::
 
-    PYTHONPATH=src python tests/golden_cases.py
+    PYTHONPATH=src python tests/golden_cases.py            # every case
+    PYTHONPATH=src python tests/golden_cases.py NAME ...   # only the named cases
 """
 
 from __future__ import annotations
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -63,6 +65,23 @@ def evolve_kernel() -> dict[str, np.ndarray]:
     out["antidiagonal_last"] = res.antidiagonals[-1].T
     out["field_last_row"] = res.fields[-1].r[:, grid.center_index, :]
     return out
+
+
+def diagonal_evolve_log() -> dict[str, np.ndarray]:
+    """The massless (R0, R3) path with gamma2 > 0 over 120 steps on log-like snapshots.
+
+    The last snapshot is the last step, so its diagonals are the final R0 and R3.
+    """
+    grid = LatticeGrid(n_sites=96, spacing=0.05, time_step=0.05)
+    d0 = pde.pauli_from_wave_state(
+        WaveState.gaussian(grid, width=0.4, coin=(1.0, 0.6j), p0=1.2)).diagonal()
+    res = pde.diagonal_evolve(d0.R[0], d0.R[3], grid, pde.GeneratorParams(gamma2=0.7), 6.0,
+                              snapshot_steps=[0, 1, 2, 3, 5, 9, 16, 29, 52, 93, 120])
+    s = res.series
+    return dict(times=s.times, mean_x=s.mean_x, second_moment=s.second_moment,
+                trace=s.trace, continuity_residual=s.continuity_residual,
+                snapshot_r0_r3=np.stack([d.R[[0, 3]] for d in res.diagonals]),
+                final_r0_r3=res.diagonals[-1].R[[0, 3]])
 
 
 def _channel_arrays(rho0: noise.DensityGrid, field: AngleField, rates: noise.ChannelRates,
@@ -119,6 +138,24 @@ def runner_channel() -> dict[str, np.ndarray]:
         data = np.loadtxt(Path(out) / "moments.csv", delimiter=",", skiprows=1)
     return dict(times=data[:, 0], mean_x=data[:, 1], second_moment=data[:, 2],
                 trace=data[:, 4], continuity_residual=data[:, 5])
+
+
+def runner_compare() -> dict[str, np.ndarray]:
+    """``convergence.csv``, each ``channel_eps*.csv`` and ``pde_diag.csv`` of a compare run."""
+    cfg = config.parse_config(
+        "scenario = compare\nm = 0.5\ngamma1 = 0.2\ngamma2 = 0.5\np0 = 1\nsigma = 0.5\n"
+        "eps_list = 0.1, 0.05\nt_final = 1\ndx = 0.05\nhalf_width = 4\n")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        runner.run(cfg, tmp)
+        for name in ("convergence", "channel_eps0.1", "channel_eps0.05", "pde_diag"):
+            path = Path(tmp) / f"{name}.csv"
+            header = path.read_text().split("\n", 1)[0].split("  #")[0].split(",")
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            # one array per column, so each is held to its own largest entry
+            for k, column in enumerate(header):
+                out[f"{name}.{column}"] = data[:, k]
+    return out
 
 
 def _ensemble_arrays(field: AngleField, spec: noise.NoiseSpec, init: WaveState,
@@ -216,6 +253,8 @@ CASES = {
     "channel_constant_coin": (channel_constant_coin, False),
     "channel_site_coin": (channel_site_coin, False),
     "runner_channel": (runner_channel, False),
+    "diagonal_evolve_log": (diagonal_evolve_log, False),
+    "runner_compare": (runner_compare, False),
     "ensemble_single_angle": (ensemble_single_angle, True),
     "ensemble_two_point_pair": (ensemble_two_point_pair, True),
     "ensemble_mixed_kinds": (ensemble_mixed_kinds, True),
@@ -226,12 +265,13 @@ CASES = {
 }
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, (build, _) in CASES.items():
+    for name in names or list(CASES):
+        build, _ = CASES[name]
         np.savez(GOLDEN_DIR / f"{name}.npz", **build())
         print(f"wrote {GOLDEN_DIR / name}.npz")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
