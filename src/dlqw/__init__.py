@@ -2,7 +2,7 @@
 
 Modules:
   walk        unitary walk, coin algebra, lattice/state types
-  noise       flip channels, random coin unitaries, smooth noise fields
+  noise       flip channels and random coin unitaries
   pde         Strang-split continuum solver in Pauli components
   analytic    closed-form oracles and momentum-space propagation
   observables moments, exponents, regime times, diffusion fits
@@ -25,16 +25,13 @@ from .analytic import (
 from .config import ScenarioConfig, list_presets, load_config, parse_config
 from .noise import (
     ChannelRates,
-    CorrelatedNoiseSpec,
     DensityGrid,
-    KernelNoise,
     NoiseSpec,
     ParamNoise,
     channel_step,
     ensemble_density,
     run_ensemble,
     sample_coin_offsets,
-    sample_smooth_field,
     trajectory_step,
 )
 from .observables import (
@@ -43,11 +40,11 @@ from .observables import (
     continuity_residual,
     diffusion_fit,
     exponent_series,
+    moment_series,
     moments,
     regime_times,
 )
 from .pde import (
-    CharacteristicField,
     GeneratorParams,
     KernelChannel,
     KernelSet,

@@ -188,6 +188,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("snapshot_spacing = log requires t_final > 0")
     if values.get("n_snapshots", 2) < 2:
         errors.append("n_snapshots must be >= 2")
+    if values.get("window", 2) < 2:
+        errors.append("window must be >= 2")
 
     if errors:
         raise ConfigError(errors)

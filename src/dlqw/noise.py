@@ -1,4 +1,4 @@
-"""Noisy lattice walks: flip channels, random coin unitaries, smooth noise fields.
+"""Noisy lattice walks: flip channels and random coin unitaries.
 
 Two noise models act on the walk of :mod:`dlqw.walk`:
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -209,8 +208,8 @@ def trajectory_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator,
 def trajectory_step(state: WaveState, field: AngleField, offsets, t: float) -> WaveState:
     """One random-unitary step: walk with angles eps*barred + offsets.
 
-    ``offsets`` is a length-4 sequence (scalars, or per-site arrays for
-    spatially smooth noise), already scaled by sqrt(eps).
+    ``offsets`` is a length-4 sequence (scalars, or per-site arrays),
+    already scaled by sqrt(eps).
     """
     coins = step_coins(field, t, state.grid, offsets=tuple(offsets))
     return apply_coin_field(shift_apply(state), coins)
@@ -335,12 +334,6 @@ _PHASE_FLIP = np.kron(SIGMA[3], SIGMA[3]).real
 _COIN_FLIP = np.kron(SIGMA[1], SIGMA[1]).real
 
 
-def _coin_conjugate(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Blocks of M rho M^dag for one 2x2 coin M at every site."""
-    n = blocks.shape[-1]
-    return mix_components(np.kron(m, m.conj()), blocks.reshape(4, n, n)).reshape(blocks.shape)
-
-
 def walk_conjugate(rho: DensityGrid, field: AngleField, t: float,
                    offsets: tuple | None = None) -> np.ndarray:
     """Blocks of U rho U^dag for the walk unitary at time t.
@@ -385,27 +378,6 @@ def channel_step(
     return DensityGrid(out, rho.grid)
 
 
-def hold_channel_step(
-    rho: DensityGrid,
-    field: AngleField,
-    hold_prob: float,
-    t: float,
-    phases: tuple[float, float] = (0.0, 0.0),
-) -> DensityGrid:
-    """Channel that skips the walk step with probability ``hold_prob``.
-
-    The held branch applies only coin-diagonal phases (default: identity).
-    Even the identity branch slows transport on the lattice, because the
-    walker stays put for a finite time eps with probability hold_prob.
-    """
-    if not 0.0 <= hold_prob < 1.0:
-        raise ConfigurationError("hold_prob must be in [0, 1)")
-    j = np.diag(np.exp(1j * np.asarray(phases)))
-    out = (1.0 - hold_prob) * walk_conjugate(rho, field, t)
-    out += hold_prob * _coin_conjugate(rho.blocks, j)
-    return DensityGrid(out, rho.grid)
-
-
 def two_point_channel_step(
     rho: DensityGrid,
     field: AngleField,
@@ -434,76 +406,3 @@ def two_point_channel_step(
             offs[l] = s * root * delta
         out += walk_conjugate(rho, field, t, offsets=tuple(offs))
     return DensityGrid(out / len(branches), rho.grid)
-
-
-@dataclass(frozen=True)
-class KernelNoise:
-    """One angle's spatially correlated noise: variance gamma/2 and kernel kappa(d)."""
-
-    variance: float
-    kernel: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ConfigurationError("variance must be non-negative")
-        k0 = float(np.asarray(self.kernel(np.zeros(1)))[0])
-        if abs(k0 - 1.0) > 1e-12:
-            raise ConfigurationError(f"kernel must satisfy kappa(0) = 1, got {k0}")
-
-
-@dataclass(frozen=True)
-class CorrelatedNoiseSpec:
-    """Per-angle correlated noise for the smooth spatially-dependent model."""
-
-    params: tuple[KernelNoise | None, KernelNoise | None,
-                  KernelNoise | None, KernelNoise | None]
-    smoothness: int = 0  # retained Fourier modes per side; 0 means no cutoff
-
-    def __post_init__(self):
-        if len(self.params) != 4:
-            raise ConfigurationError("params must have one entry per coin angle")
-        if self.smoothness < 0:
-            raise ConfigurationError("smoothness (mode cutoff) must be >= 1")
-
-
-def _circulant_spectrum(variance: float, kernel, grid: LatticeGrid, n_modes: int) -> np.ndarray:
-    n = grid.n_sites
-    d = np.minimum(np.arange(n), n - np.arange(n)) * grid.spacing
-    cov_row = variance * np.asarray(kernel(d), dtype=float)
-    spec = np.fft.fft(cov_row).real
-    floor = -1e-10 * max(spec.max(), 1.0)
-    if spec.min() < floor:
-        raise ConfigurationError(
-            f"kernel is not positive semidefinite on this grid "
-            f"(min spectral weight {spec.min():.3e})"
-        )
-    spec = np.clip(spec, 0.0, None)
-    if n_modes:
-        k = np.minimum(np.arange(n), n - np.arange(n))
-        spec = np.where(k <= n_modes, spec, 0.0)
-    return spec
-
-
-def sample_smooth_field(
-    spec: CorrelatedNoiseSpec,
-    grid: LatticeGrid,
-    eps: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample per-site angle offsets lambda_x^l = sqrt(eps) * lambda_tilde_x^l.
-
-    Each active angle gets a real zero-mean Gaussian field whose covariance
-    approximates variance * kappa(|x - x'|), synthesized from the truncated
-    circulant spectrum of the kernel (band-limiting keeps realizations smooth).
-    Returns an array of shape (4, n_sites).
-    """
-    n = grid.n_sites
-    out = np.zeros((4, n))
-    root = np.sqrt(eps)
-    for l, entry in enumerate(spec.params):
-        if entry is None or entry.variance == 0.0:
-            continue
-        s = _circulant_spectrum(entry.variance, entry.kernel, grid, spec.smoothness)
-        w = rng.standard_normal(n)
-        out[l] = root * np.fft.ifft(np.sqrt(s) * np.fft.fft(w)).real
-    return out

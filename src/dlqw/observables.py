@@ -206,6 +206,26 @@ def continuity_residual(
     return float(np.sqrt(np.sum(res**2) * dx))
 
 
+def moment_series(times: np.ndarray, x: np.ndarray, dx: float,
+                  r0: np.ndarray, r3: np.ndarray) -> MomentSeries:
+    """Moments, trace and continuity residual of k snapshots on one grid.
+
+    ``r0`` and ``r3`` stack the diagonals R^0(x) and R^3(x) at the k
+    ``times``, shape (k, n).  The trace is sum(R^0) * dx; the residual of a
+    snapshot is taken against the one before it (0 for the first).
+    """
+    r0 = np.asarray(r0, dtype=float)
+    r3 = np.asarray(r3, dtype=float)
+    times = np.asarray(times, dtype=float)
+    pairs = np.reshape([moments(r, x, dx, check_normalization=False) for r in r0], (-1, 2))
+    residuals = np.zeros(times.size)
+    for i in range(1, times.size):
+        residuals[i] = continuity_residual(r0[i - 1], r0[i], r3[i - 1], r3[i],
+                                           times[i] - times[i - 1], dx)
+    return MomentSeries(times=times, mean_x=pairs[:, 0], second_moment=pairs[:, 1],
+                        trace=r0.sum(axis=1) * dx, continuity_residual=residuals)
+
+
 @dataclass(frozen=True)
 class DiffusionFit:
     """Least-squares fit of the tail second moment to 4*D*(t - t_start)."""

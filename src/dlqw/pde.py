@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import DensityGrid
-from .observables import AntiDiagonalFields, DiagonalFields, MomentSeries, continuity_residual, moments
+from .observables import AntiDiagonalFields, DiagonalFields, MomentSeries, moment_series
 from .walk import (
     ConfigurationError,
     LatticeGrid,
@@ -72,19 +72,6 @@ LAMBDA_P = np.array([-1, 1, -1, 1])
 # per-component (x, x') grid shift of one exact advection step
 ADVECTION_SHIFTS = tuple(zip(LAMBDA.tolist(), LAMBDA_P.tolist()))
 
-# Jacobians of the r-component system, kept for reference and verified in tests:
-# ADVECTION_X = i*P and ADVECTION_XP = ADVECTION_X.T with P the coupling matrix.
-ADVECTION_X = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1j, 0],
-        [0, -1j, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
-ADVECTION_XP = ADVECTION_X.T.copy()
-
 
 @dataclass
 class PauliField:
@@ -120,20 +107,6 @@ class PauliField:
         return PauliField(self.r.copy(), self.grid)
 
 
-@dataclass
-class CharacteristicField:
-    """The advection-diagonal variables v = U_CHAR r."""
-
-    v: np.ndarray
-    grid: LatticeGrid
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=complex)
-        n = self.grid.n_sites
-        if self.v.shape != (4, n, n):
-            raise ConfigurationError(f"v shape {self.v.shape} != (4, {n}, {n})")
-
-
 def pauli_from_density(rho: DensityGrid) -> PauliField:
     """Pauli components of a lattice density grid, in density normalization.
 
@@ -154,22 +127,23 @@ def pauli_from_wave_state(state: WaveState) -> PauliField:
     return pauli_from_density(DensityGrid.from_wave_state(state))
 
 
-def v_transform(field: PauliField) -> CharacteristicField:
-    return CharacteristicField(np.einsum("ab,bxy->axy", U_CHAR, field.r), field.grid)
+def v_transform(field: PauliField) -> np.ndarray:
+    """The advection-diagonal variables v = U_CHAR r, shape (4, n, n)."""
+    return np.einsum("ab,bxy->axy", U_CHAR, field.r)
 
 
-def v_inverse(cfield: CharacteristicField) -> PauliField:
-    return PauliField(np.einsum("ab,bxy->axy", U_CHAR_INV, cfield.v), cfield.grid)
+def v_inverse(v: np.ndarray, grid: LatticeGrid) -> PauliField:
+    return PauliField(np.einsum("ab,bxy->axy", U_CHAR_INV, v), grid)
 
 
-def homogeneous_step(cfield: CharacteristicField, dt: float) -> CharacteristicField:
+def homogeneous_step(v: np.ndarray, grid: LatticeGrid, dt: float) -> np.ndarray:
     """Exact advection over one step; requires dt == grid spacing.
 
     Each component shifts by one cell along both axes according to its
     characteristic speeds, a pure permutation with no dispersion error.
     """
-    _require_unit_cfl(cfield.grid, dt)
-    return CharacteristicField(roll_components(cfield.v, ADVECTION_SHIFTS), cfield.grid)
+    _require_unit_cfl(grid, dt)
+    return roll_components(v, ADVECTION_SHIFTS)
 
 
 def _require_unit_cfl(grid: LatticeGrid, dt: float) -> None:
@@ -219,43 +193,40 @@ def _source_propagator_v(dt: float, m: float, g1: float, g2: float, alpha: float
     return U_CHAR @ t_r @ U_CHAR_INV
 
 
-def source_step(
-    cfield: CharacteristicField, dt: float, params: GeneratorParams, alpha: float = 0.5
-) -> CharacteristicField:
+def source_step(v: np.ndarray, dt: float, params: GeneratorParams,
+                alpha: float = 0.5) -> np.ndarray:
     """Pointwise source integration over dt in characteristic variables."""
     t_v = _source_propagator_v(dt, params.m, params.gamma1, params.gamma2, alpha)
-    return CharacteristicField(mix_components(t_v, cfield.v), cfield.grid)
+    return mix_components(t_v, v)
 
 
-SourceMap = Callable[[CharacteristicField], CharacteristicField]
+SourceMap = Callable[[np.ndarray], np.ndarray]
 
 
 def _half_sources(dt: float, params: GeneratorParams, alpha: float) -> tuple[SourceMap, SourceMap]:
     """Half-step source of homogeneous noise and its square, as field maps."""
     t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
     t_full = t_half @ t_half
-    return (lambda c: CharacteristicField(mix_components(t_half, c.v), c.grid),
-            lambda c: CharacteristicField(mix_components(t_full, c.v), c.grid))
+    return (lambda v: mix_components(t_half, v), lambda v: mix_components(t_full, v))
 
 
-def _strang_steps(cfield: CharacteristicField, n_steps: int, dt: float,
-                  half_source: SourceMap, full_source: SourceMap) -> CharacteristicField:
+def _strang_steps(v: np.ndarray, n_steps: int, grid: LatticeGrid, dt: float,
+                  half_source: SourceMap, full_source: SourceMap) -> np.ndarray:
     """``n_steps`` >= 1 Strang steps: half source, exact advection, half source.
 
     The trailing half source of each step and the leading one of the next are
     applied together as ``full_source``, so only the last step ends on a half.
     """
-    cfield = homogeneous_step(half_source(cfield), dt)
+    v = homogeneous_step(half_source(v), grid, dt)
     for _ in range(n_steps - 1):
-        cfield = homogeneous_step(full_source(cfield), dt)
-    return half_source(cfield)
+        v = homogeneous_step(full_source(v), grid, dt)
+    return half_source(v)
 
 
-def strang_step(
-    cfield: CharacteristicField, dt: float, params: GeneratorParams, alpha: float = 0.5
-) -> CharacteristicField:
+def strang_step(v: np.ndarray, grid: LatticeGrid, dt: float, params: GeneratorParams,
+                alpha: float = 0.5) -> np.ndarray:
     """Half source, exact advection, half source; O(dt^2) accurate globally."""
-    return _strang_steps(cfield, 1, dt, *_half_sources(dt, params, alpha))
+    return _strang_steps(v, 1, grid, dt, *_half_sources(dt, params, alpha))
 
 
 @dataclass(frozen=True)
@@ -336,7 +307,6 @@ class KernelSourceOperator:
         dists = np.arange(n // 2 + 1) * grid.spacing
         diags = _kernel_noise_diagonals(kernels, params, dists)
         mass = source_matrix(GeneratorParams(params.m, 0.0, 0.0))
-        self.grid = grid
         self._class_flat = [np.flatnonzero(sep.ravel() == d) for d in range(n // 2 + 1)]
         self._props = []
         for d in range(n // 2 + 1):
@@ -350,34 +320,44 @@ class KernelSourceOperator:
         out._props = [t_v @ t_v for t_v in self._props]
         return out
 
-    def apply(self, cfield: CharacteristicField) -> CharacteristicField:
-        flat = cfield.v.reshape(4, -1)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        flat = v.reshape(4, -1)
         out = np.empty_like(flat)
         for t_v, idx in zip(self._props, self._class_flat):
             out[:, idx] = t_v @ flat[:, idx]
-        return CharacteristicField(out.reshape(cfield.v.shape), cfield.grid)
+        return out.reshape(v.shape)
 
 
 def kernel_source_step(
-    cfield: CharacteristicField,
+    v: np.ndarray,
+    grid: LatticeGrid,
     dt: float,
     kernels: KernelSet,
     params: GeneratorParams,
     alpha: float = 0.5,
-) -> CharacteristicField:
+) -> np.ndarray:
     """Source integration with per-separation noise coefficients."""
-    return KernelSourceOperator(cfield.grid, kernels, params, dt, alpha).apply(cfield)
+    return KernelSourceOperator(grid, kernels, params, dt, alpha).apply(v)
 
 
 @dataclass
 class EvolveResult:
-    """Snapshots and the moment series of one PDE run."""
+    """Snapshots and the moment series of one PDE run.
+
+    ``final`` is the full field at the end of an :func:`evolve` run; the
+    diagonal fast path keeps no full field and leaves it ``None``.
+    """
 
     series: MomentSeries
     diagonals: list[DiagonalFields]
     antidiagonals: list[AntiDiagonalFields]
     fields: list[PauliField]
-    final: PauliField
+    final: PauliField | None = None
+
+
+def even_snapshot_steps(n_steps: int, n_snapshots: int) -> np.ndarray:
+    """Up to ``n_snapshots`` steps spread evenly over a run, both ends included."""
+    return np.unique(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1)).round().astype(int))
 
 
 def _step_marks(t_final: float, dt: float, n_snapshots: int,
@@ -385,13 +365,13 @@ def _step_marks(t_final: float, dt: float, n_snapshots: int,
     """Step count of a run and its sorted snapshot steps.
 
     Without ``snapshot_steps``, ``n_snapshots`` steps are spread evenly over
-    the run, both ends included.
+    the run.
     """
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
         raise ConfigurationError(f"t_final = {t_final} is not a multiple of dt = {dt}")
     if snapshot_steps is None:
-        marks = np.unique(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1)).round().astype(int))
+        marks = even_snapshot_steps(n_steps, n_snapshots)
     else:
         marks = np.unique(np.asarray(snapshot_steps, dtype=int))
         if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
@@ -413,8 +393,8 @@ def evolve(
     """Integrate the full (x, x') system to t_final with the Strang scheme.
 
     dt is the grid spacing (exact-advection constraint).  Snapshots record
-    the diagonal fields, moments, trace, and the continuity residual between
-    consecutive snapshots; full fields are kept only on request.
+    the diagonal fields, from which :func:`moment_series` builds the moments,
+    trace and continuity residual; full fields are kept only on request.
     """
     if t_final < 0:
         raise ConfigurationError("t_final must be non-negative")
@@ -428,72 +408,46 @@ def evolve(
         half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
         half_source, full_source = half.apply, half.squared().apply
 
-    cfield = v_transform(init)
+    v = v_transform(init)
     on_diagonal = np.arange(grid.n_sites)
-    times, means, seconds, traces, residuals = [], [], [], [], []
-    diags: list[DiagonalFields] = []
+    diags: list[np.ndarray] = []
     antis: list[AntiDiagonalFields] = []
     fields: list[PauliField] = []
-    prev_diag: DiagonalFields | None = None
-    prev_t = 0.0
 
-    def record(step: int) -> None:
-        nonlocal prev_diag, prev_t
-        t = step * dt
+    def record() -> None:
         # the diagonal of v first, then the 4x4 transform: O(n), not O(n^2)
-        r_diag = U_CHAR_INV @ cfield.v[:, on_diagonal, on_diagonal]
-        d = DiagonalFields(grid.positions, r_diag.real)
-        mean, second = moments(d.density, d.x, d.dx, check_normalization=False)
-        times.append(t)
-        means.append(mean)
-        seconds.append(second)
-        traces.append(float(r_diag[0].sum().real * dt))
-        if prev_diag is None:
-            residuals.append(0.0)
-        else:
-            residuals.append(
-                continuity_residual(
-                    prev_diag.R[0], d.R[0], prev_diag.R[3], d.R[3], t - prev_t, d.dx
-                )
-            )
-        diags.append(d)
+        diags.append((U_CHAR_INV @ v[:, on_diagonal, on_diagonal]).real)
         if keep_antidiagonals or keep_fields:
-            field = v_inverse(cfield)
+            field = v_inverse(v, grid)
             if keep_antidiagonals:
                 antis.append(field.antidiagonal())
             if keep_fields:
                 fields.append(field)
-        prev_diag, prev_t = d, t
 
     # The state must be exact at snapshots, at every 64th step (blow-up
     # check) and at the last step; the steps between them run fused.
     mark_set = set(int(s) for s in marks)
     checks = set(range(64, n_steps + 1, 64)) | {n_steps}
     if 0 in mark_set:
-        record(0)
+        record()
     done = 0
     for stop in sorted((checks | mark_set) - {0}):
-        cfield = _strang_steps(cfield, stop - done, dt, half_source, full_source)
+        v = _strang_steps(v, stop - done, grid, dt, half_source, full_source)
         done = stop
         if stop in checks:
-            peak = np.abs(cfield.v).max()
+            peak = np.abs(v).max()
             if not np.isfinite(peak) or peak > 1e6:
                 raise NumericalError(
                     f"field blow-up at t={stop * dt:.6g} (max |v| = {peak:.3e})"
                 )
         if stop in mark_set:
-            record(stop)
+            record()
 
-    final = v_inverse(cfield)
-    series = MomentSeries(
-        times=np.array(times),
-        mean_x=np.array(means),
-        second_moment=np.array(seconds),
-        trace=np.array(traces),
-        continuity_residual=np.array(residuals),
-    )
-    return EvolveResult(series=series, diagonals=diags, antidiagonals=antis,
-                        fields=fields, final=final)
+    x = grid.positions
+    diag = np.reshape(diags, (-1, 4, x.size))
+    return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
+                        diagonals=[DiagonalFields(x, d) for d in diag],
+                        antidiagonals=antis, fields=fields, final=v_inverse(v, grid))
 
 
 def diagonal_evolve(
@@ -511,12 +465,12 @@ def diagonal_evolve(
     Same characteristic splitting as the full solver, restricted to the
     two-component system d_t R0 = d_x R3, d_t R3 = d_x R0 - gamma2 R3.
     The phase-flip rate gamma1 does not enter these equations.  Snapshots
-    are taken as in :func:`evolve`.
+    are taken as in :func:`evolve`; the run stops at the last one.
     """
     if params.m != 0.0:
         raise ConfigurationError("diagonal fast path requires m = 0")
     dt = grid.spacing
-    n_steps, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
+    _, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
     # characteristic variables w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left
     vmat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     lam = ((-1,), (1,))
@@ -527,52 +481,18 @@ def diagonal_evolve(
     t_w = vmat.T @ t_r @ vmat
 
     w = vmat.T @ np.stack([np.asarray(init_r0, float), np.asarray(init_r3, float)])
-    mark_set = set(int(s) for s in marks)
+    diags = np.zeros((marks.size, 4, grid.n_sites))
+    done = 0
+    for k, stop in enumerate(marks):
+        for _ in range(stop - done):
+            w = t_w @ roll_components(t_w @ w, lam)
+        done = stop
+        diags[k, [0, 3]] = vmat @ w
+
     x = grid.positions
-
-    times, means, seconds, traces, residuals = [], [], [], [], []
-    diags: list[DiagonalFields] = []
-    prev: DiagonalFields | None = None
-    prev_t = 0.0
-
-    def record(step: int) -> None:
-        nonlocal prev, prev_t
-        t = step * dt
-        r0, r3 = vmat @ w
-        mean, second = moments(r0, x, dt, check_normalization=False)
-        times.append(t)
-        means.append(mean)
-        seconds.append(second)
-        traces.append(float(r0.sum() * dt))
-        full = np.zeros((4, x.size))
-        full[0], full[3] = r0, r3
-        d = DiagonalFields(x, full)
-        residuals.append(
-            0.0 if prev is None else continuity_residual(
-                prev.R[0], r0, prev.R[3], r3, t - prev_t, dt
-            )
-        )
-        diags.append(d)
-        prev, prev_t = d, t
-
-    if 0 in mark_set:
-        record(0)
-    for step in range(1, n_steps + 1):
-        w = t_w @ roll_components(t_w @ w, lam)
-        if step in mark_set:
-            record(step)
-
-    series = MomentSeries(
-        times=np.array(times), mean_x=np.array(means), second_moment=np.array(seconds),
-        trace=np.array(traces), continuity_residual=np.array(residuals),
-    )
-    r0, r3 = vmat @ w
-    n = grid.n_sites
-    final = PauliField(np.zeros((4, n, n), dtype=complex), grid)
-    np.fill_diagonal(final.r[0], r0)
-    np.fill_diagonal(final.r[3], r3)
-    return EvolveResult(series=series, diagonals=diags, antidiagonals=[], fields=[],
-                        final=final)
+    return EvolveResult(series=moment_series(dt * marks, x, dt, diags[:, 0], diags[:, 3]),
+                        diagonals=[DiagonalFields(x, d) for d in diags],
+                        antidiagonals=[], fields=[])
 
 
 MAGIC = b"DLQW"

@@ -302,8 +302,8 @@ def test_criterion_10_kernel_limit():
     start = pauli_from_wave_state(WaveState.gaussian(grid2, width=0.3, coin=(1.0, 0.0)))
     v = v_transform(start)
     for _ in range(50):
-        v = kernel_source_step(v, dt, decay_kernels, GeneratorParams())
-    out = v_inverse(v)
+        v = kernel_source_step(v, grid2, dt, decay_kernels, GeneratorParams())
+    out = v_inverse(v, grid2)
     k = 10
     sel = np.abs(np.diagonal(start.r[0], offset=k)) > 1e-8
     off_surv = float(

@@ -21,6 +21,22 @@ half_width = 8
 seed = 11
 """
 
+SPECTRAL_LOG = """
+scenario = lindblad
+fast = spectral
+m = 0.5
+gamma2 = 0.5
+p0 = 0.5
+sigma = 0.05
+dx = 0.05
+half_width = 40
+t_final = 400
+snapshot_spacing = log
+"""
+
+SPECTRAL_PRESETS = [name for name in list_presets()
+                    if load_config(f"preset:{name}").fast == "spectral"]
+
 
 class TestParseConfig:
     def test_minimal_walk_defaults(self):
@@ -85,6 +101,11 @@ class TestPresets:
     def test_missing_preset_errors(self):
         with pytest.raises(ConfigurationError):
             load_config("preset:nope")
+
+    @pytest.mark.parametrize("name", SPECTRAL_PRESETS)
+    def test_spectral_presets_pass_their_gates(self, tmp_path, name):
+        report = run(load_config(f"preset:{name}"), str(tmp_path / name))
+        assert report.passed, report.human_summary()
 
     @pytest.mark.parametrize("name", ["acceptance-equivalence-channel",
                                       "acceptance-equivalence-trajectories"])
@@ -193,6 +214,8 @@ class TestMain:
         ("t_final = -1\n", "t_final must be >= 0"),
         ("t_final = 0\nsnapshot_spacing = log\n", "requires t_final > 0"),
         ("t_final = 10\nsnapshot_spacing = log\nn_snapshots = 0\n", "n_snapshots must be >= 2"),
+        ("t_final = 400\nsnapshot_spacing = log\nn_snapshots = 17\neta_target = 5\nwindow = 1\n",
+         "window must be >= 2"),
     ])
     def test_bad_snapshot_config_exit_two(self, tmp_path, capsys, extra, message):
         cfg_path = tmp_path / "snapshots.cfg"
@@ -201,6 +224,21 @@ class TestMain:
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, failing", [
+        ("eta_target = 5\nwindow = 40\nn_snapshots = 17\n", ["eta_final"]),
+        ("plateau_target = 99\nslope_target = 99\nn_snapshots = 7\n",
+         ["x_plateau", "variance_slope"]),
+    ], ids=["eta-window-too-wide", "plateau-slope-too-few-snapshots"])
+    def test_declared_target_that_cannot_be_computed_fails(self, tmp_path, capsys, extra,
+                                                           failing):
+        cfg_path = tmp_path / "gates.cfg"
+        cfg_path.write_text(SPECTRAL_LOG + extra)
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        for name in failing:
+            assert f"[FAIL] {name}: value nan" in out
 
     def test_presets_listed(self, capsys):
         assert main(["presets"]) == 0

@@ -3,18 +3,14 @@ import pytest
 
 from dlqw.noise import (
     ChannelRates,
-    CorrelatedNoiseSpec,
     DensityGrid,
-    KernelNoise,
     NoiseSpec,
     ParamNoise,
     channel_step,
     ensemble_density,
-    hold_channel_step,
     rng_for_trajectory,
     run_ensemble,
     sample_coin_offsets,
-    sample_smooth_field,
     trajectory_offsets,
     trajectory_step,
     two_point_channel_step,
@@ -378,97 +374,3 @@ class TestNullNoises:
             dists.append(np.abs(pn - pc).sum() * eps)
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < dists[0] / 2
-
-
-class TestHoldChannel:
-    def test_identity_hold_slows_transport(self):
-        eps, steps = 0.25, 20
-        grid = LatticeGrid(n_sites=64, spacing=eps, time_step=eps)
-        field = AngleField(theta_bar=-0.4)
-        rho_free = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
-        rho_held = rho_free.copy()
-        for j in range(steps):
-            t = eps * j
-            rho_free = channel_step(rho_free, field, ChannelRates(), t)
-            rho_held = hold_channel_step(rho_held, field, hold_prob=0.2, t=t)
-        x = np.abs(grid.positions)
-        m_free = float(np.sum(x * rho_free.site_probabilities()))
-        m_held = float(np.sum(x * rho_held.site_probabilities()))
-        assert m_held < m_free
-        assert rho_held.trace() == pytest.approx(1.0, abs=1e-10)
-
-    def test_slowing_occurs_for_any_phase_choice(self):
-        # The hold-induced slowing is a lattice effect of staying put; it shows
-        # up whatever diagonal phases the held branch applies.
-        eps, steps = 0.25, 16
-        grid = LatticeGrid(n_sites=64, spacing=eps, time_step=eps)
-        field = AngleField(theta_bar=-0.4)
-        free = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
-        for j in range(steps):
-            free = channel_step(free, field, ChannelRates(), eps * j)
-        x = np.abs(grid.positions)
-        m_free = float(np.sum(x * free.site_probabilities()))
-        for phases in [(0.0, 0.0), (0.9, -0.4), (np.pi / 2, np.pi / 3)]:
-            rho = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
-            for j in range(steps):
-                rho = hold_channel_step(rho, field, 0.2, eps * j, phases=phases)
-            assert float(np.sum(x * rho.site_probabilities())) < m_free
-
-
-class TestSmoothField:
-    def test_constant_kernel_gives_constant_field(self):
-        grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
-        spec = CorrelatedNoiseSpec(
-            params=(None, None, KernelNoise(0.5, lambda d: np.ones_like(d)), None)
-        )
-        rng = np.random.default_rng(0)
-        samples = np.array(
-            [sample_smooth_field(spec, grid, eps=1.0, rng=rng)[2] for _ in range(4000)]
-        )
-        assert np.abs(samples - samples[:, :1]).max() < 1e-12
-        assert samples[:, 0].var() == pytest.approx(0.5, rel=0.1)
-
-    def test_zero_variance_gives_zero_field(self):
-        grid = LatticeGrid(n_sites=16, spacing=0.1, time_step=0.1)
-        spec = CorrelatedNoiseSpec(params=(None, None, None, None))
-        rng = np.random.default_rng(1)
-        np.testing.assert_array_equal(
-            sample_smooth_field(spec, grid, 0.1, rng), np.zeros((4, 16))
-        )
-
-    def test_gaussian_kernel_covariance(self):
-        n, dx = 64, 0.25
-        ell = 4 * dx
-        grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
-        var = 0.8
-        spec = CorrelatedNoiseSpec(
-            params=(None, None, KernelNoise(var, lambda d: np.exp(-(d**2) / (2 * ell**2))), None),
-        )
-        rng = np.random.default_rng(12)
-        fields = np.array(
-            [sample_smooth_field(spec, grid, eps=1.0, rng=rng)[2] for _ in range(20_000)]
-        )
-        for lag in (0, 4, 8):  # distances 0, ell, 2*ell
-            emp = np.mean(fields * np.roll(fields, lag, axis=1))
-            target = var * np.exp(-((lag * dx) ** 2) / (2 * ell**2))
-            assert emp == pytest.approx(target, rel=0.05)
-
-    def test_sqrt_eps_scaling(self):
-        grid = LatticeGrid(n_sites=16, spacing=0.1, time_step=0.1)
-        spec = CorrelatedNoiseSpec(
-            params=(None, None, KernelNoise(1.0, lambda d: np.ones_like(d)), None)
-        )
-        a = sample_smooth_field(spec, grid, eps=1.0, rng=np.random.default_rng(5))[2]
-        b = sample_smooth_field(spec, grid, eps=0.25, rng=np.random.default_rng(5))[2]
-        np.testing.assert_allclose(b, 0.5 * a, atol=1e-14)
-
-    def test_non_psd_kernel_rejected(self):
-        grid = LatticeGrid(n_sites=16, spacing=0.1, time_step=0.1)
-        bad = KernelNoise(1.0, lambda d: np.where(d == 0, 1.0, -0.9))
-        spec = CorrelatedNoiseSpec(params=(None, None, bad, None))
-        with pytest.raises(ConfigurationError):
-            sample_smooth_field(spec, grid, 0.1, np.random.default_rng(0))
-
-    def test_kernel_must_be_one_at_zero(self):
-        with pytest.raises(ConfigurationError):
-            KernelNoise(1.0, lambda d: 0.5 * np.ones_like(d))

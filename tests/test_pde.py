@@ -3,9 +3,6 @@ import pytest
 
 from dlqw.noise import DensityGrid
 from dlqw.pde import (
-    ADVECTION_X,
-    ADVECTION_XP,
-    CharacteristicField,
     GeneratorParams,
     KernelChannel,
     KernelSet,
@@ -102,8 +99,19 @@ class TestCharacteristicTransform:
         assert err <= 1e-15
 
     def test_diagonalizes_advection(self):
-        lam = U_CHAR @ ADVECTION_X @ U_CHAR.conj().T
-        lam_p = U_CHAR @ ADVECTION_XP @ U_CHAR.conj().T
+        # Jacobians of the r-component system: i*P on the x side, its
+        # transpose on the x' side, with P the coupling matrix
+        advection_x = np.array(
+            [
+                [0, 0, 0, -1],
+                [0, 0, 1j, 0],
+                [0, -1j, 0, 0],
+                [-1, 0, 0, 0],
+            ],
+            dtype=complex,
+        )
+        lam = U_CHAR @ advection_x @ U_CHAR.conj().T
+        lam_p = U_CHAR @ advection_x.T @ U_CHAR.conj().T
         np.testing.assert_allclose(lam, np.diag(LAMBDA), atol=1e-14)
         np.testing.assert_allclose(lam_p, np.diag(LAMBDA_P), atol=1e-14)
 
@@ -114,7 +122,7 @@ class TestCharacteristicTransform:
     def test_round_trip(self):
         grid = make_grid(12)
         field = hermitian_field(grid, seed=3)
-        back = v_inverse(v_transform(field))
+        back = v_inverse(v_transform(field), grid)
         np.testing.assert_allclose(back.r, field.r, atol=1e-13)
 
 
@@ -123,16 +131,16 @@ class TestHomogeneousStep:
         grid = make_grid(8)
         v = np.zeros((4, 8, 8), dtype=complex)
         v[0, 5, 6] = 1.0
-        out = homogeneous_step(CharacteristicField(v, grid), grid.spacing)
-        assert out.v[0, 4, 5] == 1.0
-        assert np.count_nonzero(out.v) == 1
+        out = homogeneous_step(v, grid, grid.spacing)
+        assert out[0, 4, 5] == 1.0
+        assert np.count_nonzero(out) == 1
 
     def test_all_components_follow_their_speeds(self):
         grid = make_grid(8)
         v = np.zeros((4, 8, 8), dtype=complex)
         for mu in range(4):
             v[mu, 4, 4] = 1.0
-        out = homogeneous_step(CharacteristicField(v, grid), grid.spacing).v
+        out = homogeneous_step(v, grid, grid.spacing)
         for mu in range(4):
             assert out[mu, 4 + LAMBDA[mu], 4 + LAMBDA_P[mu]] == 1.0
 
@@ -140,10 +148,10 @@ class TestHomogeneousStep:
         grid = make_grid(16)
         field = hermitian_field(grid, seed=4)
         v = v_transform(field)
-        out = homogeneous_step(v, grid.spacing)
+        out = homogeneous_step(v, grid, grid.spacing)
         for mu in range(4):
             np.testing.assert_array_equal(
-                np.sort_complex(out.v[mu].ravel()), np.sort_complex(v.v[mu].ravel())
+                np.sort_complex(out[mu].ravel()), np.sort_complex(v[mu].ravel())
             )
 
     def test_periodic_return(self):
@@ -152,14 +160,14 @@ class TestHomogeneousStep:
         v = v_transform(field)
         out = v
         for _ in range(grid.n_sites):
-            out = homogeneous_step(out, grid.spacing)
-        np.testing.assert_array_equal(out.v, v.v)
+            out = homogeneous_step(out, grid, grid.spacing)
+        np.testing.assert_array_equal(out, v)
 
     def test_wrong_dt_rejected(self):
         grid = make_grid(8)
         v = v_transform(hermitian_field(grid))
         with pytest.raises(ConfigurationError):
-            homogeneous_step(v, 0.5 * grid.spacing)
+            homogeneous_step(v, grid, 0.5 * grid.spacing)
 
 
 class TestSourceStep:
@@ -167,14 +175,14 @@ class TestSourceStep:
         grid = make_grid(8)
         v = v_transform(hermitian_field(grid, seed=6))
         out = source_step(v, grid.spacing, GeneratorParams())
-        np.testing.assert_allclose(out.v, v.v, atol=1e-14)
+        np.testing.assert_allclose(out, v, atol=1e-14)
 
     def test_decay_rates_against_exponential(self):
         dt = 0.05
         grid = LatticeGrid(n_sites=8, spacing=dt, time_step=dt)
         params = GeneratorParams(m=0.0, gamma1=0.4, gamma2=0.7)
         field = hermitian_field(grid, seed=7)
-        out = v_inverse(source_step(v_transform(field), dt, params))
+        out = v_inverse(source_step(v_transform(field), dt, params), grid)
         for mu, rate in ((1, 0.4), (2, 1.1), (3, 0.7)):
             np.testing.assert_allclose(
                 out.r[mu], field.r[mu] * np.exp(-rate * dt), rtol=3 * dt**2
@@ -185,7 +193,7 @@ class TestSourceStep:
         grid = make_grid(8)
         params = GeneratorParams(m=1.5, gamma1=0.3, gamma2=0.9)
         field = hermitian_field(grid, seed=8)
-        out = v_inverse(source_step(v_transform(field), grid.spacing, params))
+        out = v_inverse(source_step(v_transform(field), grid.spacing, params), grid)
         np.testing.assert_allclose(out.r[0], field.r[0], atol=1e-13)
 
     def test_alpha_validated(self):
@@ -199,9 +207,9 @@ class TestStrangStep:
     def test_free_is_pure_advection(self):
         grid = make_grid(8)
         v = v_transform(hermitian_field(grid, seed=9))
-        out = strang_step(v, grid.spacing, GeneratorParams())
-        ref = homogeneous_step(v, grid.spacing)
-        np.testing.assert_allclose(out.v, ref.v, atol=1e-14)
+        out = strang_step(v, grid, grid.spacing, GeneratorParams())
+        ref = homogeneous_step(v, grid, grid.spacing)
+        np.testing.assert_allclose(out, ref, atol=1e-14)
 
     def test_trace_drift_over_thousand_steps(self):
         grid = make_grid(128, 0.05)
@@ -210,8 +218,8 @@ class TestStrangStep:
         v = v_transform(field)
         t0 = field.trace()
         for _ in range(1000):
-            v = strang_step(v, grid.spacing, params)
-        assert abs(v_inverse(v).trace() - t0) < 1e-8
+            v = strang_step(v, grid, grid.spacing, params)
+        assert abs(v_inverse(v, grid).trace() - t0) < 1e-8
         # evolve runs the same steps fused between snapshots and checks
         final = evolve(field, params, 1000 * grid.spacing, n_snapshots=2).final
         assert abs(final.trace() - t0) < 1e-8
@@ -222,11 +230,11 @@ class TestStrangStep:
         field = gaussian_pauli(grid, width=0.4)
         v = v_transform(field)
         for _ in range(200):
-            v = strang_step(v, grid.spacing, params)
-        assert v_inverse(v).hermiticity_defect() < 1e-10
+            v = strang_step(v, grid, grid.spacing, params)
+        assert v_inverse(v, grid).hermiticity_defect() < 1e-10
         final = evolve(field, params, 200 * grid.spacing, n_snapshots=2).final
         assert final.hermiticity_defect() < 1e-10
-        np.testing.assert_allclose(final.r, v_inverse(v).r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final.r, v_inverse(v, grid).r, rtol=0, atol=1e-12)
 
     def test_self_convergence_second_order(self):
         # same physical problem on dx, dx/2, dx/4; errors on shared points
@@ -361,9 +369,9 @@ class TestKernelSource:
             coin_flip=KernelChannel(0.6, ones),
         )
         v = self.make_v(grid)
-        a = kernel_source_step(v, 0.05, kernels, params)
+        a = kernel_source_step(v, grid, 0.05, kernels, params)
         b = source_step(v, 0.05, params)
-        assert np.abs(a.v - b.v).max() <= 1e-12
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_diagonal_cells_follow_homogeneous_generator(self):
         grid = make_grid(32, 0.1)
@@ -375,8 +383,8 @@ class TestKernelSource:
             coin_flip=KernelChannel(0.6, kern),
         )
         v = self.make_v(grid)
-        a = v_inverse(kernel_source_step(v, 0.05, kernels, params))
-        b = v_inverse(source_step(v, 0.05, params))
+        a = v_inverse(kernel_source_step(v, grid, 0.05, kernels, params), grid)
+        b = v_inverse(source_step(v, 0.05, params), grid)
         for mu in range(4):
             np.testing.assert_allclose(
                 np.diagonal(a.r[mu]), np.diagonal(b.r[mu]), atol=1e-12
@@ -394,9 +402,9 @@ class TestKernelSource:
         steps = 100
         out = v
         for _ in range(steps):
-            out = kernel_source_step(out, dt, kernels, params)
+            out = kernel_source_step(out, grid, dt, kernels, params)
         i, j = 5, 37  # separation far beyond the kernel width
-        ratio = v_inverse(out).r[0][i, j] / v_inverse(v).r[0][i, j]
+        ratio = v_inverse(out, grid).r[0][i, j] / v_inverse(v, grid).r[0][i, j]
         assert ratio.real == pytest.approx(np.exp(-gamma0 * steps * dt / 2), rel=1e-4)
 
     def test_kernel_coherence_decays_faster_off_diagonal(self):
@@ -407,8 +415,8 @@ class TestKernelSource:
         field = gaussian_pauli(grid, width=0.2)
         v = v_transform(field)
         for _ in range(50):
-            v = kernel_source_step(v, dt, kernels, params)
-        out = v_inverse(v)
+            v = kernel_source_step(v, grid, dt, kernels, params)
+        out = v_inverse(v, grid)
         k = 8  # fixed separation d = k*dt > 0
         start = np.abs(np.diagonal(field.r[0], offset=k))
         end = np.abs(np.diagonal(out.r[0], offset=k))
@@ -418,6 +426,10 @@ class TestKernelSource:
             np.abs(np.diagonal(out.r[0])) / np.abs(np.diagonal(field.r[0]))
         ).max()
         assert decay_off < decay_diag - 1e-3
+
+    def test_kernel_must_be_one_at_zero(self):
+        with pytest.raises(ConfigurationError):
+            KernelChannel(1.0, lambda d: 0.5 * np.ones_like(d))
 
     def test_kernel_evolve_trace_preserved(self):
         grid = make_grid(48, 0.05)
