@@ -84,6 +84,23 @@ def diagonal_evolve_log() -> dict[str, np.ndarray]:
                 final_r0_r3=res.diagonals[-1].R[[0, 3]])
 
 
+def diagonal_evolve_alpha() -> dict[str, np.ndarray]:
+    """The massless (R0, R3) path with alpha = 0.25 and gamma1, gamma2 > 0 on uneven snapshots.
+
+    alpha enters the implicit source step; gamma1 must not enter at all.
+    """
+    grid = LatticeGrid(n_sites=160, spacing=0.05, time_step=0.05)
+    d0 = pde.pauli_from_wave_state(
+        WaveState.gaussian(grid, width=0.3, coin=(1.0, 0.4 - 0.5j), p0=-0.8)).diagonal()
+    res = pde.diagonal_evolve(d0.R[0], d0.R[3], grid,
+                              pde.GeneratorParams(gamma1=0.4, gamma2=0.6), 3.0,
+                              alpha=0.25, snapshot_steps=[0, 1, 4, 5, 17, 40, 41, 59, 60])
+    s = res.series
+    return dict(times=s.times, mean_x=s.mean_x, second_moment=s.second_moment,
+                trace=s.trace, continuity_residual=s.continuity_residual,
+                snapshot_r0_r3=np.stack([d.R[[0, 3]] for d in res.diagonals]))
+
+
 def _channel_arrays(rho0: noise.DensityGrid, field: AngleField, rates: noise.ChannelRates,
                     n_steps: int) -> dict[str, np.ndarray]:
     grid = rho0.grid
@@ -205,6 +222,18 @@ def ensemble_mixed_kinds() -> dict[str, np.ndarray]:
     return _ensemble_arrays(AngleField(theta_bar=-0.6), spec, init, [5, 11], 30, seed=3)
 
 
+def ensemble_site_coin() -> dict[str, np.ndarray]:
+    """Gaussian theta noise on a coin that varies in x and t: the per-trajectory loop.
+
+    12 trajectories on n = 32, seed 7.
+    """
+    grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+    init = WaveState.gaussian(grid, width=0.3, p0=0.4)
+    spec = noise.NoiseSpec.single("theta", "gaussian", 0.5)
+    field = AngleField(theta_bar=lambda t, x: -0.8 + 0.2 * np.cos(x - t), xi1_bar=0.15)
+    return _ensemble_arrays(field, spec, init, [3, 8], 12, seed=7)
+
+
 def _series_arrays(series) -> dict[str, np.ndarray]:
     return dict(times=series.times, mean_x=series.mean_x,
                 second_moment=series.second_moment, trace=series.trace)
@@ -254,10 +283,12 @@ CASES = {
     "channel_site_coin": (channel_site_coin, False),
     "runner_channel": (runner_channel, False),
     "diagonal_evolve_log": (diagonal_evolve_log, False),
+    "diagonal_evolve_alpha": (diagonal_evolve_alpha, False),
     "runner_compare": (runner_compare, False),
     "ensemble_single_angle": (ensemble_single_angle, True),
     "ensemble_two_point_pair": (ensemble_two_point_pair, True),
     "ensemble_mixed_kinds": (ensemble_mixed_kinds, True),
+    "ensemble_site_coin": (ensemble_site_coin, True),
     "spectral_massive_noisy": (spectral_massive_noisy, False),
     "spectral_free_log": (spectral_free_log, False),
     "spectral_uniform": (spectral_uniform, False),
