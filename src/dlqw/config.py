@@ -190,6 +190,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("n_snapshots must be >= 2")
     if values.get("window", 2) < 2:
         errors.append("window must be >= 2")
+    if not 0.0 <= values.get("alpha", 0.5) <= 1.0:
+        errors.append("alpha must lie in [0, 1]")
 
     if errors:
         raise ConfigError(errors)

@@ -203,30 +203,30 @@ def source_step(v: np.ndarray, dt: float, params: GeneratorParams,
 SourceMap = Callable[[np.ndarray], np.ndarray]
 
 
-def _half_sources(dt: float, params: GeneratorParams, alpha: float) -> tuple[SourceMap, SourceMap]:
-    """Half-step source of homogeneous noise and its square, as field maps."""
-    t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
+def _half_sources(t_half: np.ndarray) -> tuple[SourceMap, SourceMap]:
+    """Half-step source matrix and its square, as field maps."""
     t_full = t_half @ t_half
     return (lambda v: mix_components(t_half, v), lambda v: mix_components(t_full, v))
 
 
-def _strang_steps(v: np.ndarray, n_steps: int, grid: LatticeGrid, dt: float,
+def _strang_steps(v: np.ndarray, n_steps: int, advect: SourceMap,
                   half_source: SourceMap, full_source: SourceMap) -> np.ndarray:
     """``n_steps`` >= 1 Strang steps: half source, exact advection, half source.
 
     The trailing half source of each step and the leading one of the next are
     applied together as ``full_source``, so only the last step ends on a half.
     """
-    v = homogeneous_step(half_source(v), grid, dt)
+    v = advect(half_source(v))
     for _ in range(n_steps - 1):
-        v = homogeneous_step(full_source(v), grid, dt)
+        v = advect(full_source(v))
     return half_source(v)
 
 
 def strang_step(v: np.ndarray, grid: LatticeGrid, dt: float, params: GeneratorParams,
                 alpha: float = 0.5) -> np.ndarray:
     """Half source, exact advection, half source; O(dt^2) accurate globally."""
-    return _strang_steps(v, 1, grid, dt, *_half_sources(dt, params, alpha))
+    t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
+    return _strang_steps(v, 1, lambda u: homogeneous_step(u, grid, dt), *_half_sources(t_half))
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ def kernel_source_step(
 
 @dataclass
 class EvolveResult:
-    """Snapshots and the moment series of one PDE run.
+    """The moment series and the diagonal fields at each snapshot of one PDE run.
 
     ``final`` is the full field at the end of an :func:`evolve` run; the
     diagonal fast path keeps no full field and leaves it ``None``.
@@ -350,8 +350,6 @@ class EvolveResult:
 
     series: MomentSeries
     diagonals: list[DiagonalFields]
-    antidiagonals: list[AntiDiagonalFields]
-    fields: list[PauliField]
     final: PauliField | None = None
 
 
@@ -387,14 +385,12 @@ def evolve(
     alpha: float = 0.5,
     n_snapshots: int = 21,
     snapshot_steps: list[int] | None = None,
-    keep_fields: bool = False,
-    keep_antidiagonals: bool = False,
 ) -> EvolveResult:
     """Integrate the full (x, x') system to t_final with the Strang scheme.
 
     dt is the grid spacing (exact-advection constraint).  Snapshots record
     the diagonal fields, from which :func:`moment_series` builds the moments,
-    trace and continuity residual; full fields are kept only on request.
+    trace and continuity residual; the full field is kept at the end only.
     """
     if t_final < 0:
         raise ConfigurationError("t_final must be non-negative")
@@ -403,7 +399,8 @@ def evolve(
     n_steps, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
 
     if kernels is None:
-        half_source, full_source = _half_sources(dt, params, alpha)
+        half_source, full_source = _half_sources(
+            _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha))
     else:
         half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
         half_source, full_source = half.apply, half.squared().apply
@@ -411,18 +408,10 @@ def evolve(
     v = v_transform(init)
     on_diagonal = np.arange(grid.n_sites)
     diags: list[np.ndarray] = []
-    antis: list[AntiDiagonalFields] = []
-    fields: list[PauliField] = []
 
     def record() -> None:
         # the diagonal of v first, then the 4x4 transform: O(n), not O(n^2)
         diags.append((U_CHAR_INV @ v[:, on_diagonal, on_diagonal]).real)
-        if keep_antidiagonals or keep_fields:
-            field = v_inverse(v, grid)
-            if keep_antidiagonals:
-                antis.append(field.antidiagonal())
-            if keep_fields:
-                fields.append(field)
 
     # The state must be exact at snapshots, at every 64th step (blow-up
     # check) and at the last step; the steps between them run fused.
@@ -432,7 +421,8 @@ def evolve(
         record()
     done = 0
     for stop in sorted((checks | mark_set) - {0}):
-        v = _strang_steps(v, stop - done, grid, dt, half_source, full_source)
+        v = _strang_steps(v, stop - done, lambda u: homogeneous_step(u, grid, dt),
+                          half_source, full_source)
         done = stop
         if stop in checks:
             peak = np.abs(v).max()
@@ -447,7 +437,7 @@ def evolve(
     diag = np.reshape(diags, (-1, 4, x.size))
     return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
                         diagonals=[DiagonalFields(x, d) for d in diag],
-                        antidiagonals=antis, fields=fields, final=v_inverse(v, grid))
+                        final=v_inverse(v, grid))
 
 
 def diagonal_evolve(
@@ -462,7 +452,7 @@ def diagonal_evolve(
 ) -> EvolveResult:
     """Massless fast path: the diagonal (R^0, R^3) system is closed when m = 0.
 
-    Same characteristic splitting as the full solver, restricted to the
+    The full solver's Strang composition and source step, restricted to the
     two-component system d_t R0 = d_x R3, d_t R3 = d_x R0 - gamma2 R3.
     The phase-flip rate gamma1 does not enter these equations.  Snapshots
     are taken as in :func:`evolve`; the run stops at the last one.
@@ -471,28 +461,26 @@ def diagonal_evolve(
         raise ConfigurationError("diagonal fast path requires m = 0")
     dt = grid.spacing
     _, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
-    # characteristic variables w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left
+    # At m = 0 the source F is diagonal, so the (R0, R3) block of its
+    # propagator is exact on its own.  Characteristic variables
+    # w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left.
     vmat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    lam = ((-1,), (1,))
-    f2 = np.array([[0.0, 0.0], [0.0, -params.gamma2]])
-    lhs = np.eye(2) - (1 - alpha) * 0.5 * dt * f2
-    rhs = np.eye(2) + alpha * 0.5 * dt * f2
-    t_r = np.linalg.solve(lhs, rhs)
-    t_w = vmat.T @ t_r @ vmat
+    t_r = _propagator_from_f(source_matrix(params), 0.5 * dt, alpha)[np.ix_([0, 3], [0, 3])]
+    half_source, full_source = _half_sources(vmat.T @ t_r @ vmat)
 
     w = vmat.T @ np.stack([np.asarray(init_r0, float), np.asarray(init_r3, float)])
     diags = np.zeros((marks.size, 4, grid.n_sites))
     done = 0
     for k, stop in enumerate(marks):
-        for _ in range(stop - done):
-            w = t_w @ roll_components(t_w @ w, lam)
+        if stop > done:
+            w = _strang_steps(w, stop - done, lambda u: roll_components(u, ((-1,), (1,))),
+                              half_source, full_source)
         done = stop
         diags[k, [0, 3]] = vmat @ w
 
     x = grid.positions
     return EvolveResult(series=moment_series(dt * marks, x, dt, diags[:, 0], diags[:, 3]),
-                        diagonals=[DiagonalFields(x, d) for d in diags],
-                        antidiagonals=[], fields=[])
+                        diagonals=[DiagonalFields(x, d) for d in diags])
 
 
 MAGIC = b"DLQW"

@@ -371,8 +371,9 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
     else:
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
     field0 = pde.pauli_from_wave_state(state)
+    marks = _snapshot_steps(cfg, int(round(cfg.t_final / cfg.dx)))
     res = pde.evolve(field0, params, cfg.t_final, kernels=kernels, alpha=cfg.alpha,
-                     n_snapshots=cfg.n_snapshots)
+                     snapshot_steps=marks)
     series = res.series
     _write_moments_csv(report.add_file("moments.csv"), series)
     pde.write_diagonal_csv(report.add_file("final_diag.csv"), res.diagonals[-1],
@@ -405,8 +406,9 @@ def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> None:
     prof = np.exp(-(x**2) / (2 * width**2))
     prof /= prof.sum() * grid.spacing
     params = pde.GeneratorParams(m=0.0, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
+    marks = _snapshot_steps(cfg, int(round(cfg.t_final / cfg.dx)))
     res = pde.diagonal_evolve(prof, np.zeros_like(prof), grid, params, cfg.t_final,
-                              alpha=cfg.alpha, n_snapshots=cfg.n_snapshots)
+                              alpha=cfg.alpha, snapshot_steps=marks)
     _write_moments_csv(report.add_file("moments.csv"), res.series)
 
     def f(y):

@@ -60,10 +60,10 @@ def evolve_kernel() -> dict[str, np.ndarray]:
     params = pde.GeneratorParams(m=0.6, gamma1=0.0, gamma2=0.3)
     state = WaveState.gaussian(grid, width=0.3, p0=1.5)
     res = pde.evolve(pde.pauli_from_wave_state(state), params, 3.5, kernels=kernels,
-                     n_snapshots=8, keep_fields=True, keep_antidiagonals=True)
+                     n_snapshots=8)
     out = _evolve_arrays(res)
-    out["antidiagonal_last"] = res.antidiagonals[-1].T
-    out["field_last_row"] = res.fields[-1].r[:, grid.center_index, :]
+    out["antidiagonal_last"] = res.final.antidiagonal().T
+    out["field_last_row"] = res.final.r[:, grid.center_index, :]
     return out
 
 

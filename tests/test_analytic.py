@@ -157,8 +157,8 @@ class TestTelegraphSolution:
 
         field = PauliField(r, grid)
         res = evolve(field, GeneratorParams(m=0.0, gamma1=g1, gamma2=g2), t_final,
-                     n_snapshots=2, keep_antidiagonals=True)
-        t1_num = res.antidiagonals[-1].T[1].real
+                     n_snapshots=2)
+        t1_num = res.final.antidiagonal().T[1].real
 
         fvals = envelope**2
         from numpy import interp

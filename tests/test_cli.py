@@ -113,6 +113,12 @@ class TestPresets:
         report = run(load_config(f"preset:{name}"), str(tmp_path / name))
         assert report.passed, report.human_summary()
 
+    @pytest.mark.parametrize("name", ["acceptance-telegraph", "acceptance-kernel",
+                                      "acceptance-walk", "fig1-middle"])
+    def test_grid_and_walk_presets_pass_their_gates(self, tmp_path, name):
+        report = run(load_config(f"preset:{name}"), str(tmp_path / name))
+        assert report.passed, report.human_summary()
+
 
 class TestRunner:
     def test_deterministic_outputs(self, tmp_path):
@@ -156,6 +162,18 @@ class TestRunner:
         np.testing.assert_allclose(times, np.concatenate([[0.0], 0.05 * steps]), rtol=1e-12)
         ratios = times[2:] / times[1:-1]
         assert ratios.min() >= 2.0  # uniform spacing would give ratios near 1
+
+    @pytest.mark.parametrize("text", [
+        "scenario = telegraph\ngamma2 = 0.5\ndx = 0.02\nhalf_width = 4\n",
+        "scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
+        "kernel_ell = 0.2\ndx = 0.05\nhalf_width = 2\ninit = gaussian\ninit_width = 0.2\n",
+    ], ids=["telegraph", "kernel-lindblad"])
+    def test_log_spacing_reaches_moments_csv(self, tmp_path, text):
+        cfg = parse_config(text + "t_final = 2\nn_snapshots = 9\nsnapshot_spacing = log\n")
+        run(cfg, str(tmp_path / "run"))
+        times = np.loadtxt(tmp_path / "run" / "moments.csv", delimiter=",", skiprows=1)[:, 0]
+        steps = np.geomspace(1, round(2 / cfg.dx), 8).round()
+        np.testing.assert_allclose(times, np.concatenate([[0.0], cfg.dx * steps]), rtol=1e-12)
 
     def test_default_output_dirs_are_distinct(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DLQW_OUTPUT_ROOT", str(tmp_path / "out"))
@@ -224,6 +242,19 @@ class TestMain:
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "scenario = telegraph\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 4\nt_final = 1\n"
+        "alpha = 1.5\n",
+        "scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.05\n"
+        "half_width = 40\nt_final = 1\nalpha = 7\n",
+    ], ids=["telegraph", "spectral"])
+    def test_alpha_out_of_range_exit_two(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "alpha.cfg"
+        cfg_path.write_text(text)
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, failing", [
         ("eta_target = 5\nwindow = 40\nn_snapshots = 17\n", ["eta_final"]),

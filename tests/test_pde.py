@@ -201,6 +201,9 @@ class TestSourceStep:
         v = v_transform(hermitian_field(grid))
         with pytest.raises(ConfigurationError):
             source_step(v, grid.spacing, GeneratorParams(), alpha=1.5)
+        with pytest.raises(ConfigurationError):
+            diagonal_evolve(np.zeros(8), np.zeros(8), grid, GeneratorParams(gamma2=0.5),
+                            2 * grid.spacing, alpha=1.5)
 
 
 class TestStrangStep:
@@ -260,8 +263,7 @@ class TestMasslessStructure:
         field = gaussian_pauli(grid, width=0.4)
         field.r[1] = 0.0
         field.r[2] = 0.0
-        res = evolve(field, params, 1.0, n_snapshots=2, keep_fields=True)
-        out = res.fields[-1]
+        out = evolve(field, params, 1.0, n_snapshots=2).final
         assert np.abs(out.r[1]).max() < 1e-12
         assert np.abs(out.r[2]).max() < 1e-12
         assert np.abs(out.r[0]).max() > 1e-3
@@ -304,7 +306,7 @@ class TestEvolve:
     def test_zero_time_returns_init(self):
         grid = make_grid(24, 0.1)
         field = gaussian_pauli(grid)
-        res = evolve(field, GeneratorParams(m=1.0, gamma2=0.5), 0.0, keep_fields=True)
+        res = evolve(field, GeneratorParams(m=1.0, gamma2=0.5), 0.0)
         np.testing.assert_allclose(res.final.r, field.r, atol=1e-14)
         assert res.series.times.tolist() == [0.0]
 
@@ -323,8 +325,8 @@ class TestEvolve:
         grid = make_grid(48, 0.05)
         params = GeneratorParams(m=1.0, gamma1=0.1, gamma2=0.4)
         field = gaussian_pauli(grid, width=0.4, coin=(1.0, 0.5j))
-        res = evolve(field, params, 1.0, n_snapshots=3, keep_fields=True)
-        for f in res.fields:
+        for t_final in (0.5, 1.0):
+            f = evolve(field, params, t_final, n_snapshots=2).final
             for mu in range(4):
                 assert np.abs(np.diagonal(f.r[mu]).imag).max() < 1e-10
 
