@@ -200,17 +200,17 @@ def source_step(v: np.ndarray, dt: float, params: GeneratorParams,
     return mix_components(t_v, v)
 
 
-SourceMap = Callable[[np.ndarray], np.ndarray]
+FieldMap = Callable[[np.ndarray], np.ndarray]
 
 
-def _half_sources(t_half: np.ndarray) -> tuple[SourceMap, SourceMap]:
+def _half_sources(t_half: np.ndarray) -> tuple[FieldMap, FieldMap]:
     """Half-step source matrix and its square, as field maps."""
     t_full = t_half @ t_half
     return (lambda v: mix_components(t_half, v), lambda v: mix_components(t_full, v))
 
 
-def _strang_steps(v: np.ndarray, n_steps: int, advect: SourceMap,
-                  half_source: SourceMap, full_source: SourceMap) -> np.ndarray:
+def _strang_steps(v: np.ndarray, n_steps: int, advect: FieldMap,
+                  half_source: FieldMap, full_source: FieldMap) -> np.ndarray:
     """``n_steps`` >= 1 Strang steps: half source, exact advection, half source.
 
     The trailing half source of each step and the leading one of the next are
