@@ -175,6 +175,17 @@ def runner_compare() -> dict[str, np.ndarray]:
     return out
 
 
+def fourier_run() -> dict[str, np.ndarray]:
+    """Both R0 columns of ``fourier_compare.csv``: the Strang run and the exact propagator."""
+    cfg = config.parse_config(
+        "scenario = fourier\ndx = 0.05\nhalf_width = 4\nt_final = 2\ngamma2 = 0.5\n"
+        "init_width = 0.35\n")
+    with tempfile.TemporaryDirectory() as out:
+        runner.run(cfg, out)
+        data = np.loadtxt(Path(out) / "fourier_compare.csv", delimiter=",", skiprows=1)
+    return dict(R0_strang=data[:, 1], R0_propagator=data[:, 2])
+
+
 def _ensemble_arrays(field: AngleField, spec: noise.NoiseSpec, init: WaveState,
                      checkpoints: list[int], n_traj: int, seed: int) -> dict[str, np.ndarray]:
     grid = init.grid
@@ -285,6 +296,7 @@ CASES = {
     "diagonal_evolve_log": (diagonal_evolve_log, False),
     "diagonal_evolve_alpha": (diagonal_evolve_alpha, False),
     "runner_compare": (runner_compare, False),
+    "fourier_run": (fourier_run, False),
     "ensemble_single_angle": (ensemble_single_angle, True),
     "ensemble_two_point_pair": (ensemble_two_point_pair, True),
     "ensemble_mixed_kinds": (ensemble_mixed_kinds, True),
