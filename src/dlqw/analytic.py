@@ -3,7 +3,7 @@
 These routines are independent of the lattice and grid solvers and serve as
 references for them: the damped-wave (telegraph) solution in terms of modified
 Bessel functions, free massive wavepackets with known group velocity, the
-momentum-space matrix-exponential propagator of the full noisy dynamics, and
+momentum-space propagator of the massless diagonal (R0, R3) system, and
 an exact moment evolution that integrates the first and second position
 moments without any spatial grid.
 """
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .observables import MomentSeries
-from .pde import GeneratorParams, NumericalError, PauliField
+from .pde import GeneratorParams, NumericalError
 from .walk import ConfigurationError, DomainError, LatticeGrid, SIGMA, WaveState
 
 SERIES_ASYMPTOTIC_SWITCH = 15.0
@@ -422,27 +422,24 @@ def _pade6_exp(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(even - odd, even + odd)
 
 
-def fourier_propagate(init: PauliField, params: GeneratorParams, t: float,
-                      chunk_rows: int = 64) -> PauliField:
-    """Exact-in-time propagation via per-momentum-pair matrix exponentials.
+def fourier_propagate(r0, r3, grid: LatticeGrid, params: GeneratorParams,
+                      t: float) -> np.ndarray:
+    """Exact-in-time propagation of the massless diagonal (R0, R3), shape (2, n).
 
-    Transforms r(x, x') to r(p, q), applies exp(t G(p, q)) to each 4-vector,
-    and transforms back.  Memory is bounded by processing blocks of p rows.
+    At m = 0 the diagonal system d_t R0 = d_x R3, d_t R3 = d_x R0 - gamma2 R3
+    is closed, and each wavenumber s evolves by exp(t [[0, i s], [i s, -gamma2]]),
+    the (0, 3) block of the generator at offset s.
     """
     if t < 0:
         raise DomainError("t must be >= 0")
-    grid = init.grid
-    n = grid.n_sites
-    p = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    rt = np.fft.ifft(np.fft.fft(init.r, axis=1), axis=2)
-    out = np.empty_like(rt)
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        g = generator_matrix(p[lo:hi, None], p[None, :], params)
-        prop = expm_stack(t * g)
-        out[:, lo:hi, :] = np.einsum("xyab,bxy->axy", prop, rt[:, lo:hi, :])
-    r_new = np.fft.fft(np.fft.ifft(out, axis=1), axis=2)
-    return PauliField(r_new, grid)
+    if params.m != 0.0:
+        raise ConfigurationError("the diagonal (R0, R3) system closes only at m = 0")
+    s = 2.0 * np.pi * np.fft.fftfreq(grid.n_sites, d=grid.spacing)
+    prop = expm_stack(t * generator_matrix(s, 0.0, params)[:, [0, 3]][:, :, [0, 3]])
+    spectrum = np.einsum("sab,bs->as", prop, np.fft.fft(np.stack([r0, r3]), axis=1))
+    # prop(-s) = conj(prop(s)), so only rounding and the unpaired Nyquist mode
+    # leave an imaginary part
+    return np.fft.ifft(spectrum, axis=1).real
 
 
 # d/ds of the generator at s = p - q = 0: G(p, q) = G(p, p) + s * _G_OFFSET

@@ -8,6 +8,7 @@ be addressed by name (e.g. ``preset:fig1-left``).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -121,14 +122,21 @@ _REQUIRED = {
 _NONNEGATIVE_RATES = ("gamma1", "gamma2", "pi1_rate", "pi2_rate", "kernel_rate", "noise_delta")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def _convert(key: str, raw: str):
     target = _FIELD_TYPES[key]
     if key == "eps_list" or "tuple" in str(target):
-        return tuple(float(v) for v in raw.replace(",", " ").split())
+        return tuple(_finite(v) for v in raw.replace(",", " ").split())
     if target in ("int", int):
         return int(raw)
     if target in ("float", float):
-        return float(raw)
+        return _finite(raw)
     return raw
 
 
@@ -178,6 +186,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("dx must be positive")
     if values.get("fast", "full") not in ("full", "diagonal", "spectral"):
         errors.append(f"fast must be one of full/diagonal/spectral, got {values.get('fast')!r}")
+    if scenario == "kernel-lindblad" and values.get("kernel_ell", 1.0) <= 0:
+        errors.append("kernel_ell must be positive")
     if values.get("kernel_channel", "") not in ("", "identity", "phase-flip", "coin-flip"):
         errors.append(f"unknown kernel_channel {values.get('kernel_channel')!r}")
     if values.get("snapshot_spacing", "uniform") not in ("uniform", "log"):

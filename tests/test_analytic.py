@@ -343,21 +343,41 @@ class TestMomentumGenerator:
 
 
 class TestFourierPropagate:
-    def make_field(self, n=128, dx=0.05, width=0.3):
+    def make_diagonal(self, n=128, dx=0.05, width=0.3):
         grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
-        return pauli_from_wave_state(WaveState.gaussian(grid, width=width, coin=(1.0, 1j)))
+        state = WaveState.gaussian(grid, width=width, coin=(1.0, 1j))
+        d0 = pauli_from_wave_state(state).diagonal()
+        return d0.R[0], d0.R[3], grid
 
     def test_zero_time_identity(self):
-        field = self.make_field()
-        out = fourier_propagate(field, GeneratorParams(m=0.4, gamma2=0.3), 0.0)
-        np.testing.assert_allclose(out.r, field.r, atol=1e-13)
+        r0, r3, grid = self.make_diagonal()
+        out = fourier_propagate(r0, r3, grid, GeneratorParams(gamma2=0.3), 0.0)
+        np.testing.assert_allclose(out, [r0, r3], atol=1e-13)
 
     def test_norm_preserved_when_unitary(self):
-        field = self.make_field()
-        out = fourier_propagate(field, GeneratorParams(m=0.0), 1.0)
-        assert np.sum(np.abs(out.r) ** 2) == pytest.approx(
-            np.sum(np.abs(field.r) ** 2), rel=1e-10
-        )
+        # without damping each 2x2 block is unitary, so Parseval keeps sum R0^2 + R3^2
+        r0, r3, grid = self.make_diagonal()
+        out = fourier_propagate(r0, r3, grid, GeneratorParams(), 1.0)
+        assert np.sum(out**2) == pytest.approx(np.sum(r0**2 + r3**2), rel=1e-10)
+
+    @pytest.mark.parametrize("gamma2", [0.0, 0.5, 1.3])
+    def test_matches_telegraph_solution(self, gamma2):
+        # two independent exact solutions: R0 obeys the telegraph equation with
+        # kappa = gamma2, and R3 = 0 at t = 0 makes d_t R0 = 0 there
+        dx, t = 0.05, 2.0
+        grid = LatticeGrid(n_sites=320, spacing=dx, time_step=dx)
+        x = grid.positions
+        f = gaussian_profile(width=0.35)
+        out = fourier_propagate(f(x), np.zeros_like(x), grid, GeneratorParams(gamma2=gamma2), t)
+        ref = telegraph_solution(TelegraphParams(0.0, gamma2),
+                                 InitialData1D(f=f, g=lambda y: np.zeros_like(np.asarray(y))),
+                                 t, x, tol=1e-14)
+        assert np.abs(out[0] - ref).max() <= 1e-12 * f(x).max()
+
+    def test_massive_rejected(self):
+        r0, r3, grid = self.make_diagonal()
+        with pytest.raises(ConfigurationError):
+            fourier_propagate(r0, r3, grid, GeneratorParams(m=0.4), 1.0)
 
     def test_matches_strang_run_massless(self):
         dx = 0.02
@@ -367,8 +387,9 @@ class TestFourierPropagate:
         params = GeneratorParams(m=0.0, gamma2=0.5)
         t = 5.0
         res = evolve(field, params, t, n_snapshots=2)
-        exact = fourier_propagate(field, params, t)
-        diff = np.abs(res.diagonals[-1].R[0] - np.diagonal(exact.r[0]).real).max()
+        d0 = field.diagonal()
+        exact = fourier_propagate(d0.R[0], d0.R[3], grid, params, t)
+        diff = np.abs(res.diagonals[-1].R[0] - exact[0]).max()
         assert diff <= 4e-3  # splitting error scales as dx^2; 1e-3 at dx = 0.01
 
 

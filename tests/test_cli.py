@@ -82,6 +82,11 @@ class TestParseConfig:
         )
         assert cfg.eps_list == (0.1, 0.05, 0.025)
 
+    def test_non_finite_eps_list_rejected(self):
+        with pytest.raises(ConfigError, match="cannot parse eps_list"):
+            parse_config("scenario = compare\neps_list = 0.1, nan\nt_final = 1\n"
+                         "half_width = 5\ndx = 0.025\n")
+
 
 class TestPresets:
     def test_fig1_left_values(self):
@@ -255,6 +260,23 @@ class TestMain:
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("scenario = lindblad\nfast = spectral\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 40\n"
+         "m = nan\nt_final = 1\n", "cannot parse m = 'nan'"),
+        ("scenario = lindblad\nfast = spectral\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 40\n"
+         "m = 0.5\nt_final = inf\n", "cannot parse t_final = 'inf'"),
+        ("scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1.5\n"
+         "kernel_ell = 0\ndx = 0.05\nhalf_width = 2\nt_final = 0.5\ninit = gaussian\n"
+         "init_width = 0.2\n",
+         "kernel_ell must be positive"),
+    ], ids=["m-nan", "t_final-inf", "kernel_ell-zero"])
+    def test_bad_value_exit_two(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, failing", [
         ("eta_target = 5\nwindow = 40\nn_snapshots = 17\n", ["eta_final"]),
