@@ -1,4 +1,4 @@
-"""Golden cases for the grid solver, the flip channel, the ensemble and the moment evolution.
+"""Golden cases for the walk, the grid solver, the flip channel, the ensemble and the moment evolution.
 
 Each case returns a dict of arrays: a moment series (``times``, ``mean_x``,
 ``second_moment``, ``trace``) and, where there is a lattice, the final
@@ -23,7 +23,7 @@ import numpy as np
 
 from dlqw import analytic, config, noise, pde, runner
 from dlqw.observables import moments
-from dlqw.walk import AngleField, LatticeGrid, WaveState
+from dlqw.walk import AngleField, LatticeGrid, WaveState, walk_step
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -186,6 +186,32 @@ def fourier_run() -> dict[str, np.ndarray]:
     return dict(R0_strang=data[:, 1], R0_propagator=data[:, 2])
 
 
+def walk_run() -> dict[str, np.ndarray]:
+    """Every column of ``distribution.csv`` of a walk run: 120 steps on 304 sites."""
+    cfg = config.parse_config("scenario = walk\ntheta = 0.8\nn_steps = 120\ntol = 0.05\n")
+    with tempfile.TemporaryDirectory() as out:
+        runner.run(cfg, out)
+        path = Path(out) / "distribution.csv"
+        header = path.read_text().split("\n", 1)[0].split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return {column: data[:, k] for k, column in enumerate(header)}
+
+
+def walk_site_coin() -> dict[str, np.ndarray]:
+    """40 ``walk_step`` calls on n = 48 with a coin angle that varies in x and t.
+
+    The packet crosses the periodic boundary, so the wrap of both components
+    is part of the result.
+    """
+    grid = LatticeGrid(n_sites=48, spacing=0.1, time_step=0.1)
+    field = AngleField(theta_bar=lambda t, x: -0.9 + 0.4 * np.sin(2.0 * x - t),
+                       xi0_bar=0.2, chi_bar=0.3)
+    state = WaveState.gaussian(grid, width=0.3, p0=0.6)
+    for k in range(40):
+        state = walk_step(state, field, t=0.1 * k)
+    return dict(amplitudes=state.amplitudes, probabilities=state.probabilities())
+
+
 def _ensemble_arrays(field: AngleField, spec: noise.NoiseSpec, init: WaveState,
                      checkpoints: list[int], n_traj: int, seed: int) -> dict[str, np.ndarray]:
     grid = init.grid
@@ -297,6 +323,8 @@ CASES = {
     "diagonal_evolve_alpha": (diagonal_evolve_alpha, False),
     "runner_compare": (runner_compare, False),
     "fourier_run": (fourier_run, False),
+    "walk_run": (walk_run, False),
+    "walk_site_coin": (walk_site_coin, False),
     "ensemble_single_angle": (ensemble_single_angle, True),
     "ensemble_two_point_pair": (ensemble_two_point_pair, True),
     "ensemble_mixed_kinds": (ensemble_mixed_kinds, True),

@@ -1,4 +1,4 @@
-"""The grid solver, the flip channel, the ensemble and the moment evolution
+"""The walk, the grid solver, the flip channel, the ensemble and the moment evolution
 reproduce their golden outputs.
 
 Deterministic cases match each stored array to 1e-12 relative to that
