@@ -64,13 +64,13 @@ from .pde import (
 from .runner import RunReport, emit_plot_script, run, verify_report
 from .walk import (
     AngleField,
+    BatchedWalk,
     CoinAngles,
     LatticeGrid,
     WaveState,
     asymptotic_spread,
     coin_matrix,
     euler_angles,
-    shift_apply,
     walk_step,
 )
 

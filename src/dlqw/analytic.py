@@ -581,11 +581,15 @@ def _triple_series(dt: float, u2: np.ndarray, u3: np.ndarray, reach: float) -> n
     return dt**2 * total
 
 
+# momentum quadrature points of spectral_moments
+N_MOMENTA = 2048
+
+
 def spectral_moments(
     packet: DiracWavepacket,
     params: GeneratorParams,
     times,
-    n_momenta: int = 2048,
+    n_momenta: int = N_MOMENTA,
     span: float = 12.0,
 ) -> MomentSeries:
     """Exact moment evolution of the noisy dynamics, with no spatial grid.

@@ -184,6 +184,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("eps must be positive")
     if "dx" in values and values["dx"] <= 0:
         errors.append("dx must be positive")
+    if any(eps <= 0 for eps in values.get("eps_list", ())):
+        errors.append("eps_list values must be positive")
     if values.get("fast", "full") not in ("full", "diagonal", "spectral"):
         errors.append(f"fast must be one of full/diagonal/spectral, got {values.get('fast')!r}")
     if scenario == "kernel-lindblad" and values.get("kernel_ell", 1.0) <= 0:

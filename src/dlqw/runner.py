@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analytic, noise, observables, pde
-from .config import ScenarioConfig, default_output_root
+from .config import ConfigError, ScenarioConfig, default_output_root
 from .walk import AngleField, ConfigurationError, LatticeGrid, WaveState, walk_step
 from .walk import asymptotic_spread
 
@@ -163,9 +163,14 @@ def _snapshot_steps(cfg: ScenarioConfig, n_steps: int) -> list[int]:
     return pde.even_snapshot_steps(n_steps, cfg.n_snapshots).tolist()
 
 
-def run_walk(cfg: ScenarioConfig, report: RunReport) -> None:
+def _walk_size(cfg: ScenarioConfig) -> tuple[int, int]:
+    """(sites, steps) of a walk run."""
     n_steps = cfg.n_steps or 500
-    n = cfg.n or (2 * n_steps + 64)
+    return cfg.n or (2 * n_steps + 64), n_steps
+
+
+def run_walk(cfg: ScenarioConfig, report: RunReport) -> None:
+    n, n_steps = _walk_size(cfg)
     grid = LatticeGrid(n_sites=n)
     state = WaveState.delta(grid)
     field_ = AngleField(theta_bar=cfg.theta)  # eps = 1: angles applied as given
@@ -559,8 +564,88 @@ def _fresh_output_dir(base: str) -> str:
         return path
 
 
+# Limits checked before a run allocates or steps anything (README, "Resource limits")
+MAX_FIELD_BYTES = 2**30  # one (x, x') field: n <= 4096 sites
+MAX_CELL_STEPS = 10**10  # lattice cells advanced, summed over every step of a run
+MAX_SPECTRAL_POINTS = 10**7  # snapshot times x momenta of fast = spectral
+
+
+def field_bytes(n: int) -> int:
+    """Bytes of one (x, x') field of four complex components on n sites: 4·n²·16."""
+    return 4 * n * n * 16
+
+
+def _steps(t_final: float, step: float) -> int:
+    return int(round(t_final / step))
+
+
+def _demands(cfg: ScenarioConfig) -> tuple[list[int], int, int]:
+    """Site counts of the run's (x, x') fields, its cell-steps and its spectral points.
+
+    A cell is one lattice site of one walk (or trajectory), or one (x, x')
+    pair of a field; each step advances every cell once.
+    """
+    s = cfg.scenario
+    if s == "walk":
+        n, n_steps = _walk_size(cfg)
+        return [], n * n_steps, 0
+    if s == "sweep":
+        parts = [_demands(replace(cfg, scenario="channel", eps=eps)) for eps in cfg.eps_list]
+        return [n for f, _, _ in parts for n in f], sum(w for _, w, _ in parts), 0
+    if s in ("channel", "trajectories"):
+        n = _lattice_grid(cfg).n_sites
+        n_steps = _steps(cfg.t_final, cfg.eps)
+        # the ensemble allocates its (x, x') block sum even when it does not accumulate it
+        return [n], (n * n if s == "channel" else cfg.n_traj * n) * n_steps, 0
+    if s == "lindblad" and cfg.fast == "spectral":
+        # the run's snapshots, and the three times of the group-velocity fit
+        return [], 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
+    n = _pde_grid(cfg).n_sites
+    n_steps = _steps(cfg.t_final, cfg.dx)
+    if s == "dirac-free":
+        return [], n * max(cfg.n_snapshots, 3), 0
+    if s in ("telegraph", "fourier") or cfg.fast == "diagonal":
+        return [], n * n_steps, 0
+    if s == "compare":
+        sizes = [int(round(2 * cfg.half_width / eps)) for eps in cfg.eps_list]
+        work = sum(m * m * _steps(cfg.t_final, eps) for m, eps in zip(sizes, cfg.eps_list))
+        return [n] + sizes, n * n * n_steps + work, 0
+    return [n], n * n * n_steps, 0
+
+
+def _bytes_text(size: float) -> str:
+    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
+        if size < 1024 or unit == "TiB":
+            return f"{size:.3g} {unit}"
+        size /= 1024
+
+
+def check_resources(cfg: ScenarioConfig) -> None:
+    """Reject a run whose memory or work exceeds the stated limits, before it starts.
+
+    Raises ConfigError listing every limit the run would exceed.
+    """
+    fields, cell_steps, spectral_points = _demands(cfg)
+    errors = [f"a {n}-site (x, x') field needs {_bytes_text(field_bytes(n))}, above the "
+              f"limit of {_bytes_text(MAX_FIELD_BYTES)}"
+              for n in fields if field_bytes(n) > MAX_FIELD_BYTES]
+    if cell_steps > MAX_CELL_STEPS:
+        errors.append(f"the run needs {cell_steps:.3g} cell-steps, above the limit of "
+                      f"{MAX_CELL_STEPS:.0e}")
+    if spectral_points > MAX_SPECTRAL_POINTS:
+        errors.append(f"the run needs {spectral_points:.3g} snapshot-momenta, above the "
+                      f"limit of {MAX_SPECTRAL_POINTS:.0e}")
+    if errors:
+        raise ConfigError(errors)
+
+
 def run(cfg: ScenarioConfig, output_dir: str | None = None) -> RunReport:
-    """Execute a scenario, write its outputs and report, and return the report."""
+    """Execute a scenario, write its outputs and report, and return the report.
+
+    The run is rejected by :func:`check_resources` before anything is
+    created when it would exceed a memory or work limit.
+    """
+    check_resources(cfg)
     out = output_dir or cfg.output_dir
     if out:
         os.makedirs(out, exist_ok=True)

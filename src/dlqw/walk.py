@@ -266,20 +266,6 @@ def roll_components(field: np.ndarray, shifts) -> np.ndarray:
     return out
 
 
-def shift_apply(state: WaveState) -> WaveState:
-    """Coin-conditioned shift: L components move one site left, R one site right."""
-    return WaveState(roll_components(state.amplitudes, ((-1,), (1,))), state.grid)
-
-
-def apply_coin_field(state: WaveState, coins: np.ndarray) -> WaveState:
-    """Apply a per-site stack of 2x2 coins (shape (n, 2, 2) or (2, 2))."""
-    if coins.ndim == 2:
-        amp = coins @ state.amplitudes
-    else:
-        amp = np.einsum("xab,bx->ax", coins, state.amplitudes)
-    return WaveState(amp, state.grid)
-
-
 def step_coins(
     field: AngleField,
     t: float,
@@ -299,9 +285,70 @@ def step_coins(
     return coin_matrices(*vals)
 
 
+# coin contraction per coin stack rank: (T, 2, 2) site-constant, (T, n, 2, 2) per site
+_COIN_SUBSCRIPTS = {3: "tab,tbx->tax", 4: "txab,tbx->tax"}
+
+
+class BatchedWalk:
+    """T walks on one lattice, stepped together: amplitudes of shape (T, 2, n).
+
+    A step shifts component 0 one site left and component 1 one site right,
+    periodically, then applies each walk's coin: a (T, 2, 2) stack of
+    site-constant coins or a (T, n, 2, 2) stack of per-site coins.
+
+    The amplitudes live in two ghost-padded buffers of shape (T, 2, n + 2),
+    with the sites in columns 1..n.  A step refreshes the two periodic ghost
+    columns of the source buffer, reads the shifted field as one strided view
+    of it, and contracts the coins into the other buffer's interior, so no
+    shifted copy is made.  The contraction is one einsum per step; a matmul or
+    a multiply-add would round differently and change every Monte-Carlo
+    output in the last bits.
+    """
+
+    def __init__(self, amplitudes: np.ndarray):
+        t, _, n = np.shape(amplitudes)
+        self._buffers = np.empty((2, t, 2, n + 2), dtype=complex)
+        self._buffers[0, :, :, 1:-1] = amplitudes
+        self._current = 0
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The current (T, 2, n) amplitudes: a view of the interior of one buffer."""
+        return self._buffers[self._current, :, :, 1:-1]
+
+    def shifted(self) -> np.ndarray:
+        """The shifted field of the current amplitudes, as a read-only view.
+
+        Component 0 at site x reads site x + 1 (column x + 2) and component 1
+        reads site x - 1 (column x): the view starts at column 2 of component
+        0 and steps to component 1 by the component stride less two columns.
+        """
+        src = self._buffers[self._current]
+        src[:, 0, -1] = src[:, 0, 1]
+        src[:, 1, 0] = src[:, 1, -2]
+        t, _, width = src.shape
+        s_t, s_c, s_x = src.strides
+        return np.lib.stride_tricks.as_strided(
+            src[:, 0, 2:], shape=(t, 2, width - 2), strides=(s_t, s_c - 2 * s_x, s_x),
+            writeable=False)
+
+    def step(self, coins: np.ndarray) -> None:
+        """Shift, then apply ``coins`` of shape (T, 2, 2) or (T, n, 2, 2)."""
+        shifted = self.shifted()
+        self._current ^= 1
+        np.einsum(_COIN_SUBSCRIPTS[coins.ndim], coins, shifted, out=self.amplitudes)
+
+
+def step_state(state: WaveState, coins: np.ndarray) -> WaveState:
+    """One shift-then-coin step of a single walk, with per-site ``coins`` (n, 2, 2)."""
+    walk = BatchedWalk(state.amplitudes[None])
+    walk.step(coins[None])
+    return WaveState(walk.amplitudes[0], state.grid)
+
+
 def walk_step(state: WaveState, field: AngleField, t: float) -> WaveState:
     """One walk step: shift, then the position-dependent coin at time t."""
-    return apply_coin_field(shift_apply(state), step_coins(field, t, state.grid))
+    return step_state(state, step_coins(field, t, state.grid))
 
 
 def asymptotic_spread(theta: float) -> float:

@@ -3,7 +3,7 @@ import pytest
 
 from dlqw.cli import main
 from dlqw.config import ConfigError, list_presets, load_config, parse_config
-from dlqw.runner import emit_plot_script, run, verify_report
+from dlqw.runner import check_resources, emit_plot_script, run, verify_report
 from dlqw.walk import ConfigurationError
 
 MINI_TRAJ = """
@@ -270,13 +270,38 @@ class TestMain:
          "kernel_ell = 0\ndx = 0.05\nhalf_width = 2\nt_final = 0.5\ninit = gaussian\n"
          "init_width = 0.2\n",
          "kernel_ell must be positive"),
-    ], ids=["m-nan", "t_final-inf", "kernel_ell-zero"])
+        ("scenario = compare\neps_list = 0.1, 0\nt_final = 1\nhalf_width = 5\ndx = 0.025\n",
+         "eps_list values must be positive"),
+    ], ids=["m-nan", "t_final-inf", "kernel_ell-zero", "eps_list-zero"])
     def test_bad_value_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("scenario = lindblad\nfast = full\ndx = 0.001\nhalf_width = 400\nt_final = 1\n",
+         "a 800000-site (x, x') field needs 37.3 TiB, above the limit of 1 GiB"),
+        ("scenario = channel\neps = 0.001\nhalf_width = 100\nt_final = 1\n",
+         "a 200000-site (x, x') field needs 2.33 TiB, above the limit of 1 GiB"),
+        ("scenario = telegraph\ndx = 0.01\nhalf_width = 5\ngamma2 = 0.5\nt_final = 1e9\n",
+         "the run needs 1e+14 cell-steps, above the limit of 1e+10"),
+        (SPECTRAL_LOG + "n_snapshots = 100000000\n",
+         "the run needs 2.05e+11 snapshot-momenta, above the limit of 1e+07"),
+    ], ids=["grid-field", "channel-blocks", "telegraph-steps", "spectral-snapshots"])
+    def test_run_over_a_resource_limit_exit_two(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text(text)
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_presets_are_within_the_resource_limits(self):
+        for name in list_presets():
+            check_resources(load_config(f"preset:{name}"))
 
     @pytest.mark.parametrize("extra, failing", [
         ("eta_target = 5\nwindow = 40\nn_snapshots = 17\n", ["eta_final"]),

@@ -281,6 +281,20 @@ class TestEnsembleDensity:
             acc += DensityGrid.from_wave_state(s).blocks
         np.testing.assert_allclose(rho.blocks, acc / 3, atol=1e-14)
 
+    @pytest.mark.parametrize("field", [
+        AngleField(theta_bar=-1.0, xi1_bar=0.5),
+        AngleField(theta_bar=lambda t, x: -1.0 + 0.3 * np.sin(x - t), xi1_bar=0.5),
+    ], ids=["constant-coin", "per-site-coin"])
+    def test_sums_do_not_depend_on_batching(self, field):
+        grid = LatticeGrid(n_sites=20, spacing=0.1, time_step=0.1)
+        init = WaveState.gaussian(grid, width=0.3, p0=0.5)
+        spec = NoiseSpec.single("theta", "gaussian", 0.5)
+        whole = run_ensemble(field, spec, init, 8, n_traj=20, seed=4)
+        split = run_ensemble(field, spec, init, 8, n_traj=20, seed=4, batch=7)
+        for key in ("sum_prob", "sum_prob2", "sum_blocks"):
+            np.testing.assert_array_equal(getattr(split, key), getattr(whole, key),
+                                          err_msg=key)
+
     def test_trace_and_hermiticity(self):
         grid = LatticeGrid(n_sites=24, spacing=0.1, time_step=0.1)
         field = AngleField(theta_bar=-1.0)

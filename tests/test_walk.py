@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dlqw.walk import (
     AngleField,
+    BatchedWalk,
     CoinAngles,
     ConfigurationError,
     DomainError,
@@ -12,11 +13,11 @@ from dlqw.walk import (
     WaveState,
     asymptotic_spread,
     coin_from_euler,
+    coin_matrices,
     coin_matrix,
     euler_angles,
     mix_components,
     roll_components,
-    shift_apply,
     walk_step,
 )
 
@@ -78,18 +79,23 @@ class TestEulerAngles:
         assert back.chi == pytest.approx(ch, abs=1e-12)
 
 
+def shift(state):
+    """The walk engine's coin-conditioned shift of one state, with no coin."""
+    return WaveState(BatchedWalk(state.amplitudes[None]).shifted()[0].copy(), state.grid)
+
+
 class TestShift:
     def test_left_component_moves_left(self):
         grid = LatticeGrid(n_sites=8)
         s = WaveState.delta(grid, coin=(1.0, 0.0))
-        out = shift_apply(s)
+        out = shift(s)
         assert out.amplitudes[0, grid.center_index - 1] == 1.0
         assert np.count_nonzero(out.amplitudes) == 1
 
     def test_right_component_moves_right(self):
         grid = LatticeGrid(n_sites=8)
         s = WaveState.delta(grid, coin=(0.0, 1.0))
-        out = shift_apply(s)
+        out = shift(s)
         assert out.amplitudes[1, grid.center_index + 1] == 1.0
         assert np.count_nonzero(out.amplitudes) == 1
 
@@ -99,8 +105,36 @@ class TestShift:
         s = WaveState(rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6)), grid)
         out = s
         for _ in range(grid.n_sites):
-            out = shift_apply(out)
+            out = shift(out)
         np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=0)
+
+
+class TestBatchedWalk:
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_shifted_view_matches_roll(self, n, t):
+        # the steps alternate the two buffers, so each buffer's ghost columns
+        # are refreshed and read at least once
+        rng = np.random.default_rng(n + 10 * t)
+        walk = BatchedWalk(rng.normal(size=(t, 2, n)) + 1j * rng.normal(size=(t, 2, n)))
+        for _ in range(4):
+            want = np.stack([roll_components(a, ((-1,), (1,))) for a in walk.amplitudes])
+            np.testing.assert_array_equal(walk.shifted(), want)
+            walk.step(coin_matrices(*rng.normal(size=(4, t))))
+
+    def test_step_is_coin_after_shift(self):
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=(2, 2, 6)) + 1j * rng.normal(size=(2, 2, 6))
+        constant = coin_matrices(*rng.normal(size=(4, 2)))
+        per_site = coin_matrices(*rng.normal(size=(4, 2, 6)))
+        walk = BatchedWalk(amps)
+        walk.step(constant)
+        walk.step(per_site)
+        want = amps
+        for coins in (constant[:, None], per_site):
+            rolled = np.stack([roll_components(a, ((-1,), (1,))) for a in want])
+            want = np.einsum("txab,tbx->tax", np.broadcast_to(coins, (2, 6, 2, 2)), rolled)
+        np.testing.assert_allclose(walk.amplitudes, want, rtol=0, atol=1e-15)
 
 
 class TestMixAndShift:
@@ -131,11 +165,8 @@ class TestWalkStep:
         rng = np.random.default_rng(1)
         amp = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
         s = WaveState(amp / np.linalg.norm(amp), grid)
-        np.testing.assert_allclose(
-            walk_step(s, AngleField(), 0.0).amplitudes,
-            shift_apply(s).amplitudes,
-            atol=1e-15,
-        )
+        np.testing.assert_array_equal(walk_step(s, AngleField(), 0.0).amplitudes,
+                                      roll_components(s.amplitudes, ((-1,), (1,))))
 
     def test_norm_preserved_per_step(self):
         field = AngleField(xi0_bar=0.2, xi1_bar=-0.3, theta_bar=0.8, chi_bar=0.1)
