@@ -5,7 +5,8 @@ Each case returns a dict of arrays: a moment series (``times``, ``mean_x``,
 diagonals.  ``tests/golden/*.npz`` holds the arrays as an earlier version of
 the program computed them;
 ``test_golden.py`` requires the current program to reproduce them, to 1e-12
-relative on the deterministic cases and bit for bit on the Monte-Carlo ones.
+relative on the deterministic cases and bit for bit on the Monte-Carlo ones
+and on ``evolve_kernel_odd``.
 
 Regenerate the files only when a change is meant to alter these outputs::
 
@@ -64,6 +65,27 @@ def evolve_kernel() -> dict[str, np.ndarray]:
     out = _evolve_arrays(res)
     out["antidiagonal_last"] = res.final.antidiagonal().T
     out["field_last_row"] = res.final.r[:, grid.center_index, :]
+    return out
+
+
+def evolve_kernel_odd() -> dict[str, np.ndarray]:
+    """All three correlated channels, m > 0, on odd n = 31 for 70 steps; the whole final field.
+
+    An odd grid has no self-paired distance class n/2.  The snapshots fall
+    on both sides of the blow-up check at step 64.
+    """
+    grid = LatticeGrid(n_sites=31, spacing=0.05, time_step=0.05)
+    kernels = pde.KernelSet(
+        identity=pde.KernelChannel(0.9, lambda d: np.exp(-(d**2) / 0.05)),
+        phase_flip=pde.KernelChannel(0.5, lambda d: 1.0 / (1.0 + (d / 0.4) ** 2)),
+        coin_flip=pde.KernelChannel(0.7, lambda d: np.exp(-np.abs(d) / 0.25)),
+    )
+    params = pde.GeneratorParams(m=0.7)
+    state = WaveState.gaussian(grid, width=0.25, coin=(1.0, 0.5j), p0=-1.1)
+    res = pde.evolve(pde.pauli_from_wave_state(state), params, 3.5, kernels=kernels,
+                     snapshot_steps=[0, 1, 2, 5, 13, 34, 63, 64, 65, 70])
+    out = _evolve_arrays(res)
+    out["final_field"] = res.final.r
     return out
 
 
@@ -316,6 +338,7 @@ def spectral_group_velocity() -> dict[str, np.ndarray]:
 CASES = {
     "evolve_massive_noisy": (evolve_massive_noisy, False),
     "evolve_kernel": (evolve_kernel, False),
+    "evolve_kernel_odd": (evolve_kernel_odd, True),
     "channel_constant_coin": (channel_constant_coin, False),
     "channel_site_coin": (channel_site_coin, False),
     "runner_channel": (runner_channel, False),

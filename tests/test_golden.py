@@ -2,7 +2,8 @@
 reproduce their golden outputs.
 
 Deterministic cases match each stored array to 1e-12 relative to that
-array's largest entry; Monte-Carlo cases match bit for bit.  See
+array's largest entry; Monte-Carlo cases and the odd-grid kernel run match
+bit for bit.  See
 ``golden_cases.py`` for the cases and how to regenerate them.
 """
 
