@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, list_presets, load_config
+from .config import ConfigError, list_presets, load_config, parse_eps_list
 from .observables import l1_density_distance
 from .runner import emit_plot_script, run, verify_report
 from .walk import ConfigurationError
@@ -24,7 +24,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    eps_list = tuple(float(v) for v in args.eps.split(","))
+    eps_list = parse_eps_list(args.eps)
     if cfg.scenario not in ("channel", "trajectories", "sweep"):
         raise ConfigurationError(
             f"sweep applies to lattice scenarios, not {cfg.scenario!r}"

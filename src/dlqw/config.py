@@ -140,6 +140,22 @@ def _convert(key: str, raw: str):
     return raw
 
 
+def _eps_list_errors(eps_list: tuple[float, ...]) -> list[str]:
+    return ["eps_list values must be positive"] if any(eps <= 0 for eps in eps_list) else []
+
+
+def parse_eps_list(raw: str) -> tuple[float, ...]:
+    """A comma- or space-separated eps list, checked as ``parse_config`` checks ``eps_list``."""
+    try:
+        eps_list = _convert("eps_list", raw)
+    except ValueError:
+        raise ConfigError([f"cannot parse eps_list = {raw!r}"]) from None
+    errors = _eps_list_errors(eps_list)
+    if errors:
+        raise ConfigError(errors)
+    return eps_list
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a config; raises ConfigError listing every problem."""
     errors: list[str] = []
@@ -184,8 +200,7 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("eps must be positive")
     if "dx" in values and values["dx"] <= 0:
         errors.append("dx must be positive")
-    if any(eps <= 0 for eps in values.get("eps_list", ())):
-        errors.append("eps_list values must be positive")
+    errors += _eps_list_errors(values.get("eps_list", ()))
     if values.get("fast", "full") not in ("full", "diagonal", "spectral"):
         errors.append(f"fast must be one of full/diagonal/spectral, got {values.get('fast')!r}")
     if scenario == "kernel-lindblad" and values.get("kernel_ell", 1.0) <= 0:

@@ -191,7 +191,9 @@ def trajectory_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator,
 
     The scalar loop draws step by step, each step in angle order.  When every
     active angle has one kind, a single draw of shape (n_steps, n_active)
-    takes the same values from the generator in the same order.
+    takes the same values from the generator in the same order.  Its scale
+    is a scalar when the active angles share one delta: the same draws,
+    without the generator's per-call check of an array scale.
     """
     active = [l for l, e in enumerate(spec.entries) if e.delta != 0.0]
     kinds = {spec.entries[l].kind for l in active}
@@ -200,7 +202,8 @@ def trajectory_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator,
     out = np.zeros((n_steps, 4))
     if active:
         deltas = np.array([spec.entries[l].delta for l in active])
-        out[:, active] = np.sqrt(eps) * _draw(kinds.pop(), deltas, rng,
+        scale = float(deltas[0]) if (deltas == deltas[0]).all() else deltas
+        out[:, active] = np.sqrt(eps) * _draw(kinds.pop(), scale, rng,
                                               (n_steps, len(active)))
     return out
 
@@ -214,9 +217,17 @@ def trajectory_step(state: WaveState, field: AngleField, offsets, t: float) -> W
     return step_state(state, step_coins(field, t, state.grid, offsets=tuple(offsets)))
 
 
+# trajectories stepped together by run_ensemble (see there)
+ENSEMBLE_BATCH = 1024
+
+
 @dataclass
 class TrajectoryEnsemble:
-    """Accumulator of pure-state trajectories into a density estimate."""
+    """Accumulator of pure-state trajectories into a density estimate.
+
+    ``sum_blocks`` is the (2, 2, n, n) sum of the trajectories' densities,
+    or None when only the probabilities are accumulated.
+    """
 
     grid: LatticeGrid
     n_traj: int
@@ -228,8 +239,6 @@ class TrajectoryEnsemble:
 
     def __post_init__(self):
         n = self.grid.n_sites
-        if self.sum_blocks is None:
-            self.sum_blocks = np.zeros((2, 2, n, n), dtype=complex)
         if self.sum_prob.size == 0:
             self.sum_prob = np.zeros(n)
             self.sum_prob2 = np.zeros(n)
@@ -237,6 +246,8 @@ class TrajectoryEnsemble:
     def density(self) -> DensityGrid:
         if self.count == 0:
             raise ConfigurationError("no trajectories accumulated")
+        if self.sum_blocks is None:
+            raise ConfigurationError("the ensemble did not accumulate its density blocks")
         return DensityGrid(self.sum_blocks / self.count, self.grid)
 
     def probability_mean(self) -> np.ndarray:
@@ -257,7 +268,7 @@ def run_ensemble(
     n_traj: int,
     seed: int,
     accumulate_blocks: bool = True,
-    batch: int = 1024,
+    batch: int = ENSEMBLE_BATCH,
 ) -> TrajectoryEnsemble:
     """Evolve ``n_traj`` independently noised trajectories and accumulate them.
 
@@ -275,7 +286,9 @@ def run_ensemble(
         raise ConfigurationError("n_traj must be >= 1")
     grid = init.grid
     eps = grid.time_step
-    ens = TrajectoryEnsemble(grid=grid, n_traj=n_traj, seed=seed)
+    n = grid.n_sites
+    ens = TrajectoryEnsemble(grid=grid, n_traj=n_traj, seed=seed, sum_blocks=(
+        np.zeros((2, 2, n, n), dtype=complex) if accumulate_blocks else None))
     base = eps * np.array(field.rates, dtype=float) if field.is_constant else None
     for start in range(0, n_traj, batch):
         ids = range(start, min(start + batch, n_traj))
@@ -283,7 +296,7 @@ def run_ensemble(
         offsets = np.empty((n_steps, len(ids), 4))
         for kk, k in enumerate(ids):
             offsets[:, kk] = trajectory_offsets(spec, eps, rng_for_trajectory(seed, k), n_steps)
-        walk = BatchedWalk(np.broadcast_to(init.amplitudes, (len(ids), 2, grid.n_sites)))
+        walk = BatchedWalk(np.broadcast_to(init.amplitudes, (len(ids), 2, n)))
         for j in range(n_steps):
             if base is None:
                 # per-trajectory offsets as (T, 1) columns against the (n,) site angles

@@ -11,7 +11,12 @@ one-step scheme (parameter alpha, default 0.5) and composed symmetrically
 
 The position-dependent noise generalization replaces the source's noise part
 with per-separation coefficients kappa(|x - x'|), handled by one propagator
-per distance class of the periodic grid.
+per distance class of the periodic grid.  That path runs in skewed storage,
+s[k, b, i] = v[b, i, (i + k) mod n]: a cell's distance class depends on the
+offset k alone, so the source step is one batched matmul over k, the exact
+advection is again an integer roll per component, and the diagonal is the
+row s[0].  The field is skewed once at the start of a run and unskewed once
+at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import copy
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -289,8 +294,47 @@ def _kernel_noise_diagonals(
     return out
 
 
+def skew(v: np.ndarray) -> np.ndarray:
+    """Skewed storage of a (4, n, n) field: ``s[k, b, i] = v[b, i, (i + k) mod n]``.
+
+    The offset k = j - i (mod n) of a cell leads, so the cells of one
+    distance class share their leading indices and the diagonal is ``s[0]``.
+    """
+    n = v.shape[-1]
+    i = np.arange(n)
+    return np.ascontiguousarray(v[:, i, (i[None, :] + i[:, None]) % n].transpose(1, 0, 2))
+
+
+def unskew(s: np.ndarray) -> np.ndarray:
+    """The (4, n, n) field of the skewed storage ``s``; inverse of :func:`skew`."""
+    n = s.shape[0]
+    i = np.arange(n)
+    return np.ascontiguousarray(s[(i[None, :] - i[:, None]) % n, :, i[:, None]].transpose(2, 0, 1))
+
+
+# per-component (i, k) shift of one exact advection step in skewed storage
+SKEWED_SHIFTS = tuple((si, sj - si) for si, sj in ADVECTION_SHIFTS)
+
+
+def skewed_advect(s: np.ndarray) -> np.ndarray:
+    """Exact advection of a skewed field: :func:`homogeneous_step` in skewed storage.
+
+    The (x, x') shift (si, sj) of a component is the (i, k) shift
+    (si, sj - si).  Rolling the (b, i, k) view of ``s`` writes an output of
+    the same memory layout, so the result is again contiguous in (k, b, i).
+    """
+    return roll_components(s.transpose(1, 2, 0), SKEWED_SHIFTS).transpose(2, 0, 1)
+
+
 class KernelSourceOperator:
-    """Per-distance-class source propagators for correlated noise."""
+    """Per-distance-class source propagators for correlated noise, on skewed fields.
+
+    Cell (i, j) of the periodic grid lies in distance class
+    d = min(|i - j|, n - |i - j|).  In the skewed storage of :func:`skew`
+    that depends on the offset k = j - i (mod n) alone, as min(k, n - k), so
+    :meth:`apply` is one batched matmul of the (n, 4, 4) stack ``P[k]`` of
+    class propagators (in v variables) with the (n, 4, n) field.
+    """
 
     def __init__(
         self,
@@ -301,31 +345,26 @@ class KernelSourceOperator:
         alpha: float = 0.5,
     ):
         n = grid.n_sites
-        idx = np.arange(n)
-        sep = np.abs(idx[:, None] - idx[None, :])
-        sep = np.minimum(sep, n - sep)
         dists = np.arange(n // 2 + 1) * grid.spacing
         diags = _kernel_noise_diagonals(kernels, params, dists)
         mass = source_matrix(GeneratorParams(params.m, 0.0, 0.0))
-        self._class_flat = [np.flatnonzero(sep.ravel() == d) for d in range(n // 2 + 1)]
-        self._props = []
-        for d in range(n // 2 + 1):
-            f = mass + np.diag(diags[d])
-            t_r = _propagator_from_f(f, dt, alpha)
-            self._props.append(U_CHAR @ t_r @ U_CHAR_INV)
+        offsets = np.arange(n)
+        self._class_of_offset = np.minimum(offsets, n - offsets)
+        # (n/2 + 1, 4, 4), indexed by distance class
+        self.props = np.stack([U_CHAR @ _propagator_from_f(mass + np.diag(d), dt, alpha)
+                               @ U_CHAR_INV for d in diags])
+        self._by_offset = self.props[self._class_of_offset]
 
     def squared(self) -> "KernelSourceOperator":
         """This operator applied twice, as one pass over the field."""
         out = copy.copy(self)
-        out._props = [t_v @ t_v for t_v in self._props]
+        out.props = np.stack([t_v @ t_v for t_v in self.props])
+        out._by_offset = out.props[self._class_of_offset]
         return out
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        flat = v.reshape(4, -1)
-        out = np.empty_like(flat)
-        for t_v, idx in zip(self._props, self._class_flat):
-            out[:, idx] = t_v @ flat[:, idx]
-        return out.reshape(v.shape)
+    def apply(self, s: np.ndarray) -> np.ndarray:
+        """The source step on a skewed field ``s`` of shape (n, 4, n)."""
+        return np.matmul(self._by_offset, s)
 
 
 def kernel_source_step(
@@ -336,8 +375,8 @@ def kernel_source_step(
     params: GeneratorParams,
     alpha: float = 0.5,
 ) -> np.ndarray:
-    """Source integration with per-separation noise coefficients."""
-    return KernelSourceOperator(grid, kernels, params, dt, alpha).apply(v)
+    """Source integration with per-separation noise coefficients on a (4, n, n) field."""
+    return unskew(KernelSourceOperator(grid, kernels, params, dt, alpha).apply(skew(v)))
 
 
 @dataclass
@@ -401,17 +440,22 @@ def evolve(
     if kernels is None:
         half_source, full_source = _half_sources(
             _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha))
+        v = v_transform(init)
+        advect = partial(homogeneous_step, grid=grid, dt=dt)
     else:
+        # skewed storage: the source is one batched matmul, the diagonal is row 0
+        _require_unit_cfl(grid, dt)
         half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
         half_source, full_source = half.apply, half.squared().apply
-
-    v = v_transform(init)
+        v = skew(v_transform(init))
+        advect = skewed_advect
     on_diagonal = np.arange(grid.n_sites)
     diags: list[np.ndarray] = []
 
     def record() -> None:
         # the diagonal of v first, then the 4x4 transform: O(n), not O(n^2)
-        diags.append((U_CHAR_INV @ v[:, on_diagonal, on_diagonal]).real)
+        diagonal = v[:, on_diagonal, on_diagonal] if kernels is None else v[0]
+        diags.append((U_CHAR_INV @ diagonal).real)
 
     # The state must be exact at snapshots, at every 64th step (blow-up
     # check) and at the last step; the steps between them run fused.
@@ -421,8 +465,7 @@ def evolve(
         record()
     done = 0
     for stop in sorted((checks | mark_set) - {0}):
-        v = _strang_steps(v, stop - done, lambda u: homogeneous_step(u, grid, dt),
-                          half_source, full_source)
+        v = _strang_steps(v, stop - done, advect, half_source, full_source)
         done = stop
         if stop in checks:
             peak = np.abs(v).max()
@@ -437,7 +480,7 @@ def evolve(
     diag = np.reshape(diags, (-1, 4, x.size))
     return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
                         diagonals=[DiagonalFields(x, d) for d in diag],
-                        final=v_inverse(v, grid))
+                        final=v_inverse(v if kernels is None else unskew(v), grid))
 
 
 def diagonal_evolve(

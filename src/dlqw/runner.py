@@ -565,7 +565,7 @@ def _fresh_output_dir(base: str) -> str:
 
 
 # Limits checked before a run allocates or steps anything (README, "Resource limits")
-MAX_FIELD_BYTES = 2**30  # one (x, x') field: n <= 4096 sites
+MAX_FIELD_BYTES = 2**30  # one (x, x') field: n <= 4096 sites; also the 1-D buffers
 MAX_CELL_STEPS = 10**10  # lattice cells advanced, summed over every step of a run
 MAX_SPECTRAL_POINTS = 10**7  # snapshot times x momenta of fast = spectral
 
@@ -575,12 +575,22 @@ def field_bytes(n: int) -> int:
     return 4 * n * n * 16
 
 
+def walk_bytes(walks: int, n: int, n_steps: int = 0) -> int:
+    """Bytes of the 1-D buffers of ``walks`` walks stepped together on n sites.
+
+    Two ghost-padded (walks, 2, n + 2) complex amplitude buffers, plus, for
+    an ensemble batch, the four angle offsets of each walk's ``n_steps`` steps.
+    """
+    return 2 * walks * 2 * (n + 2) * 16 + walks * n_steps * 4 * 8
+
+
 def _steps(t_final: float, step: float) -> int:
     return int(round(t_final / step))
 
 
-def _demands(cfg: ScenarioConfig) -> tuple[list[int], int, int]:
-    """Site counts of the run's (x, x') fields, its cell-steps and its spectral points.
+def _demands(cfg: ScenarioConfig) -> tuple[list[int], int, int, int]:
+    """Site counts of the run's (x, x') fields, the bytes of its 1-D walk
+    buffers, its cell-steps and its spectral points.
 
     A cell is one lattice site of one walk (or trajectory), or one (x, x')
     pair of a field; each step advances every cell once.
@@ -588,29 +598,32 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], int, int]:
     s = cfg.scenario
     if s == "walk":
         n, n_steps = _walk_size(cfg)
-        return [], n * n_steps, 0
+        return [], walk_bytes(1, n), n * n_steps, 0
     if s == "sweep":
         parts = [_demands(replace(cfg, scenario="channel", eps=eps)) for eps in cfg.eps_list]
-        return [n for f, _, _ in parts for n in f], sum(w for _, w, _ in parts), 0
+        return [n for f, _, _, _ in parts for n in f], 0, sum(p[2] for p in parts), 0
     if s in ("channel", "trajectories"):
         n = _lattice_grid(cfg).n_sites
         n_steps = _steps(cfg.t_final, cfg.eps)
-        # the ensemble allocates its (x, x') block sum even when it does not accumulate it
-        return [n], (n * n if s == "channel" else cfg.n_traj * n) * n_steps, 0
+        if s == "channel":
+            return [n], 0, n * n * n_steps, 0
+        # the run sums probabilities only, one batch of trajectories at a time
+        batch = min(cfg.n_traj, noise.ENSEMBLE_BATCH)
+        return [], walk_bytes(batch, n, n_steps), cfg.n_traj * n * n_steps, 0
     if s == "lindblad" and cfg.fast == "spectral":
         # the run's snapshots, and the three times of the group-velocity fit
-        return [], 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
+        return [], 0, 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
     n = _pde_grid(cfg).n_sites
     n_steps = _steps(cfg.t_final, cfg.dx)
     if s == "dirac-free":
-        return [], n * max(cfg.n_snapshots, 3), 0
+        return [], 0, n * max(cfg.n_snapshots, 3), 0
     if s in ("telegraph", "fourier") or cfg.fast == "diagonal":
-        return [], n * n_steps, 0
+        return [], 0, n * n_steps, 0
     if s == "compare":
         sizes = [int(round(2 * cfg.half_width / eps)) for eps in cfg.eps_list]
         work = sum(m * m * _steps(cfg.t_final, eps) for m, eps in zip(sizes, cfg.eps_list))
-        return [n] + sizes, n * n * n_steps + work, 0
-    return [n], n * n * n_steps, 0
+        return [n] + sizes, 0, n * n * n_steps + work, 0
+    return [n], 0, n * n * n_steps, 0
 
 
 def _bytes_text(size: float) -> str:
@@ -625,10 +638,13 @@ def check_resources(cfg: ScenarioConfig) -> None:
 
     Raises ConfigError listing every limit the run would exceed.
     """
-    fields, cell_steps, spectral_points = _demands(cfg)
+    fields, buffer_bytes, cell_steps, spectral_points = _demands(cfg)
     errors = [f"a {n}-site (x, x') field needs {_bytes_text(field_bytes(n))}, above the "
               f"limit of {_bytes_text(MAX_FIELD_BYTES)}"
               for n in fields if field_bytes(n) > MAX_FIELD_BYTES]
+    if buffer_bytes > MAX_FIELD_BYTES:
+        errors.append(f"the walk buffers need {_bytes_text(buffer_bytes)}, above the "
+                      f"limit of {_bytes_text(MAX_FIELD_BYTES)}")
     if cell_steps > MAX_CELL_STEPS:
         errors.append(f"the run needs {cell_steps:.3g} cell-steps, above the limit of "
                       f"{MAX_CELL_STEPS:.0e}")

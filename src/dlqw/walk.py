@@ -340,14 +340,21 @@ class BatchedWalk:
 
 
 def step_state(state: WaveState, coins: np.ndarray) -> WaveState:
-    """One shift-then-coin step of a single walk, with per-site ``coins`` (n, 2, 2)."""
+    """One shift-then-coin step of a single walk, with one coin (2, 2) or per-site coins (n, 2, 2)."""
     walk = BatchedWalk(state.amplitudes[None])
     walk.step(coins[None])
     return WaveState(walk.amplitudes[0], state.grid)
 
 
 def walk_step(state: WaveState, field: AngleField, t: float) -> WaveState:
-    """One walk step: shift, then the position-dependent coin at time t."""
+    """One walk step: shift, then the position-dependent coin at time t.
+
+    A constant field steps with one coin for every site, built from the
+    scalar angles; its entries equal those of the per-site stack.
+    """
+    if field.is_constant:
+        angles = state.grid.time_step * np.array(field.rates, dtype=float)
+        return step_state(state, coin_matrices(*angles))
     return step_state(state, step_coins(field, t, state.grid))
 
 

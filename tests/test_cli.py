@@ -289,7 +289,11 @@ class TestMain:
          "the run needs 1e+14 cell-steps, above the limit of 1e+10"),
         (SPECTRAL_LOG + "n_snapshots = 100000000\n",
          "the run needs 2.05e+11 snapshot-momenta, above the limit of 1e+07"),
-    ], ids=["grid-field", "channel-blocks", "telegraph-steps", "spectral-snapshots"])
+        # within the work limit (1e10 cell-steps), but not the memory limit
+        ("scenario = walk\ntheta = 0.8\nn_steps = 1\nn = 10000000000\n",
+         "the walk buffers need 596 GiB, above the limit of 1 GiB"),
+    ], ids=["grid-field", "channel-blocks", "telegraph-steps", "spectral-snapshots",
+            "walk-amplitudes"])
     def test_run_over_a_resource_limit_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "big.cfg"
         cfg_path.write_text(text)
@@ -298,6 +302,13 @@ class TestMain:
         assert rc == 2
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    def test_trajectories_need_no_xx_field(self, tmp_path):
+        # more than the 4096 sites of the largest (x, x') field
+        cfg = parse_config(MINI_TRAJ.replace("n_traj = 64", "n_traj = 4")
+                           .replace("t_final = 1\n", "t_final = 0.3\n") + "n = 5000\n")
+        check_resources(cfg)
+        assert run(cfg, str(tmp_path / "t")).passed
 
     def test_presets_are_within_the_resource_limits(self):
         for name in list_presets():
@@ -329,6 +340,20 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "integrity:" in out
+
+    @pytest.mark.parametrize("eps, message", [
+        ("0,0.1", "eps_list values must be positive"),
+        ("abc", "cannot parse eps_list = 'abc'"),
+        ("nan", "cannot parse eps_list = 'nan'"),
+    ], ids=["zero", "text", "nan"])
+    def test_sweep_bad_eps_exit_two(self, tmp_path, capsys, eps, message):
+        cfg_path = tmp_path / "mini.cfg"
+        cfg_path.write_text("scenario = channel\neps = 0.1\nt_final = 0.5\nhalf_width = 8\n")
+        rc = main(["sweep", str(cfg_path), "--eps", eps, "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "mini.cfg"

@@ -242,6 +242,9 @@ class TestTrajectoryOffsets:
         NoiseSpec(xi0=ParamNoise("gaussian", 0.4), theta=ParamNoise("uniform", 0.5)),
         NoiseSpec(xi1=ParamNoise("two-point", 0.4), theta=ParamNoise("gaussian", 0.5)),
         NoiseSpec(),
+        # one delta for every active angle: a scalar scale
+        NoiseSpec(xi0=ParamNoise("gaussian", 0.6), theta=ParamNoise("gaussian", 0.6)),
+        NoiseSpec(xi1=ParamNoise("uniform", 0.3), chi=ParamNoise("uniform", 0.3)),
     ])
     def test_matches_step_by_step_draws(self, spec):
         rng_a, rng_b = rng_for_trajectory(4, 2), rng_for_trajectory(4, 2)
@@ -294,6 +297,19 @@ class TestEnsembleDensity:
         for key in ("sum_prob", "sum_prob2", "sum_blocks"):
             np.testing.assert_array_equal(getattr(split, key), getattr(whole, key),
                                           err_msg=key)
+
+    def test_blocks_only_when_accumulated(self):
+        grid = LatticeGrid(n_sites=20, spacing=0.1, time_step=0.1)
+        init = WaveState.gaussian(grid, width=0.3, p0=0.5)
+        spec = NoiseSpec.single("theta", "gaussian", 0.5)
+        field = AngleField(theta_bar=-1.0)
+        with_blocks = run_ensemble(field, spec, init, 6, n_traj=9, seed=2)
+        without = run_ensemble(field, spec, init, 6, n_traj=9, seed=2, accumulate_blocks=False)
+        assert without.sum_blocks is None
+        with pytest.raises(ConfigurationError):
+            without.density()
+        np.testing.assert_array_equal(without.sum_prob, with_blocks.sum_prob)
+        np.testing.assert_array_equal(without.sum_prob2, with_blocks.sum_prob2)
 
     def test_trace_and_hermiticity(self):
         grid = LatticeGrid(n_sites=24, spacing=0.1, time_step=0.1)

@@ -6,6 +6,7 @@ from dlqw.pde import (
     GeneratorParams,
     KernelChannel,
     KernelSet,
+    KernelSourceOperator,
     LAMBDA,
     LAMBDA_P,
     NumericalError,
@@ -19,8 +20,11 @@ from dlqw.pde import (
     pauli_from_density,
     pauli_from_wave_state,
     read_field_binary,
+    skew,
+    skewed_advect,
     source_step,
     strang_step,
+    unskew,
     v_inverse,
     v_transform,
     write_field_binary,
@@ -355,6 +359,58 @@ class TestEvolve:
         grid = make_grid(16, 0.1)
         with pytest.raises(ConfigurationError):
             evolve(gaussian_pauli(grid), GeneratorParams(), 0.55)
+
+
+def random_field(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+
+
+class TestSkewedStorage:
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_skew_layout_and_round_trip(self, n):
+        v = random_field(n, seed=n)
+        s = skew(v)
+        assert s.shape == (n, 4, n) and s.flags.c_contiguous
+        for k in range(n):
+            for i in range(n):
+                np.testing.assert_array_equal(s[k, :, i], v[:, i, (i + k) % n])
+        np.testing.assert_array_equal(s[0], v[:, np.arange(n), np.arange(n)])
+        back = unskew(s)
+        assert back.flags.c_contiguous
+        np.testing.assert_array_equal(back, v)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_skewed_advect_is_the_exact_advection(self, n):
+        grid = make_grid(n, 0.1)
+        v = random_field(n, seed=n + 1)
+        s = skewed_advect(skew(v))
+        assert s.flags.c_contiguous
+        np.testing.assert_array_equal(unskew(s), homogeneous_step(v, grid, 0.1))
+
+    @pytest.mark.parametrize("n", [9, 10, 31, 48])
+    def test_kernel_source_step_matches_per_cell_reference(self, n):
+        grid = make_grid(n, 0.1)
+        kern = lambda d: np.exp(-(d**2) / 0.05)
+        kernels = KernelSet(
+            identity=KernelChannel(1.3, kern),
+            phase_flip=KernelChannel(0.4, kern),
+            coin_flip=KernelChannel(0.7, lambda d: 1.0 / (1.0 + d**2)),
+        )
+        params = GeneratorParams(m=0.6, gamma1=0.1)
+        v = random_field(n, seed=n)
+        props = KernelSourceOperator(grid, kernels, params, 0.05).props
+        # each cell's distance class, then one product per class over its cells
+        cells = {}
+        for i in range(n):
+            for j in range(n):
+                cells.setdefault(min(abs(i - j), n - abs(i - j)), []).append((i, j))
+        assert sorted(cells) == list(range(n // 2 + 1))
+        want = np.empty_like(v)
+        for d, ij in cells.items():
+            i, j = np.array(ij).T
+            want[:, i, j] = props[d] @ v[:, i, j]
+        np.testing.assert_array_equal(kernel_source_step(v, grid, 0.05, kernels, params), want)
 
 
 class TestKernelSource:

@@ -18,6 +18,8 @@ from dlqw.walk import (
     euler_angles,
     mix_components,
     roll_components,
+    step_coins,
+    step_state,
     walk_step,
 )
 
@@ -238,6 +240,15 @@ class TestWalkStep:
             p = s.probabilities()
             assert np.all(p[: c - k] == 0.0)
             assert np.all(p[c + k + 1 :] == 0.0)
+
+    def test_constant_field_matches_per_site_coins(self):
+        grid = LatticeGrid(n_sites=40, spacing=0.1, time_step=0.1)
+        field = AngleField(xi0_bar=0.3, xi1_bar=-0.2, theta_bar=-0.9, chi_bar=0.4)
+        a = b = WaveState.gaussian(grid, width=0.3, p0=0.5)
+        for k in range(30):
+            a = walk_step(a, field, 0.1 * k)
+            b = step_state(b, step_coins(field, 0.1 * k, grid))
+        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_position_dependent_field(self):
         # a field callable sees the physical positions and stays pure
