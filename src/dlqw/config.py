@@ -141,6 +141,8 @@ def _convert(key: str, raw: str):
 
 
 def _eps_list_errors(eps_list: tuple[float, ...]) -> list[str]:
+    if not eps_list:
+        return ["eps_list needs at least one value"]
     return ["eps_list values must be positive"] if any(eps <= 0 for eps in eps_list) else []
 
 
@@ -200,7 +202,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("eps must be positive")
     if "dx" in values and values["dx"] <= 0:
         errors.append("dx must be positive")
-    errors += _eps_list_errors(values.get("eps_list", ()))
+    if "eps_list" in values:
+        errors += _eps_list_errors(values["eps_list"])
     if values.get("fast", "full") not in ("full", "diagonal", "spectral"):
         errors.append(f"fast must be one of full/diagonal/spectral, got {values.get('fast')!r}")
     if scenario == "kernel-lindblad" and values.get("kernel_ell", 1.0) <= 0:

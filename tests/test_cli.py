@@ -345,7 +345,8 @@ class TestMain:
         ("0,0.1", "eps_list values must be positive"),
         ("abc", "cannot parse eps_list = 'abc'"),
         ("nan", "cannot parse eps_list = 'nan'"),
-    ], ids=["zero", "text", "nan"])
+        (",", "eps_list needs at least one value"),
+    ], ids=["zero", "text", "nan", "empty"])
     def test_sweep_bad_eps_exit_two(self, tmp_path, capsys, eps, message):
         cfg_path = tmp_path / "mini.cfg"
         cfg_path.write_text("scenario = channel\neps = 0.1\nt_final = 0.5\nhalf_width = 8\n")
