@@ -6,7 +6,7 @@ diagonals.  ``tests/golden/*.npz`` holds the arrays as an earlier version of
 the program computed them;
 ``test_golden.py`` requires the current program to reproduce them, to 1e-12
 relative on the deterministic cases and bit for bit on the Monte-Carlo ones
-and on ``evolve_kernel_odd``.
+and on the odd-grid runs ``evolve_grid_odd`` and ``evolve_kernel_odd``.
 
 Regenerate the files only when a change is meant to alter these outputs::
 
@@ -49,6 +49,22 @@ def evolve_massive_noisy() -> dict[str, np.ndarray]:
     res = pde.evolve(pde.pauli_from_wave_state(state), params, 13.0,
                      snapshot_steps=[0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100, 129, 130])
     return _evolve_arrays(res)
+
+
+def evolve_grid_odd() -> dict[str, np.ndarray]:
+    """The homogeneous grid, m, gamma1, gamma2 > 0, odd n = 31, 70 steps; the whole final field.
+
+    The field crosses the periodic wrap twice in 3.5 time units.  The
+    snapshots fall unevenly on both sides of the blow-up check at step 64.
+    """
+    grid = LatticeGrid(n_sites=31, spacing=0.05, time_step=0.05)
+    state = WaveState.gaussian(grid, width=0.2, coin=(0.6, 1.0 - 0.3j), p0=1.3)
+    params = pde.GeneratorParams(m=0.9, gamma1=0.4, gamma2=0.6)
+    res = pde.evolve(pde.pauli_from_wave_state(state), params, 3.5,
+                     snapshot_steps=[0, 1, 3, 4, 11, 30, 63, 64, 65, 69, 70])
+    out = _evolve_arrays(res)
+    out["final_field"] = res.final.r
+    return out
 
 
 def evolve_kernel() -> dict[str, np.ndarray]:
@@ -337,6 +353,7 @@ def spectral_group_velocity() -> dict[str, np.ndarray]:
 # name -> (builder, exact): exact cases must match bit for bit
 CASES = {
     "evolve_massive_noisy": (evolve_massive_noisy, False),
+    "evolve_grid_odd": (evolve_grid_odd, True),
     "evolve_kernel": (evolve_kernel, False),
     "evolve_kernel_odd": (evolve_kernel_odd, True),
     "channel_constant_coin": (channel_constant_coin, False),

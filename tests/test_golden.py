@@ -2,7 +2,7 @@
 reproduce their golden outputs.
 
 Deterministic cases match each stored array to 1e-12 relative to that
-array's largest entry; Monte-Carlo cases and the odd-grid kernel run match
+array's largest entry; Monte-Carlo cases and the two odd-grid runs match
 bit for bit.  See
 ``golden_cases.py`` for the cases and how to regenerate them.
 """
