@@ -66,6 +66,7 @@ from .walk import (
     AngleField,
     BatchedWalk,
     CoinAngles,
+    GhostGrid,
     LatticeGrid,
     WaveState,
     asymptotic_spread,

@@ -162,6 +162,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a config; raises ConfigError listing every problem."""
     errors: list[str] = []
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -173,6 +174,10 @@ def parse_config(text: str) -> ScenarioConfig:
         if key not in _FIELD_TYPES:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
+        if key in first_line:
+            errors.append(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+            continue
+        first_line[key] = lineno
         try:
             values[key] = _convert(key, raw)
         except ValueError:

@@ -8,6 +8,9 @@ integer grid shift per component and the only discretization error comes from
 operator splitting.  The source is integrated with an explicit-implicit
 one-step scheme (parameter alpha, default 0.5) and composed symmetrically
 (half source, full advection, half source), giving second-order accuracy.
+In v variables the source matrix is real, so a source step followed by the
+advection is one real matmul into shifted rows of a ghost-padded buffer
+(:class:`dlqw.walk.GhostGrid`).
 
 The position-dependent noise generalization replaces the source's noise part
 with per-separation coefficients kappa(|x - x'|), handled by one propagator
@@ -26,7 +29,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .noise import DensityGrid
 from .observables import AntiDiagonalFields, DiagonalFields, MomentSeries, moment_series
 from .walk import (
     ConfigurationError,
+    GhostGrid,
     LatticeGrid,
     SIGMA,
     WaveState,
@@ -146,6 +150,8 @@ def homogeneous_step(v: np.ndarray, grid: LatticeGrid, dt: float) -> np.ndarray:
 
     Each component shifts by one cell along both axes according to its
     characteristic speeds, a pure permutation with no dispersion error.
+    This is the reference for the advection that :class:`GhostGrid` fuses
+    with the source mix; the solver itself steps through that engine.
     """
     _require_unit_cfl(grid, dt)
     return roll_components(v, ADVECTION_SHIFTS)
@@ -194,8 +200,14 @@ def _propagator_from_f(f: np.ndarray, dt: float, alpha: float) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _source_propagator_v(dt: float, m: float, g1: float, g2: float, alpha: float) -> np.ndarray:
+    """The real source propagator in v variables.
+
+    Every factor i of U_CHAR multiplies r^1, and t_r couples r^1 to no other
+    component, so each i meets its conjugate: the imaginary part of
+    U_CHAR t_r U_CHAR^-1 is exactly 0.0 and ``.real`` drops nothing.
+    """
     t_r = _propagator_from_f(source_matrix(GeneratorParams(m, g1, g2)), dt, alpha)
-    return U_CHAR @ t_r @ U_CHAR_INV
+    return np.ascontiguousarray((U_CHAR @ t_r @ U_CHAR_INV).real)
 
 
 def source_step(v: np.ndarray, dt: float, params: GeneratorParams,
@@ -205,33 +217,43 @@ def source_step(v: np.ndarray, dt: float, params: GeneratorParams,
     return mix_components(t_v, v)
 
 
-FieldMap = Callable[[np.ndarray], np.ndarray]
+State = TypeVar("State")
+StateMap = Callable[[State], State]
 
 
-def _half_sources(t_half: np.ndarray) -> tuple[FieldMap, FieldMap]:
-    """Half-step source matrix and its square, as field maps."""
+def _strang_maps(half_source: StateMap, full_source: StateMap,
+                 advect: StateMap) -> tuple[StateMap, StateMap, StateMap]:
+    """The three maps of :func:`_strang_steps` from source maps and an advection."""
+    return (lambda v: advect(half_source(v)), lambda v: advect(full_source(v)), half_source)
+
+
+def _ghost_maps(t_half: np.ndarray) -> tuple[StateMap, StateMap, StateMap]:
+    """The three maps of :func:`_strang_steps` on a :class:`GhostGrid`, one pass each."""
     t_full = t_half @ t_half
-    return (lambda v: mix_components(t_half, v), lambda v: mix_components(t_full, v))
+    return (lambda g: g.step(t_half), lambda g: g.step(t_full), lambda g: g.mix(t_half))
 
 
-def _strang_steps(v: np.ndarray, n_steps: int, advect: FieldMap,
-                  half_source: FieldMap, full_source: FieldMap) -> np.ndarray:
+def _strang_steps(v: State, n_steps: int, shifted_half: StateMap, shifted_full: StateMap,
+                  closing_half: StateMap) -> State:
     """``n_steps`` >= 1 Strang steps: half source, exact advection, half source.
 
     The trailing half source of each step and the leading one of the next are
-    applied together as ``full_source``, so only the last step ends on a half.
+    applied together as one full source, so the maps are a half source then
+    the advection, a full source then the advection, and the closing half
+    source of the last step.
     """
-    v = advect(half_source(v))
+    v = shifted_half(v)
     for _ in range(n_steps - 1):
-        v = advect(full_source(v))
-    return half_source(v)
+        v = shifted_full(v)
+    return closing_half(v)
 
 
 def strang_step(v: np.ndarray, grid: LatticeGrid, dt: float, params: GeneratorParams,
                 alpha: float = 0.5) -> np.ndarray:
     """Half source, exact advection, half source; O(dt^2) accurate globally."""
+    _require_unit_cfl(grid, dt)
     t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
-    return _strang_steps(v, 1, lambda u: homogeneous_step(u, grid, dt), *_half_sources(t_half))
+    return np.array(_strang_steps(GhostGrid(v), 1, *_ghost_maps(t_half)).field)
 
 
 @dataclass(frozen=True)
@@ -438,22 +460,25 @@ def evolve(
     n_steps, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
 
     if kernels is None:
-        half_source, full_source = _half_sources(
+        # ghost-padded storage: each source step and its advection are one pass
+        state = GhostGrid(v_transform(init))
+        maps = _ghost_maps(
             _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha))
-        v = v_transform(init)
-        advect = partial(homogeneous_step, grid=grid, dt=dt)
     else:
         # skewed storage: the source is one batched matmul, the diagonal is row 0
-        _require_unit_cfl(grid, dt)
         half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
-        half_source, full_source = half.apply, half.squared().apply
-        v = skew(v_transform(init))
-        advect = skewed_advect
+        state = skew(v_transform(init))
+        maps = _strang_maps(half.apply, half.squared().apply, skewed_advect)
     on_diagonal = np.arange(grid.n_sites)
     diags: list[np.ndarray] = []
 
+    def stored() -> np.ndarray:
+        """The field v in its storage: (4, n, n), or skewed (n, 4, n)."""
+        return state.field if kernels is None else state
+
     def record() -> None:
         # the diagonal of v first, then the 4x4 transform: O(n), not O(n^2)
+        v = stored()
         diagonal = v[:, on_diagonal, on_diagonal] if kernels is None else v[0]
         diags.append((U_CHAR_INV @ diagonal).real)
 
@@ -465,10 +490,10 @@ def evolve(
         record()
     done = 0
     for stop in sorted((checks | mark_set) - {0}):
-        v = _strang_steps(v, stop - done, advect, half_source, full_source)
+        state = _strang_steps(state, stop - done, *maps)
         done = stop
         if stop in checks:
-            peak = np.abs(v).max()
+            peak = np.abs(stored()).max()
             if not np.isfinite(peak) or peak > 1e6:
                 raise NumericalError(
                     f"field blow-up at t={stop * dt:.6g} (max |v| = {peak:.3e})"
@@ -480,7 +505,7 @@ def evolve(
     diag = np.reshape(diags, (-1, 4, x.size))
     return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
                         diagonals=[DiagonalFields(x, d) for d in diag],
-                        final=v_inverse(v if kernels is None else unskew(v), grid))
+                        final=v_inverse(state.field if kernels is None else unskew(state), grid))
 
 
 def diagonal_evolve(
@@ -509,15 +534,16 @@ def diagonal_evolve(
     # w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left.
     vmat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     t_r = _propagator_from_f(source_matrix(params), 0.5 * dt, alpha)[np.ix_([0, 3], [0, 3])]
-    half_source, full_source = _half_sources(vmat.T @ t_r @ vmat)
+    t_half = vmat.T @ t_r @ vmat
+    maps = _strang_maps(partial(mix_components, t_half), partial(mix_components, t_half @ t_half),
+                        partial(roll_components, shifts=((-1,), (1,))))
 
     w = vmat.T @ np.stack([np.asarray(init_r0, float), np.asarray(init_r3, float)])
     diags = np.zeros((marks.size, 4, grid.n_sites))
     done = 0
     for k, stop in enumerate(marks):
         if stop > done:
-            w = _strang_steps(w, stop - done, lambda u: roll_components(u, ((-1,), (1,))),
-                              half_source, full_source)
+            w = _strang_steps(w, stop - done, *maps)
         done = stop
         diags[k, [0, 3]] = vmat @ w
 

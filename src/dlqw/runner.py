@@ -18,7 +18,7 @@ import numpy as np
 from . import analytic, noise, observables, pde
 from .config import ConfigError, ScenarioConfig, default_output_root
 from .walk import AngleField, ConfigurationError, LatticeGrid, WaveState, walk_step
-from .walk import asymptotic_spread
+from .walk import asymptotic_spread, ghost_grid_bytes
 
 
 @dataclass
@@ -565,7 +565,7 @@ def _fresh_output_dir(base: str) -> str:
 
 
 # Limits checked before a run allocates or steps anything (README, "Resource limits")
-MAX_FIELD_BYTES = 2**30  # one (x, x') field: n <= 4096 sites; also the 1-D buffers
+MAX_FIELD_BYTES = 2**30  # one (x, x') field: n <= 4096 sites; also each set of buffers
 MAX_CELL_STEPS = 10**10  # lattice cells advanced, summed over every step of a run
 MAX_SPECTRAL_POINTS = 10**7  # snapshot times x momenta of fast = spectral
 
@@ -588,42 +588,48 @@ def _steps(t_final: float, step: float) -> int:
     return int(round(t_final / step))
 
 
-def _demands(cfg: ScenarioConfig) -> tuple[list[int], int, int, int]:
-    """Site counts of the run's (x, x') fields, the bytes of its 1-D walk
-    buffers, its cell-steps and its spectral points.
+def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int, int]:
+    """Site counts of the run's (x, x') fields, its other buffers as
+    (name, bytes), its cell-steps and its spectral points.
 
     A cell is one lattice site of one walk (or trajectory), or one (x, x')
-    pair of a field; each step advances every cell once.
+    pair of a field; each step advances every cell once.  A homogeneous
+    Strang grid (``lindblad`` with ``fast = full``, the ``compare``
+    reference) also holds the two ghost-padded buffers of its engine.
     """
     s = cfg.scenario
     if s == "walk":
         n, n_steps = _walk_size(cfg)
-        return [], walk_bytes(1, n), n * n_steps, 0
+        return [], [("the walk buffers", walk_bytes(1, n))], n * n_steps, 0
     if s == "sweep":
         parts = [_demands(replace(cfg, scenario="channel", eps=eps)) for eps in cfg.eps_list]
-        return [n for f, _, _, _ in parts for n in f], 0, sum(p[2] for p in parts), 0
+        return [n for f, _, _, _ in parts for n in f], [], sum(p[2] for p in parts), 0
     if s in ("channel", "trajectories"):
         n = _lattice_grid(cfg).n_sites
         n_steps = _steps(cfg.t_final, cfg.eps)
         if s == "channel":
-            return [n], 0, n * n * n_steps, 0
+            return [n], [], n * n * n_steps, 0
         # the run sums probabilities only, one batch of trajectories at a time
         batch = min(cfg.n_traj, noise.ENSEMBLE_BATCH)
-        return [], walk_bytes(batch, n, n_steps), cfg.n_traj * n * n_steps, 0
+        return ([], [("the walk buffers", walk_bytes(batch, n, n_steps))],
+                cfg.n_traj * n * n_steps, 0)
     if s == "lindblad" and cfg.fast == "spectral":
         # the run's snapshots, and the three times of the group-velocity fit
-        return [], 0, 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
+        return [], [], 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
     n = _pde_grid(cfg).n_sites
     n_steps = _steps(cfg.t_final, cfg.dx)
     if s == "dirac-free":
-        return [], 0, n * max(cfg.n_snapshots, 3), 0
+        return [], [], n * max(cfg.n_snapshots, 3), 0
     if s in ("telegraph", "fourier") or cfg.fast == "diagonal":
-        return [], 0, n * n_steps, 0
+        return [], [], n * n_steps, 0
+    if s == "kernel-lindblad":
+        return [n], [], n * n * n_steps, 0
+    engine = [("the grid engine's buffers", ghost_grid_bytes(n))]
     if s == "compare":
         sizes = [int(round(2 * cfg.half_width / eps)) for eps in cfg.eps_list]
         work = sum(m * m * _steps(cfg.t_final, eps) for m, eps in zip(sizes, cfg.eps_list))
-        return [n] + sizes, 0, n * n * n_steps + work, 0
-    return [n], 0, n * n * n_steps, 0
+        return [n] + sizes, engine, n * n * n_steps + work, 0
+    return [n], engine, n * n * n_steps, 0
 
 
 def _bytes_text(size: float) -> str:
@@ -633,18 +639,22 @@ def _bytes_text(size: float) -> str:
         size /= 1024
 
 
+def _over_memory_limit(what: str, size: int) -> str:
+    need, limit = _bytes_text(size), _bytes_text(MAX_FIELD_BYTES)
+    if need == limit:  # just over the limit: rounding would hide the excess
+        need, limit = f"{size} B", f"{MAX_FIELD_BYTES} B"
+    return f"{what} {need}, above the limit of {limit}"
+
+
 def check_resources(cfg: ScenarioConfig) -> None:
     """Reject a run whose memory or work exceeds the stated limits, before it starts.
 
     Raises ConfigError listing every limit the run would exceed.
     """
-    fields, buffer_bytes, cell_steps, spectral_points = _demands(cfg)
-    errors = [f"a {n}-site (x, x') field needs {_bytes_text(field_bytes(n))}, above the "
-              f"limit of {_bytes_text(MAX_FIELD_BYTES)}"
-              for n in fields if field_bytes(n) > MAX_FIELD_BYTES]
-    if buffer_bytes > MAX_FIELD_BYTES:
-        errors.append(f"the walk buffers need {_bytes_text(buffer_bytes)}, above the "
-                      f"limit of {_bytes_text(MAX_FIELD_BYTES)}")
+    fields, buffers, cell_steps, spectral_points = _demands(cfg)
+    needs = [(f"a {n}-site (x, x') field needs", field_bytes(n)) for n in fields]
+    needs += [(f"{name} need", size) for name, size in buffers]
+    errors = [_over_memory_limit(what, size) for what, size in needs if size > MAX_FIELD_BYTES]
     if cell_steps > MAX_CELL_STEPS:
         errors.append(f"the run needs {cell_steps:.3g} cell-steps, above the limit of "
                       f"{MAX_CELL_STEPS:.0e}")

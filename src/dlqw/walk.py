@@ -7,6 +7,10 @@ coin rotation.  Coin angles are stored as rates ("barred" values, radians per
 unit time) and multiplied by the time step when a step is taken, which is the
 scaling under which the walk converges to a Dirac equation as the lattice is
 refined with spacing == time step.
+
+The module also holds the two stepping engines: :class:`BatchedWalk` for
+amplitude walks and :class:`GhostGrid` for the (x, x') grid of the
+continuum solver.
 """
 
 from __future__ import annotations
@@ -337,6 +341,95 @@ class BatchedWalk:
         shifted = self.shifted()
         self._current ^= 1
         np.einsum(_COIN_SUBSCRIPTS[coins.ndim], coins, shifted, out=self.amplitudes)
+
+
+def ghost_grid_bytes(n: int) -> int:
+    """Bytes of the two buffers of a :class:`GhostGrid` on n sites.
+
+    Each buffer holds four (n + 2)² planes between five margins of n + 3
+    complex cells.
+    """
+    return 2 * (4 * (n + 2) ** 2 + 5 * (n + 3)) * 16
+
+
+class GhostGrid:
+    """A (4, n, n) complex field stepped by a real 4×4 mix and a shift per component.
+
+    The 2-D counterpart of :class:`BatchedWalk`.  :meth:`step` is
+    ``roll_components(mix_components(m, v), shifts)`` for the shifts
+    ((-1, -1), (-1, 1), (1, -1), (1, 1)): component 2g + r moves by
+    (2g - 1, 2r - 1) cells.  :meth:`mix` is the mix alone.
+
+    The field lives in two flat buffers.  Each component is an (n + 2)²
+    plane whose outer ring holds periodic copies of the opposite edges, and
+    the planes sit between margins of n + 3 cells, the widest shift.  A step
+    is one matmul of the (2, 2, 4) reshaped matrix with the four source
+    planes, read as rows of reals, into a strided view of the other buffer
+    whose row offsets carry the shifts.  Each interior cell is then written
+    once, from a source cell inside the ring; the ring itself is refreshed in
+    O(n) after every pass.
+    """
+
+    def __init__(self, field: np.ndarray):
+        n = np.shape(field)[-1]
+        width = n + 2
+        margin = n + 3
+        pitch = width * width + margin  # from one plane to the next
+        buffers = np.empty(ghost_grid_bytes(n) // 16, dtype=complex).reshape(2, -1)
+        # per buffer: the (4, width, width) planes, and the same cells as (4, 2·width²) reals
+        self._planes = [b[margin:].reshape(4, pitch)[:, :width * width].reshape(4, width, width)
+                        for b in buffers]
+        self._rows = [p.view(np.float64).reshape(4, -1) for p in self._planes]
+        # component 2g + r, plane cell c, goes to cell margin + (2g + r)·pitch + c
+        # + (2g - 1)·width + (2r - 1) = g·(2·pitch + 2·width) + r·(pitch + 2) + c
+        cell = buffers.itemsize
+        self._shifted = [np.lib.stride_tricks.as_strided(
+            b.view(np.float64), shape=(2, 2, 2 * width * width),
+            strides=((2 * pitch + 2 * width) * cell, (pitch + 2) * cell, cell // 2))
+            for b in buffers]
+        self._buffers = buffers
+        self._current = 0
+        self.field[...] = field
+        self._wrap()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the two buffers, :func:`ghost_grid_bytes` of n."""
+        return self._buffers.nbytes
+
+    @property
+    def padded(self) -> np.ndarray:
+        """The current (4, n + 2, n + 2) planes, ghost rings included: a view of one buffer."""
+        return self._planes[self._current]
+
+    @property
+    def field(self) -> np.ndarray:
+        """The current (4, n, n) field: the interior of :attr:`padded`."""
+        return self.padded[:, 1:-1, 1:-1]
+
+    def _wrap(self) -> None:
+        """Copy the opposite edges of the current field into its ghost ring."""
+        p = self.padded
+        p[:, 0] = p[:, -2]
+        p[:, -1] = p[:, 1]
+        p[:, :, 0] = p[:, :, -2]
+        p[:, :, -1] = p[:, :, 1]
+
+    def step(self, m: np.ndarray) -> "GhostGrid":
+        """Mix the components by the real (4, 4) matrix ``m``, then shift them."""
+        src = self._rows[self._current]
+        self._current ^= 1
+        np.matmul(m.reshape(2, 2, 4), src, out=self._shifted[self._current])
+        self._wrap()
+        return self
+
+    def mix(self, m: np.ndarray) -> "GhostGrid":
+        """Mix the components by the real (4, 4) matrix ``m`` without a shift."""
+        src = self._rows[self._current]
+        self._current ^= 1
+        np.matmul(m, src, out=self._rows[self._current])
+        self._wrap()
+        return self
 
 
 def step_state(state: WaveState, coins: np.ndarray) -> WaveState:

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dlqw import runner
 from dlqw.cli import main
 from dlqw.config import ConfigError, list_presets, load_config, parse_config
 from dlqw.runner import check_resources, emit_plot_script, run, verify_report
-from dlqw.walk import ConfigurationError
+from dlqw.walk import ConfigurationError, GhostGrid
 
 MINI_TRAJ = """
 scenario = trajectories
@@ -119,7 +122,7 @@ class TestPresets:
         assert report.passed, report.human_summary()
 
     @pytest.mark.parametrize("name", ["acceptance-telegraph", "acceptance-kernel",
-                                      "acceptance-walk", "fig1-middle"])
+                                      "acceptance-walk", "fig1-middle", "fig1-left-grid"])
     def test_grid_and_walk_presets_pass_their_gates(self, tmp_path, name):
         report = run(load_config(f"preset:{name}"), str(tmp_path / name))
         assert report.passed, report.human_summary()
@@ -301,6 +304,44 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_repeated_key_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "twice.cfg"
+        cfg_path.write_text("scenario = trajectories\neps = 0.1\nn_traj = 3\nt_final = 1\n"
+                            "n_traj = 5\nhalf_width = 8\nbogus = 1\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "line 5: key 'n_traj' repeats line 3" in err
+        assert "line 7: unknown key 'bogus'" in err
+        assert not (tmp_path / "r").exists()
+
+    @staticmethod
+    def _full_grid(n: int) -> str:
+        return f"scenario = lindblad\nfast = full\ndx = 1\nhalf_width = {n / 2}\nt_final = 1\n"
+
+    def test_grid_engine_estimate_is_its_buffer(self):
+        _, buffers, _, _ = runner._demands(parse_config(self._full_grid(7)))
+        engine = GhostGrid(np.zeros((4, 7, 7), dtype=complex))
+        assert buffers == [("the grid engine's buffers", engine.nbytes)]
+
+    def test_largest_full_grid(self, tmp_path, capsys):
+        # 2893 sites is the largest grid whose engine fits in 1 GiB
+        check_resources(parse_config(self._full_grid(2893)))
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text(self._full_grid(2894))
+        tracemalloc.start()
+        try:
+            rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert ("the grid engine's buffers need 1073975968 B, above the limit of "
+                "1073741824 B") in err
+        assert peak < 2**20
         assert not (tmp_path / "r").exists()
 
     def test_trajectories_need_no_xx_field(self, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from dlqw.pde import (
     NumericalError,
     PauliField,
     U_CHAR,
+    U_CHAR_INV,
+    _propagator_from_f,
     density_from_pauli,
     diagonal_evolve,
     evolve,
@@ -22,6 +26,7 @@ from dlqw.pde import (
     read_field_binary,
     skew,
     skewed_advect,
+    source_matrix,
     source_step,
     strang_step,
     unskew,
@@ -211,6 +216,24 @@ class TestSourceStep:
 
 
 class TestStrangStep:
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_is_mix_shift_mix_bit_for_bit(self, n):
+        grid = make_grid(n, 0.05)
+        params = GeneratorParams(m=0.8, gamma1=0.2, gamma2=0.5)
+        v = v_transform(hermitian_field(grid, seed=n))
+        half = 0.5 * grid.spacing
+        want = source_step(homogeneous_step(source_step(v, half, params), grid, grid.spacing),
+                           half, params)
+        np.testing.assert_array_equal(strang_step(v, grid, grid.spacing, params), want)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_source_propagator_is_real_in_v_variables(self, alpha):
+        # so the grid engine's real matmul on the float view drops nothing
+        for m, g1, g2, dt in itertools.product([0.0, 0.8, 3.0], [0.0, 0.3], [0.0, 0.5, 2.0],
+                                               [0.01, 0.05, 0.5]):
+            t_r = _propagator_from_f(source_matrix(GeneratorParams(m, g1, g2)), dt, alpha)
+            assert np.all((U_CHAR @ t_r @ U_CHAR_INV).imag == 0.0)
+
     def test_free_is_pure_advection(self):
         grid = make_grid(8)
         v = v_transform(hermitian_field(grid, seed=9))
