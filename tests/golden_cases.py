@@ -224,6 +224,17 @@ def fourier_run() -> dict[str, np.ndarray]:
     return dict(R0_strang=data[:, 1], R0_propagator=data[:, 2])
 
 
+def telegraph_run() -> dict[str, np.ndarray]:
+    """Both R0 columns of ``telegraph_compare.csv``: the Strang run and the closed form."""
+    cfg = config.parse_config(
+        "scenario = telegraph\ndx = 0.05\nhalf_width = 3\nt_final = 1.5\ngamma2 = 0.7\n"
+        "init_width = 0.3\n")
+    with tempfile.TemporaryDirectory() as out:
+        runner.run(cfg, out)
+        data = np.loadtxt(Path(out) / "telegraph_compare.csv", delimiter=",", skiprows=1)
+    return dict(R0_numeric=data[:, 1], R0_closed_form=data[:, 2])
+
+
 def walk_run() -> dict[str, np.ndarray]:
     """Every column of ``distribution.csv`` of a walk run: 120 steps on 304 sites."""
     cfg = config.parse_config("scenario = walk\ntheta = 0.8\nn_steps = 120\ntol = 0.05\n")
@@ -363,6 +374,7 @@ CASES = {
     "diagonal_evolve_alpha": (diagonal_evolve_alpha, False),
     "runner_compare": (runner_compare, False),
     "fourier_run": (fourier_run, False),
+    "telegraph_run": (telegraph_run, False),
     "walk_run": (walk_run, False),
     "walk_site_coin": (walk_site_coin, False),
     "ensemble_single_angle": (ensemble_single_angle, True),
