@@ -35,10 +35,21 @@ def _cmd_sweep(args) -> int:
     return 0 if report.passed else 1
 
 
+# the scenarios that write the density.csv compare reads
+_DENSITY_SCENARIOS = ("channel", "trajectories", "dirac-free")
+
+
 def _cmd_compare(args) -> int:
+    cfg_a, cfg_b = load_config(args.config_a), load_config(args.config_b)
+    for cfg in (cfg_a, cfg_b):
+        if cfg.scenario not in _DENSITY_SCENARIOS:
+            raise ConfigurationError(
+                f"compare needs a final density, which only {', '.join(_DENSITY_SCENARIOS)} "
+                f"runs write, not {cfg.scenario!r}"
+            )
     out = args.out or "dlqw-compare"
-    report_a = run(load_config(args.config_a), os.path.join(out, "a"))
-    report_b = run(load_config(args.config_b), os.path.join(out, "b"))
+    report_a = run(cfg_a, os.path.join(out, "a"))
+    report_b = run(cfg_b, os.path.join(out, "b"))
     da = np.loadtxt(os.path.join(report_a.output_dir, "density.csv"),
                     delimiter=",", skiprows=1)
     db = np.loadtxt(os.path.join(report_b.output_dir, "density.csv"),

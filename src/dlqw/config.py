@@ -28,9 +28,6 @@ VALID_SCENARIOS = (
     "sweep",
 )
 
-PDE_SCENARIOS = ("lindblad", "kernel-lindblad", "telegraph", "fourier", "dirac-free", "compare")
-
-
 class ConfigError(ConfigurationError):
     """Invalid configuration; carries the full list of problems found."""
 
@@ -66,7 +63,6 @@ class ScenarioConfig:
     # numerics
     n: int = 0
     dx: float = 0.0
-    dt: float = 0.0
     eps: float = 0.0
     eps_list: tuple[float, ...] = ()
     t_final: float = 0.0
@@ -200,17 +196,22 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("sigma must be positive")
     if values.get("n_traj", 1) < 1:
         errors.append("n_traj must be >= 1")
-    if scenario in PDE_SCENARIOS and "dt" in values:
-        if abs(values["dt"] - values.get("dx", 0.0)) > 1e-12:
-            errors.append(f"scenario {scenario}: requires dt = dx")
     if "eps" in values and values["eps"] <= 0:
         errors.append("eps must be positive")
     if "dx" in values and values["dx"] <= 0:
         errors.append("dx must be positive")
     if "eps_list" in values:
         errors += _eps_list_errors(values["eps_list"])
-    if values.get("fast", "full") not in ("full", "diagonal", "spectral"):
-        errors.append(f"fast must be one of full/diagonal/spectral, got {values.get('fast')!r}")
+    fast = values.get("fast", "full")
+    if fast not in ("full", "diagonal", "spectral"):
+        errors.append(f"fast must be one of full/diagonal/spectral, got {fast!r}")
+    elif scenario == "lindblad" and ("m" in values or "m" not in first_line):
+        # an m that did not parse is reported above, not compared with fast
+        m = values.get("m", 0.0)
+        if fast == "spectral" and m == 0:
+            errors.append("fast = spectral requires m != 0; use fast = diagonal")
+        if fast == "diagonal" and m != 0:
+            errors.append("fast = diagonal requires m = 0")
     if scenario == "kernel-lindblad" and values.get("kernel_ell", 1.0) <= 0:
         errors.append("kernel_ell must be positive")
     if values.get("kernel_channel", "") not in ("", "identity", "phase-flip", "coin-flip"):

@@ -230,8 +230,6 @@ class TrajectoryEnsemble:
     """
 
     grid: LatticeGrid
-    n_traj: int
-    seed: int
     sum_blocks: np.ndarray | None = None
     sum_prob: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     sum_prob2: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
@@ -268,26 +266,26 @@ def run_ensemble(
     n_traj: int,
     seed: int,
     accumulate_blocks: bool = True,
-    batch: int = ENSEMBLE_BATCH,
 ) -> TrajectoryEnsemble:
     """Evolve ``n_traj`` independently noised trajectories and accumulate them.
 
     Each trajectory k draws the offsets of all its steps from
     :func:`rng_for_trajectory` (seed, k) with :func:`trajectory_offsets`, and
     the sums take the trajectories one after another in order, so the result
-    is the same bit for bit whatever ``batch`` is.  Each batch of up to
-    ``batch`` trajectories steps as one :class:`BatchedWalk`, with a (T, 2, 2)
-    coin stack for spatially constant barred angles and a (T, n, 2, 2) stack
-    for per-site fields.  The default batch bounds those arrays (16 MB each
-    at n = 240): 4096 trajectories were no faster, and 256 paid more
-    per-step overhead.
+    is the same bit for bit whatever the batch size is.  Each batch of up to
+    :data:`ENSEMBLE_BATCH` trajectories steps as one :class:`BatchedWalk`,
+    with a (T, 2, 2) coin stack for spatially constant barred angles and a
+    (T, n, 2, 2) stack for per-site fields.  That batch bounds those arrays
+    (16 MB each at n = 240): 4096 trajectories were no faster, and 256 paid
+    more per-step overhead.
     """
     if n_traj < 1:
         raise ConfigurationError("n_traj must be >= 1")
     grid = init.grid
-    eps = grid.time_step
+    eps = grid.spacing
     n = grid.n_sites
-    ens = TrajectoryEnsemble(grid=grid, n_traj=n_traj, seed=seed, sum_blocks=(
+    batch = ENSEMBLE_BATCH
+    ens = TrajectoryEnsemble(grid=grid, sum_blocks=(
         np.zeros((2, 2, n, n), dtype=complex) if accumulate_blocks else None))
     base = eps * np.array(field.rates, dtype=float) if field.is_constant else None
     for start in range(0, n_traj, batch):
@@ -350,7 +348,7 @@ def walk_conjugate(rho: DensityGrid, field: AngleField, t: float,
     n = grid.n_sites
     shifted = roll_components(rho.blocks.reshape(4, n, n), BLOCK_SHIFTS)
     if field.is_constant and all(np.ndim(o) == 0 for o in offsets or ()):
-        angles = grid.time_step * np.array(field.rates, dtype=float)
+        angles = grid.spacing * np.array(field.rates, dtype=float)
         if offsets is not None:
             angles = angles + np.asarray(offsets, dtype=float)
         coin = coin_matrices(*angles)
@@ -364,16 +362,15 @@ def channel_step(
     field: AngleField,
     rates: ChannelRates,
     t: float,
-    eps: float | None = None,
 ) -> DensityGrid:
     """One step of the flip-channel model.
 
     rho <- (1 - pi1 - pi2) U rho U^dag + pi1 s3 rho s3 + pi2 s1 rho s1,
-    with pi_l = eps * rate_l and U the walk unitary applied blockwise.  The
-    two flip branches fold into one 4x4 mix of the unshifted blocks.
+    with pi_l = eps * rate_l, eps the lattice spacing, and U the walk unitary
+    applied blockwise.  The two flip branches fold into one 4x4 mix of the
+    unshifted blocks.
     """
-    eps = rho.grid.time_step if eps is None else eps
-    p1, p2 = rates.step_probabilities(eps)
+    p1, p2 = rates.step_probabilities(rho.grid.spacing)
     out = walk_conjugate(rho, field, t)
     if p1 or p2:
         out *= 1.0 - p1 - p2
@@ -394,8 +391,7 @@ def two_point_channel_step(
     equally weighted sum over the 2^k sign branches, so no Monte-Carlo error
     enters.  Used by the vanishing-noise refinement checks.
     """
-    eps = rho.grid.time_step
-    root = np.sqrt(eps)
+    root = np.sqrt(rho.grid.spacing)
     active = [(l, e.delta) for l, e in enumerate(spec.entries) if e.delta > 0]
     for l, e in enumerate(spec.entries):
         if e.delta > 0 and e.kind != "two-point":

@@ -138,37 +138,38 @@ class RegimeTimes:
     x_plateau: float
 
 
-def regime_times(
-    series: MomentSeries,
-    v_g: float,
-    tol_prop: float = 0.02,
-    tol_plateau: float = 0.01,
-    plateau_fraction: float = 0.1,
-) -> RegimeTimes:
+# relative tolerances of regime_times: tracking v_g * t, and staying at the plateau
+BALLISTIC_TOL = 0.02
+SETTLED_TOL = 0.01
+# trailing share of the samples averaged into the plateau value
+PLATEAU_FRACTION = 0.1
+
+
+def regime_times(series: MomentSeries, v_g: float) -> RegimeTimes:
     """Locate the ballistic time t1, the plateau time t2, and the crossover t_mid.
 
     t1 is the last time where the mean position tracks v_g * t within
-    tol_prop (relative); t2 the first time after which the mean stays within
-    tol_plateau of the plateau value until the end; t_mid the time of the
-    largest-magnitude second finite-difference derivative of the mean (the
-    sharpest bend between the ballistic and settled segments).  The plateau
-    value is the average over the trailing ``plateau_fraction`` of samples.
-    t2 is absent when the series has not settled.
+    BALLISTIC_TOL (relative); t2 the first time after which the mean stays
+    within SETTLED_TOL of the plateau value until the end; t_mid the time of
+    the largest-magnitude second finite-difference derivative of the mean
+    (the sharpest bend between the ballistic and settled segments).  The
+    plateau value is the average over the trailing PLATEAU_FRACTION of
+    samples.  t2 is absent when the series has not settled.
     """
     t = series.times
     m = series.mean_x
     if t.size < 4:
         raise DiagnosticError("need at least 4 samples")
-    tail = max(2, int(np.ceil(plateau_fraction * t.size)))
+    tail = max(2, int(np.ceil(PLATEAU_FRACTION * t.size)))
     x_plateau = float(m[-tail:].mean())
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ballistic = np.abs(m - v_g * t) <= tol_prop * np.abs(v_g * t)
+        ballistic = np.abs(m - v_g * t) <= BALLISTIC_TOL * np.abs(v_g * t)
     ballistic &= t > 0
     t1 = float(t[ballistic][-1]) if ballistic.any() else None
 
     scale = max(abs(x_plateau), 1e-300)
-    settled = np.abs(m - x_plateau) <= tol_plateau * scale
+    settled = np.abs(m - x_plateau) <= SETTLED_TOL * scale
     # derivative still large at the end means no plateau was reached
     end_slope = abs(m[-1] - m[-2]) / (t[-1] - t[-2])
     plateau_reached = settled[-1] and end_slope * t[-1] <= 0.05 * scale

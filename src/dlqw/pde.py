@@ -145,23 +145,15 @@ def v_inverse(v: np.ndarray, grid: LatticeGrid) -> PauliField:
     return PauliField(np.einsum("ab,bxy->axy", U_CHAR_INV, v), grid)
 
 
-def homogeneous_step(v: np.ndarray, grid: LatticeGrid, dt: float) -> np.ndarray:
-    """Exact advection over one step; requires dt == grid spacing.
+def homogeneous_step(v: np.ndarray) -> np.ndarray:
+    """Exact advection over one step dt = dx.
 
     Each component shifts by one cell along both axes according to its
     characteristic speeds, a pure permutation with no dispersion error.
     This is the reference for the advection that :class:`GhostGrid` fuses
     with the source mix; the solver itself steps through that engine.
     """
-    _require_unit_cfl(grid, dt)
     return roll_components(v, ADVECTION_SHIFTS)
-
-
-def _require_unit_cfl(grid: LatticeGrid, dt: float) -> None:
-    if abs(dt - grid.spacing) > 1e-12 * grid.spacing:
-        raise ConfigurationError(
-            f"exact advection requires dt == dx, got dt={dt} dx={grid.spacing}"
-        )
 
 
 def source_matrix(params: GeneratorParams) -> np.ndarray:
@@ -248,11 +240,11 @@ def _strang_steps(v: State, n_steps: int, shifted_half: StateMap, shifted_full: 
     return closing_half(v)
 
 
-def strang_step(v: np.ndarray, grid: LatticeGrid, dt: float, params: GeneratorParams,
+def strang_step(v: np.ndarray, grid: LatticeGrid, params: GeneratorParams,
                 alpha: float = 0.5) -> np.ndarray:
-    """Half source, exact advection, half source; O(dt^2) accurate globally."""
-    _require_unit_cfl(grid, dt)
-    t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
+    """Half source, exact advection, half source over dt = dx; O(dt^2) accurate globally."""
+    t_half = _source_propagator_v(0.5 * grid.spacing, params.m, params.gamma1, params.gamma2,
+                                  alpha)
     return np.array(_strang_steps(GhostGrid(v), 1, *_ghost_maps(t_half)).field)
 
 
@@ -414,27 +406,16 @@ class EvolveResult:
     final: PauliField | None = None
 
 
-def even_snapshot_steps(n_steps: int, n_snapshots: int) -> np.ndarray:
-    """Up to ``n_snapshots`` steps spread evenly over a run, both ends included."""
-    return np.unique(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1)).round().astype(int))
-
-
-def _step_marks(t_final: float, dt: float, n_snapshots: int,
+def _step_marks(t_final: float, dt: float,
                 snapshot_steps: list[int] | None) -> tuple[int, np.ndarray]:
-    """Step count of a run and its sorted snapshot steps.
-
-    Without ``snapshot_steps``, ``n_snapshots`` steps are spread evenly over
-    the run.
-    """
+    """Step count of a run and its sorted snapshot steps, by default its two ends."""
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
         raise ConfigurationError(f"t_final = {t_final} is not a multiple of dt = {dt}")
-    if snapshot_steps is None:
-        marks = even_snapshot_steps(n_steps, n_snapshots)
-    else:
-        marks = np.unique(np.asarray(snapshot_steps, dtype=int))
-        if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
-            raise ConfigurationError("snapshot steps outside the run")
+    marks = np.unique(np.asarray([0, n_steps] if snapshot_steps is None else snapshot_steps,
+                                 dtype=int))
+    if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
+        raise ConfigurationError("snapshot steps outside the run")
     return n_steps, marks
 
 
@@ -444,20 +425,20 @@ def evolve(
     t_final: float,
     kernels: KernelSet | None = None,
     alpha: float = 0.5,
-    n_snapshots: int = 21,
     snapshot_steps: list[int] | None = None,
 ) -> EvolveResult:
     """Integrate the full (x, x') system to t_final with the Strang scheme.
 
-    dt is the grid spacing (exact-advection constraint).  Snapshots record
-    the diagonal fields, from which :func:`moment_series` builds the moments,
-    trace and continuity residual; the full field is kept at the end only.
+    dt is the grid spacing (exact-advection constraint).  Snapshots, by
+    default at the run's two ends, record the diagonal fields, from which
+    :func:`moment_series` builds the moments, trace and continuity residual;
+    the full field is kept at the end only.
     """
     if t_final < 0:
         raise ConfigurationError("t_final must be non-negative")
     grid = init.grid
     dt = grid.spacing
-    n_steps, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
+    n_steps, marks = _step_marks(t_final, dt, snapshot_steps)
 
     if kernels is None:
         # ghost-padded storage: each source step and its advection are one pass
@@ -515,7 +496,6 @@ def diagonal_evolve(
     params: GeneratorParams,
     t_final: float,
     alpha: float = 0.5,
-    n_snapshots: int = 21,
     snapshot_steps: list[int] | None = None,
 ) -> EvolveResult:
     """Massless fast path: the diagonal (R^0, R^3) system is closed when m = 0.
@@ -528,7 +508,7 @@ def diagonal_evolve(
     if params.m != 0.0:
         raise ConfigurationError("diagonal fast path requires m = 0")
     dt = grid.spacing
-    _, marks = _step_marks(t_final, dt, n_snapshots, snapshot_steps)
+    _, marks = _step_marks(t_final, dt, snapshot_steps)
     # At m = 0 the source F is diagonal, so the (R0, R3) block of its
     # propagator is exact on its own.  Characteristic variables
     # w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left.
@@ -593,5 +573,5 @@ def read_field_binary(path) -> tuple[PauliField, float]:
             )
         body = fh.read(expected)
     raw = np.frombuffer(body, dtype="<f8").reshape(4, n, n, 2)
-    grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
+    grid = LatticeGrid(n_sites=n, spacing=dx)
     return PauliField(raw[..., 0] + 1j * raw[..., 1], grid), t

@@ -134,16 +134,16 @@ def _write_density_csv(path: str, x: np.ndarray, density: np.ndarray,
 
 def _lattice_grid(cfg: ScenarioConfig) -> LatticeGrid:
     if cfg.n:
-        return LatticeGrid(n_sites=cfg.n, spacing=cfg.eps, time_step=cfg.eps)
+        return LatticeGrid(n_sites=cfg.n, spacing=cfg.eps)
     if cfg.half_width:
         n = int(round(2 * cfg.half_width / cfg.eps))
-        return LatticeGrid(n_sites=n, spacing=cfg.eps, time_step=cfg.eps)
+        return LatticeGrid(n_sites=n, spacing=cfg.eps)
     return LatticeGrid.for_duration(cfg.t_final, cfg.eps, pad=4.0)
 
 
 def _pde_grid(cfg: ScenarioConfig) -> LatticeGrid:
     n = int(round(2 * cfg.half_width / cfg.dx))
-    return LatticeGrid(n_sites=n, spacing=cfg.dx, time_step=cfg.dx)
+    return LatticeGrid(n_sites=n, spacing=cfg.dx)
 
 
 def _lattice_init(cfg: ScenarioConfig, grid: LatticeGrid) -> WaveState:
@@ -156,11 +156,13 @@ def _lattice_init(cfg: ScenarioConfig, grid: LatticeGrid) -> WaveState:
 
 
 def _snapshot_steps(cfg: ScenarioConfig, n_steps: int) -> list[int]:
+    """Up to ``n_snapshots`` steps of a run, both ends included: spread evenly,
+    or, with log spacing, step 0 and log-spaced steps from 1 on."""
+    count = min(cfg.n_snapshots, n_steps + 1)
     if cfg.snapshot_spacing == "log" and n_steps > 4:
-        count = min(cfg.n_snapshots, n_steps + 1)
         marks = np.geomspace(1, n_steps, count - 1).round().astype(int)
         return sorted(set([0] + marks.tolist()))
-    return pde.even_snapshot_steps(n_steps, cfg.n_snapshots).tolist()
+    return np.unique(np.linspace(0, n_steps, count).round().astype(int)).tolist()
 
 
 def _walk_size(cfg: ScenarioConfig) -> tuple[int, int]:
@@ -202,7 +204,7 @@ def _channel_run(rho: noise.DensityGrid, field_: AngleField, rates: noise.Channe
     done = 0
     for stop in marks:
         for step in range(done, stop):
-            rho = noise.channel_step(rho, field_, rates, t=step * grid.time_step)
+            rho = noise.channel_step(rho, field_, rates, t=step * grid.spacing)
         done = stop
         b = rho.blocks
         r0.append(rho.site_probabilities() / grid.spacing)
@@ -272,8 +274,6 @@ def _measured_group_velocity(cfg: ScenarioConfig) -> float:
 def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
     params = pde.GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
     if cfg.fast == "spectral":
-        if cfg.m == 0.0:
-            raise ConfigurationError("spectral fast path requires m != 0; use fast=diagonal")
         wp = analytic.DiracWavepacket(cfg.p0, cfg.sigma, cfg.m)
         if cfg.snapshot_spacing == "log":
             times = np.concatenate([[0.0], np.geomspace(cfg.t_final * 1e-3, cfg.t_final,
@@ -288,8 +288,6 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
         n_steps = int(round(cfg.t_final / cfg.dx))
         marks = _snapshot_steps(cfg, n_steps)
         if cfg.fast == "diagonal":
-            if cfg.m != 0.0:
-                raise ConfigurationError("diagonal fast path requires m = 0")
             field0 = pde.pauli_from_wave_state(state).diagonal()
             res = pde.diagonal_evolve(field0.R[0], field0.R[3], grid, params,
                                       cfg.t_final, alpha=cfg.alpha, snapshot_steps=marks)
@@ -439,8 +437,7 @@ def run_fourier(cfg: ScenarioConfig, report: RunReport) -> None:
     left, right = np.abs(WaveState.gaussian(grid, width=width).amplitudes) ** 2 / grid.spacing
     r0, r3 = left + right, left - right
     params = pde.GeneratorParams(m=0.0, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
-    res = pde.diagonal_evolve(r0, r3, grid, params, cfg.t_final, alpha=cfg.alpha,
-                              n_snapshots=2)
+    res = pde.diagonal_evolve(r0, r3, grid, params, cfg.t_final, alpha=cfg.alpha)
     numeric = res.diagonals[-1].R[0]
     reference = analytic.fourier_propagate(r0, r3, grid, params, cfg.t_final)[0]
     np.savetxt(report.add_file("fourier_compare.csv"),
@@ -456,21 +453,15 @@ def run_dirac_free(cfg: ScenarioConfig, report: RunReport) -> None:
     pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid)
     x = grid.positions
     times = np.linspace(0.0, cfg.t_final, max(cfg.n_snapshots, 3))
-    means, seconds = [], []
-    for t in times:
-        p = pk.state(t).probabilities()
-        dens = p / grid.spacing
-        mean, second = observables.moments(dens, x, grid.spacing,
-                                           check_normalization=False)
-        means.append(mean)
-        seconds.append(second)
-    series = observables.MomentSeries(times=times, mean_x=np.array(means),
-                                      second_moment=np.array(seconds))
+    # |psi_L|^2 / dx and |psi_R|^2 / dx, each as a (snapshots, n) stack
+    amps = np.stack([pk.state(t).amplitudes for t in times], axis=1)
+    left, right = np.abs(amps) ** 2 / grid.spacing
+    r0 = left + right
+    series = observables.moment_series(times, x, grid.spacing, r0, left - right)
     _write_moments_csv(report.add_file("moments.csv"), series)
-    _write_density_csv(report.add_file("density.csv"), x,
-                       pk.state(cfg.t_final).probabilities() / grid.spacing)
+    _write_density_csv(report.add_file("density.csv"), x, r0[-1])
     v_formula = analytic.group_velocity(cfg.p0, cfg.m)
-    v_measured = float((means[-1] - means[0]) / (times[-1] - times[0]))
+    v_measured = float((series.mean_x[-1] - series.mean_x[0]) / (times[-1] - times[0]))
     report.metrics.update(
         vg_formula=v_formula, vg_measured=v_measured,
         negative_energy=pk.negative_energy_fraction(),
@@ -487,7 +478,7 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> None:
     grid_pde = _pde_grid(cfg)
     pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid_pde)
     field0 = pde.pauli_from_wave_state(pk.state(0.0))
-    res = pde.evolve(field0, params, cfg.t_final, alpha=cfg.alpha, n_snapshots=2)
+    res = pde.evolve(field0, params, cfg.t_final, alpha=cfg.alpha)
     ref_x = grid_pde.positions
     ref_density = res.diagonals[-1].R[0]
     pde.write_diagonal_csv(report.add_file("pde_diag.csv"), res.diagonals[-1],
@@ -498,7 +489,7 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> None:
     rows = []
     for eps in cfg.eps_list:
         n = int(round(2 * cfg.half_width / eps))
-        grid = LatticeGrid(n_sites=n, spacing=eps, time_step=eps)
+        grid = LatticeGrid(n_sites=n, spacing=eps)
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
         n_steps = int(round(cfg.t_final / eps))
         _, r0, _ = _channel_run(noise.DensityGrid.from_wave_state(state), field_, rates,
@@ -746,7 +737,7 @@ def emit_plot_script(run_dir: str, kind: str) -> str:
               "exponent": ["moments.csv"]}[kind]
     present = [f for f in needed if os.path.exists(os.path.join(run_dir, f))]
     slices = []
-    if kind == "density":
+    if kind == "density" and os.path.isdir(run_dir):
         slices = sorted(
             f for f in os.listdir(run_dir)
             if f.startswith("diag_t") and f.endswith(".csv")

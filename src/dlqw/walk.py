@@ -51,29 +51,24 @@ class CoinAngles:
 
 @dataclass(frozen=True)
 class LatticeGrid:
-    """Periodic 1-D lattice with ballistic scaling (spacing == time step).
+    """Periodic 1-D lattice with ballistic scaling: the spacing is also the time step.
 
-    Site i sits at ``origin + i*spacing``; by default the origin is chosen so
-    that the center site ``n_sites // 2`` is at x = 0.
+    Site i sits at ``origin + i*spacing``, with the origin chosen so that the
+    center site ``n_sites // 2`` is at x = 0.
     """
 
     n_sites: int
     spacing: float = 1.0
-    time_step: float = 1.0
-    origin: float | None = None
 
     def __post_init__(self):
         if self.n_sites < 4:
             raise ConfigurationError(f"n_sites must be >= 4, got {self.n_sites}")
-        if not (self.spacing > 0 and self.time_step > 0):
-            raise ConfigurationError("spacing and time_step must be positive")
-        if abs(self.spacing - self.time_step) > 1e-12 * self.spacing:
-            raise ConfigurationError(
-                f"ballistic scaling requires spacing == time_step, "
-                f"got a={self.spacing} eps={self.time_step}"
-            )
-        if self.origin is None:
-            object.__setattr__(self, "origin", -(self.n_sites // 2) * self.spacing)
+        if not self.spacing > 0:
+            raise ConfigurationError("spacing must be positive")
+
+    @property
+    def origin(self) -> float:
+        return -(self.n_sites // 2) * self.spacing
 
     @property
     def positions(self) -> np.ndarray:
@@ -87,7 +82,7 @@ class LatticeGrid:
     def for_duration(cls, t_final: float, eps: float, pad: float = 0.0) -> "LatticeGrid":
         """Grid large enough that a centered start never reaches the wrap by t_final."""
         half = int(math.ceil((t_final + pad) / eps)) + 2
-        return cls(n_sites=2 * half + 1, spacing=eps, time_step=eps)
+        return cls(n_sites=2 * half + 1, spacing=eps)
 
 
 @dataclass(frozen=True)
@@ -156,15 +151,15 @@ class WaveState:
 
     @classmethod
     def gaussian(cls, grid: LatticeGrid, width: float, coin=(1.0, 1.0),
-                 x0: float = 0.0, p0: float = 0.0) -> "WaveState":
-        """Normalized Gaussian envelope (position std ``width``) times a coin state.
+                 p0: float = 0.0) -> "WaveState":
+        """Normalized Gaussian envelope at x = 0 (position std ``width``) times a coin state.
 
         Smooth initial data avoids the even/odd parity structure of delta
         starts, which matters when comparing against channels whose flip
         branches skip the shift.
         """
         x = grid.positions
-        env = np.exp(-((x - x0) ** 2) / (4.0 * width**2) + 1j * p0 * x)
+        env = np.exp(-(x**2) / (4.0 * width**2) + 1j * p0 * x)
         c = np.asarray(coin, dtype=complex)
         amp = c[:, None] * env[None, :]
         amp /= np.linalg.norm(amp)
@@ -282,7 +277,7 @@ def step_coins(
     per-site arrays), already carrying their own scaling.
     """
     x = grid.positions
-    eps = grid.time_step
+    eps = grid.spacing
     vals = [eps * v for v in field.evaluate(t, x)]
     if offsets is not None:
         vals = [v + np.asarray(o) for v, o in zip(vals, offsets)]
@@ -446,7 +441,7 @@ def walk_step(state: WaveState, field: AngleField, t: float) -> WaveState:
     scalar angles; its entries equal those of the per-site stack.
     """
     if field.is_constant:
-        angles = state.grid.time_step * np.array(field.rates, dtype=float)
+        angles = state.grid.spacing * np.array(field.rates, dtype=float)
         return step_state(state, coin_matrices(*angles))
     return step_state(state, step_coins(field, t, state.grid))
 

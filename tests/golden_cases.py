@@ -43,7 +43,7 @@ def evolve_massive_noisy() -> dict[str, np.ndarray]:
     The run crosses the blow-up checks at steps 64 and 128 between snapshots,
     and records snapshots one step apart as well as far apart.
     """
-    grid = LatticeGrid(n_sites=64, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=64, spacing=0.1)
     state = analytic.build_packet(2.0, 1.0, 0.8, grid).state(0.0)
     params = pde.GeneratorParams(m=0.8, gamma1=0.3, gamma2=0.5)
     res = pde.evolve(pde.pauli_from_wave_state(state), params, 13.0,
@@ -57,7 +57,7 @@ def evolve_grid_odd() -> dict[str, np.ndarray]:
     The field crosses the periodic wrap twice in 3.5 time units.  The
     snapshots fall unevenly on both sides of the blow-up check at step 64.
     """
-    grid = LatticeGrid(n_sites=31, spacing=0.05, time_step=0.05)
+    grid = LatticeGrid(n_sites=31, spacing=0.05)
     state = WaveState.gaussian(grid, width=0.2, coin=(0.6, 1.0 - 0.3j), p0=1.3)
     params = pde.GeneratorParams(m=0.9, gamma1=0.4, gamma2=0.6)
     res = pde.evolve(pde.pauli_from_wave_state(state), params, 3.5,
@@ -69,7 +69,7 @@ def evolve_grid_odd() -> dict[str, np.ndarray]:
 
 def evolve_kernel() -> dict[str, np.ndarray]:
     """Correlated identity and phase-flip kernels, m > 0, on n = 48 for 70 steps."""
-    grid = LatticeGrid(n_sites=48, spacing=0.05, time_step=0.05)
+    grid = LatticeGrid(n_sites=48, spacing=0.05)
     kernels = pde.KernelSet(
         identity=pde.KernelChannel(1.2, lambda d: np.exp(-(d**2) / 0.08)),
         phase_flip=pde.KernelChannel(0.4, lambda d: np.exp(-np.abs(d) / 0.3)),
@@ -77,7 +77,7 @@ def evolve_kernel() -> dict[str, np.ndarray]:
     params = pde.GeneratorParams(m=0.6, gamma1=0.0, gamma2=0.3)
     state = WaveState.gaussian(grid, width=0.3, p0=1.5)
     res = pde.evolve(pde.pauli_from_wave_state(state), params, 3.5, kernels=kernels,
-                     n_snapshots=8)
+                     snapshot_steps=[0, 10, 20, 30, 40, 50, 60, 70])
     out = _evolve_arrays(res)
     out["antidiagonal_last"] = res.final.antidiagonal().T
     out["field_last_row"] = res.final.r[:, grid.center_index, :]
@@ -90,7 +90,7 @@ def evolve_kernel_odd() -> dict[str, np.ndarray]:
     An odd grid has no self-paired distance class n/2.  The snapshots fall
     on both sides of the blow-up check at step 64.
     """
-    grid = LatticeGrid(n_sites=31, spacing=0.05, time_step=0.05)
+    grid = LatticeGrid(n_sites=31, spacing=0.05)
     kernels = pde.KernelSet(
         identity=pde.KernelChannel(0.9, lambda d: np.exp(-(d**2) / 0.05)),
         phase_flip=pde.KernelChannel(0.5, lambda d: 1.0 / (1.0 + (d / 0.4) ** 2)),
@@ -110,7 +110,7 @@ def diagonal_evolve_log() -> dict[str, np.ndarray]:
 
     The last snapshot is the last step, so its diagonals are the final R0 and R3.
     """
-    grid = LatticeGrid(n_sites=96, spacing=0.05, time_step=0.05)
+    grid = LatticeGrid(n_sites=96, spacing=0.05)
     d0 = pde.pauli_from_wave_state(
         WaveState.gaussian(grid, width=0.4, coin=(1.0, 0.6j), p0=1.2)).diagonal()
     res = pde.diagonal_evolve(d0.R[0], d0.R[3], grid, pde.GeneratorParams(gamma2=0.7), 6.0,
@@ -127,7 +127,7 @@ def diagonal_evolve_alpha() -> dict[str, np.ndarray]:
 
     alpha enters the implicit source step; gamma1 must not enter at all.
     """
-    grid = LatticeGrid(n_sites=160, spacing=0.05, time_step=0.05)
+    grid = LatticeGrid(n_sites=160, spacing=0.05)
     d0 = pde.pauli_from_wave_state(
         WaveState.gaussian(grid, width=0.3, coin=(1.0, 0.4 - 0.5j), p0=-0.8)).diagonal()
     res = pde.diagonal_evolve(d0.R[0], d0.R[3], grid,
@@ -142,7 +142,7 @@ def diagonal_evolve_alpha() -> dict[str, np.ndarray]:
 def _channel_arrays(rho0: noise.DensityGrid, field: AngleField, rates: noise.ChannelRates,
                     n_steps: int) -> dict[str, np.ndarray]:
     grid = rho0.grid
-    eps = grid.time_step
+    eps = grid.spacing
     rho = rho0
     times, means, seconds, traces = [], [], [], []
 
@@ -167,7 +167,7 @@ def _channel_arrays(rho0: noise.DensityGrid, field: AngleField, rates: noise.Cha
 
 def channel_constant_coin() -> dict[str, np.ndarray]:
     """10 flip-channel steps with p1, p2 > 0 and a constant massive coin, n = 64."""
-    grid = LatticeGrid(n_sites=64, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=64, spacing=0.1)
     rho = noise.DensityGrid.from_wave_state(WaveState.gaussian(grid, width=0.4, p0=1.0))
     field = AngleField(theta_bar=-0.9, xi0_bar=0.3, xi1_bar=0.2, chi_bar=-0.4)
     return _channel_arrays(rho, field, noise.ChannelRates(0.7, 1.1), 10)
@@ -175,7 +175,7 @@ def channel_constant_coin() -> dict[str, np.ndarray]:
 
 def channel_site_coin() -> dict[str, np.ndarray]:
     """10 flip-channel steps with p1, p2 > 0 and coin angles that vary in x and t."""
-    grid = LatticeGrid(n_sites=48, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=48, spacing=0.1)
     rho = noise.DensityGrid.from_wave_state(WaveState.gaussian(grid, width=0.4, p0=-0.5))
     field = AngleField(theta_bar=lambda t, x: -0.8 + 0.3 * np.sin(x + t),
                        xi1_bar=0.25, chi_bar=lambda t, x: 0.1 * x)
@@ -252,7 +252,7 @@ def walk_site_coin() -> dict[str, np.ndarray]:
     The packet crosses the periodic boundary, so the wrap of both components
     is part of the result.
     """
-    grid = LatticeGrid(n_sites=48, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=48, spacing=0.1)
     field = AngleField(theta_bar=lambda t, x: -0.9 + 0.4 * np.sin(2.0 * x - t),
                        xi0_bar=0.2, chi_bar=0.3)
     state = WaveState.gaussian(grid, width=0.3, p0=0.6)
@@ -264,7 +264,7 @@ def walk_site_coin() -> dict[str, np.ndarray]:
 def _ensemble_arrays(field: AngleField, spec: noise.NoiseSpec, init: WaveState,
                      checkpoints: list[int], n_traj: int, seed: int) -> dict[str, np.ndarray]:
     grid = init.grid
-    eps = grid.time_step
+    eps = grid.spacing
     means, seconds, traces, prob2 = [], [], [], []
     for n_steps in checkpoints:
         ens = noise.run_ensemble(field, spec, init, n_steps, n_traj, seed)
@@ -283,7 +283,7 @@ def _ensemble_arrays(field: AngleField, spec: noise.NoiseSpec, init: WaveState,
 
 def ensemble_single_angle() -> dict[str, np.ndarray]:
     """Gaussian theta noise, 40 trajectories on n = 32, seed 11."""
-    grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=32, spacing=0.1)
     init = WaveState.gaussian(grid, width=0.3, p0=0.7)
     spec = noise.NoiseSpec.single("theta", "gaussian", 0.6)
     return _ensemble_arrays(AngleField(theta_bar=-0.7, xi1_bar=0.2), spec, init,
@@ -292,7 +292,7 @@ def ensemble_single_angle() -> dict[str, np.ndarray]:
 
 def ensemble_two_point_pair() -> dict[str, np.ndarray]:
     """Two-point noise on xi1 and chi (one kind), 30 trajectories, seed 5."""
-    grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=32, spacing=0.1)
     init = WaveState.gaussian(grid, width=0.3)
     spec = noise.NoiseSpec(xi1=noise.ParamNoise("two-point", 0.5),
                            chi=noise.ParamNoise("two-point", 0.8))
@@ -301,7 +301,7 @@ def ensemble_two_point_pair() -> dict[str, np.ndarray]:
 
 def ensemble_mixed_kinds() -> dict[str, np.ndarray]:
     """Uniform theta and Gaussian xi0 noise (two kinds), 30 trajectories, seed 3."""
-    grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=32, spacing=0.1)
     init = WaveState.gaussian(grid, width=0.3)
     spec = noise.NoiseSpec(xi0=noise.ParamNoise("gaussian", 0.4),
                            theta=noise.ParamNoise("uniform", 0.5))
@@ -313,7 +313,7 @@ def ensemble_site_coin() -> dict[str, np.ndarray]:
 
     12 trajectories on n = 32, seed 7.
     """
-    grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+    grid = LatticeGrid(n_sites=32, spacing=0.1)
     init = WaveState.gaussian(grid, width=0.3, p0=0.4)
     spec = noise.NoiseSpec.single("theta", "gaussian", 0.5)
     field = AngleField(theta_bar=lambda t, x: -0.8 + 0.2 * np.cos(x - t), xi1_bar=0.15)

@@ -87,7 +87,7 @@ def test_criterion_02_model_equivalence(outdir):
     cfg_c = load_config("preset:acceptance-equivalence-channel")
     cfg_t = load_config("preset:acceptance-equivalence-trajectories")
     n = int(round(2 * cfg_c.half_width / eps))
-    grid = LatticeGrid(n_sites=n, spacing=eps, time_step=eps)
+    grid = LatticeGrid(n_sites=n, spacing=eps)
     init = WaveState.gaussian(grid, width=1.0 / (2 * cfg_c.sigma), p0=cfg_c.p0)
     field = AngleField.massive(cfg_c.m)
     steps = int(round(t_final / eps))
@@ -231,19 +231,20 @@ def test_criterion_08c_variance_slope_verified(fig3_series):
 
 def test_criterion_09_conservation_suite():
     # trace and hermiticity over 10^3 full-grid steps
-    grid = LatticeGrid(n_sites=128, spacing=0.05, time_step=0.05)
+    grid = LatticeGrid(n_sites=128, spacing=0.05)
     params = GeneratorParams(m=0.8, gamma1=0.2, gamma2=0.5)
     field = pauli_from_wave_state(WaveState.gaussian(grid, width=0.5))
-    res = evolve(field, params, 1000 * 0.05, n_snapshots=11)
+    res = evolve(field, params, 1000 * 0.05, snapshot_steps=range(0, 1001, 100))
     trace_drift = res.series.max_trace_drift()
     herm = res.final.hermiticity_defect()
 
     # massless gamma1 invariance of the density
-    grid2 = LatticeGrid(n_sites=96, spacing=0.05, time_step=0.05)
+    grid2 = LatticeGrid(n_sites=96, spacing=0.05)
     base = pauli_from_wave_state(WaveState.gaussian(grid2, width=0.4))
     dens = {}
     for g1 in (0.0, 0.3):
-        out = evolve(base.copy(), GeneratorParams(0.0, g1, 0.5), 2.0, n_snapshots=5)
+        out = evolve(base.copy(), GeneratorParams(0.0, g1, 0.5), 2.0,
+                     snapshot_steps=[0, 10, 20, 30, 40])
         dens[g1] = np.stack([d.R[0] for d in out.diagonals])
     g1_dev = float(np.abs(dens[0.0] - dens[0.3]).max())
 
@@ -282,7 +283,7 @@ def test_criterion_09_conservation_suite():
 
 def test_criterion_10_kernel_limit():
     # constant kernels must reproduce the uniform-noise run bit-for-bit
-    grid = LatticeGrid(n_sites=64, spacing=0.05, time_step=0.05)
+    grid = LatticeGrid(n_sites=64, spacing=0.05)
     params = GeneratorParams(m=0.7, gamma1=0.3, gamma2=0.6)
     ones = lambda d: np.ones_like(d)
     kernels = KernelSet(
@@ -291,13 +292,13 @@ def test_criterion_10_kernel_limit():
         coin_flip=KernelChannel(0.6, ones),
     )
     field = pauli_from_wave_state(WaveState.gaussian(grid, width=0.4, coin=(1.0, 1j)))
-    res_hom = evolve(field.copy(), params, 1.5, n_snapshots=2)
-    res_ker = evolve(field.copy(), params, 1.5, kernels=kernels, n_snapshots=2)
+    res_hom = evolve(field.copy(), params, 1.5)
+    res_ker = evolve(field.copy(), params, 1.5, kernels=kernels)
     bit_dev = float(np.abs(res_hom.final.r - res_ker.final.r).max())
 
     # decaying identity kernel: off-diagonal coherence decays strictly faster
     dt = 0.02
-    grid2 = LatticeGrid(n_sites=64, spacing=dt, time_step=dt)
+    grid2 = LatticeGrid(n_sites=64, spacing=dt)
     decay_kernels = KernelSet(identity=KernelChannel(1.5, lambda d: np.exp(-(d**2) / 0.08)))
     start = pauli_from_wave_state(WaveState.gaussian(grid2, width=0.3, coin=(1.0, 0.0)))
     v = v_transform(start)

@@ -128,15 +128,14 @@ class TestTelegraphSolution:
         # gamma1 = 0 chirality-flip case evolved by the grid solver
         gamma2, t_final, dx = 0.5, 5.0, 0.01
         n = int(round(16.0 / dx))
-        grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
+        grid = LatticeGrid(n_sites=n, spacing=dx)
         x = grid.positions
         width = 0.35
         f = gaussian_profile(width=width)
         r0 = f(x)
         r0 /= r0.sum() * dx
         r3 = np.zeros_like(r0)
-        res = diagonal_evolve(r0, r3, grid, GeneratorParams(gamma2=gamma2), t_final,
-                              n_snapshots=2)
+        res = diagonal_evolve(r0, r3, grid, GeneratorParams(gamma2=gamma2), t_final)
         init = InitialData1D(f=f, g=lambda y: np.zeros_like(y))
         oracle = telegraph_solution(TelegraphParams(0.0, gamma2), init, t_final, x)
         assert np.abs(res.diagonals[-1].R[0] - oracle).max() <= 1e-3
@@ -148,7 +147,7 @@ class TestTelegraphSolution:
         # At g1 = 0 this is exactly the transport law of the density.
         g2, t_final, dx = 0.5, 1.0, 0.02
         n = int(round(8.0 / dx))
-        grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
+        grid = LatticeGrid(n_sites=n, spacing=dx)
         x = grid.positions
         envelope = np.exp(-(x**2) / (2 * 0.3**2))
         r = np.zeros((4, n, n), dtype=complex)
@@ -156,8 +155,7 @@ class TestTelegraphSolution:
         from dlqw.pde import PauliField
 
         field = PauliField(r, grid)
-        res = evolve(field, GeneratorParams(m=0.0, gamma1=g1, gamma2=g2), t_final,
-                     n_snapshots=2)
+        res = evolve(field, GeneratorParams(m=0.0, gamma1=g1, gamma2=g2), t_final)
         t1_num = res.final.antidiagonal().T[1].real
 
         fvals = envelope**2
@@ -200,7 +198,7 @@ class TestDispersion:
 class TestPacket:
     def make(self, p0=1.0, m=3.0, sigma=0.1, dx=0.2, half=40.0):
         n = int(round(2 * half / dx))
-        grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
+        grid = LatticeGrid(n_sites=n, spacing=dx)
         return build_packet(p0, sigma, m, grid)
 
     def test_norm_and_center(self):
@@ -248,7 +246,7 @@ class TestPacket:
         )
 
     def test_bandwidth_validation(self):
-        grid = LatticeGrid(n_sites=64, spacing=1.0, time_step=1.0)
+        grid = LatticeGrid(n_sites=64, spacing=1.0)
         with pytest.raises(ConfigurationError):
             build_packet(p0=3.0, sigma=0.1, m=1.0, grid=grid)
 
@@ -344,7 +342,7 @@ class TestMomentumGenerator:
 
 class TestFourierPropagate:
     def make_diagonal(self, n=128, dx=0.05, width=0.3):
-        grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
+        grid = LatticeGrid(n_sites=n, spacing=dx)
         state = WaveState.gaussian(grid, width=width, coin=(1.0, 1j))
         d0 = pauli_from_wave_state(state).diagonal()
         return d0.R[0], d0.R[3], grid
@@ -365,7 +363,7 @@ class TestFourierPropagate:
         # two independent exact solutions: R0 obeys the telegraph equation with
         # kappa = gamma2, and R3 = 0 at t = 0 makes d_t R0 = 0 there
         dx, t = 0.05, 2.0
-        grid = LatticeGrid(n_sites=320, spacing=dx, time_step=dx)
+        grid = LatticeGrid(n_sites=320, spacing=dx)
         x = grid.positions
         f = gaussian_profile(width=0.35)
         out = fourier_propagate(f(x), np.zeros_like(x), grid, GeneratorParams(gamma2=gamma2), t)
@@ -382,11 +380,11 @@ class TestFourierPropagate:
     def test_matches_strang_run_massless(self):
         dx = 0.02
         n = int(round(16.0 / dx))
-        grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
+        grid = LatticeGrid(n_sites=n, spacing=dx)
         field = pauli_from_wave_state(WaveState.gaussian(grid, width=0.35))
         params = GeneratorParams(m=0.0, gamma2=0.5)
         t = 5.0
-        res = evolve(field, params, t, n_snapshots=2)
+        res = evolve(field, params, t)
         d0 = field.diagonal()
         exact = fourier_propagate(d0.R[0], d0.R[3], grid, params, t)
         diff = np.abs(res.diagonals[-1].R[0] - exact[0]).max()
@@ -417,10 +415,11 @@ class TestSpectralMoments:
         p0, sigma, m, g2 = 1.0, 0.5, 0.8, 0.5
         dx = 0.02
         n = int(round(12.0 / dx))
-        grid = LatticeGrid(n_sites=n, spacing=dx, time_step=dx)
+        grid = LatticeGrid(n_sites=n, spacing=dx)
         pk = build_packet(p0, sigma, m, grid)
         field = pauli_from_wave_state(pk.state(0.0))
-        res = evolve(field, GeneratorParams(m=m, gamma2=g2), 1.0, n_snapshots=6)
+        res = evolve(field, GeneratorParams(m=m, gamma2=g2), 1.0,
+                     snapshot_steps=[0, 10, 20, 30, 40, 50])
         series = spectral_moments(DiracWavepacket(p0, sigma, m),
                                   GeneratorParams(m=m, gamma2=g2), res.series.times)
         np.testing.assert_allclose(series.mean_x, res.series.mean_x, atol=2e-3)

@@ -63,12 +63,33 @@ class TestParseConfig:
         assert "rate must be non-negative" in msgs
         assert "missing required key" in msgs  # dx, t_final, half_width
 
-    def test_dt_must_equal_dx_for_pde(self):
-        text = ("scenario = telegraph\ngamma2 = 0.5\ndx = 0.01\ndt = 0.02\n"
+    def test_dt_is_an_unknown_key(self):
+        # the time step is the spacing (dx, or eps on the lattice), never set on its own
+        text = ("scenario = telegraph\ngamma2 = 0.5\ndx = 0.01\ndt = 0.01\n"
                 "t_final = 1\nhalf_width = 4\n")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert any("dt = dx" in e for e in err.value.errors)
+        assert err.value.errors == ["line 4: unknown key 'dt'"]
+
+    @pytest.mark.parametrize("fast, m, message", [
+        ("spectral", "0", "fast = spectral requires m != 0; use fast = diagonal"),
+        ("diagonal", "0.5", "fast = diagonal requires m = 0"),
+    ], ids=["spectral-massless", "diagonal-massive"])
+    def test_fast_path_checked_against_mass(self, tmp_path, capsys, fast, m, message):
+        cfg_path = tmp_path / "fast.cfg"
+        cfg_path.write_text(f"scenario = lindblad\nfast = {fast}\nm = {m}\ngamma2 = 0.5\n"
+                            "dx = 0.05\nhalf_width = 4\nt_final = 1\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_unparsed_mass_is_not_compared_with_fast(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("scenario = lindblad\nfast = spectral\nm = nan\ndx = 0.05\n"
+                         "half_width = 4\nt_final = 1\n")
+        assert err.value.errors == ["line 3: cannot parse m = 'nan'"]
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
@@ -205,6 +226,16 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             emit_plot_script(str(tmp_path), "mean")
         assert not list(tmp_path.iterdir())
+
+    def test_dirac_free_records_a_measured_series(self, tmp_path):
+        cfg = parse_config("scenario = dirac-free\nm = 0.5\np0 = 1\nsigma = 0.2\ndx = 0.05\n"
+                           "half_width = 12\nt_final = 2\nn_snapshots = 5\n")
+        report = run(cfg, str(tmp_path / "d"))
+        assert report.passed
+        data = np.loadtxt(tmp_path / "d" / "moments.csv", delimiter=",", skiprows=1)
+        trace, residual = data[:, 4], data[:, 5]
+        assert np.abs(trace - 1.0).max() < 1e-12
+        assert np.any(residual != 0.0)
 
     def test_emit_plot_script_writes_file(self, tmp_path):
         cfg = load_config("preset:fig2-e")
@@ -408,6 +439,31 @@ class TestMain:
         assert rc == 0
         assert (tmp_path / "s" / "sweep_summary.csv").exists()
         assert (tmp_path / "s" / "eps-0.2" / "report.kv").exists()
+
+    @pytest.mark.parametrize("text, scenario", [
+        ("scenario = walk\ntheta = 0.5\nn_steps = 10\n", "walk"),
+        ("scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.05\n"
+         "half_width = 4\nt_final = 1\n", "lindblad"),
+    ], ids=["walk", "lindblad"])
+    def test_compare_without_a_density_exit_two(self, tmp_path, capsys, text, scenario):
+        cfg_a = tmp_path / "a.cfg"
+        cfg_a.write_text(MINI_TRAJ)
+        cfg_b = tmp_path / "b.cfg"
+        cfg_b.write_text(text)
+        rc = main(["compare", str(cfg_a), str(cfg_b), "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"not '{scenario}'" in err and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
+    def test_plot_missing_dir_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "nothing"
+        rc = main(["plot", str(missing)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{missing}: none of" in err and "run a scenario first" in err
+        assert "Traceback" not in err
+        assert not missing.exists()
 
     def test_compare_command(self, tmp_path, capsys):
         cfg_a = tmp_path / "a.cfg"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dlqw import noise
 from dlqw.noise import (
     ChannelRates,
     DensityGrid,
@@ -104,7 +105,7 @@ class TestChannelStep:
         np.testing.assert_allclose(out.dense(), expected, atol=1e-14)
 
     def test_dense_oracle_generic_coin_and_rates(self):
-        grid = LatticeGrid(n_sites=6, spacing=0.5, time_step=0.5)
+        grid = LatticeGrid(n_sites=6, spacing=0.5)
         field = AngleField(theta_bar=-0.9, xi1_bar=0.3, xi0_bar=0.1)
         rng = np.random.default_rng(11)
         amp = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
@@ -190,7 +191,7 @@ class TestSampleCoinOffsets:
 
 class TestTrajectoryStep:
     def test_zero_offsets_match_walk_step(self):
-        grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=32, spacing=0.1)
         field = AngleField(theta_bar=-0.8, xi0_bar=0.4)
         s = WaveState.delta(grid)
         a = trajectory_step(s, field, np.zeros(4), t=0.3)
@@ -198,7 +199,7 @@ class TestTrajectoryStep:
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_norm_preserved(self):
-        grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=32, spacing=0.1)
         field = AngleField(theta_bar=-0.8)
         s = WaveState.delta(grid)
         rng = rng_for_trajectory(5, 1)
@@ -208,7 +209,7 @@ class TestTrajectoryStep:
             assert abs(s.norm() - 1.0) < 1e-12
 
     def test_fixed_seed_bit_identical(self):
-        grid = LatticeGrid(n_sites=32, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=32, spacing=0.1)
         field = AngleField(theta_bar=-0.8)
         spec = NoiseSpec.single("theta", "gaussian", 0.6)
 
@@ -222,7 +223,7 @@ class TestTrajectoryStep:
         np.testing.assert_array_equal(run(), run())
 
     def test_per_site_offsets(self):
-        grid = LatticeGrid(n_sites=16, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=16, spacing=0.1)
         s = WaveState.delta(grid)
         offs = np.zeros((4, 16))
         offs[2] = 0.05 * np.sin(grid.positions)
@@ -256,7 +257,7 @@ class TestTrajectoryOffsets:
 
 class TestEnsembleDensity:
     def test_single_noiseless_trajectory_is_projector(self):
-        grid = LatticeGrid(n_sites=24, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=24, spacing=0.1)
         field = AngleField(theta_bar=-1.0)
         init = WaveState.delta(grid)
         rho = ensemble_density(field, NoiseSpec(), init, n_steps=10, n_traj=1, seed=0)
@@ -269,7 +270,7 @@ class TestEnsembleDensity:
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_batched_matches_explicit_loop(self):
-        grid = LatticeGrid(n_sites=20, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=20, spacing=0.1)
         field = AngleField(theta_bar=-1.0, xi1_bar=0.5)
         init = WaveState.delta(grid)
         spec = NoiseSpec.single("theta", "gaussian", 0.5)
@@ -288,18 +289,19 @@ class TestEnsembleDensity:
         AngleField(theta_bar=-1.0, xi1_bar=0.5),
         AngleField(theta_bar=lambda t, x: -1.0 + 0.3 * np.sin(x - t), xi1_bar=0.5),
     ], ids=["constant-coin", "per-site-coin"])
-    def test_sums_do_not_depend_on_batching(self, field):
-        grid = LatticeGrid(n_sites=20, spacing=0.1, time_step=0.1)
+    def test_sums_do_not_depend_on_batching(self, field, monkeypatch):
+        grid = LatticeGrid(n_sites=20, spacing=0.1)
         init = WaveState.gaussian(grid, width=0.3, p0=0.5)
         spec = NoiseSpec.single("theta", "gaussian", 0.5)
         whole = run_ensemble(field, spec, init, 8, n_traj=20, seed=4)
-        split = run_ensemble(field, spec, init, 8, n_traj=20, seed=4, batch=7)
+        monkeypatch.setattr(noise, "ENSEMBLE_BATCH", 7)
+        split = run_ensemble(field, spec, init, 8, n_traj=20, seed=4)
         for key in ("sum_prob", "sum_prob2", "sum_blocks"):
             np.testing.assert_array_equal(getattr(split, key), getattr(whole, key),
                                           err_msg=key)
 
     def test_blocks_only_when_accumulated(self):
-        grid = LatticeGrid(n_sites=20, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=20, spacing=0.1)
         init = WaveState.gaussian(grid, width=0.3, p0=0.5)
         spec = NoiseSpec.single("theta", "gaussian", 0.5)
         field = AngleField(theta_bar=-1.0)
@@ -312,7 +314,7 @@ class TestEnsembleDensity:
         np.testing.assert_array_equal(without.sum_prob2, with_blocks.sum_prob2)
 
     def test_trace_and_hermiticity(self):
-        grid = LatticeGrid(n_sites=24, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=24, spacing=0.1)
         field = AngleField(theta_bar=-1.0)
         spec = NoiseSpec.single("theta", "gaussian", 0.4)
         rho = ensemble_density(field, spec, WaveState.delta(grid), 10, 64, seed=3)
@@ -328,7 +330,7 @@ class TestEnsembleDensity:
         d_right, d_wrong = [], []
         for eps in (0.1, 0.05, 0.025):
             steps = round(t_final / eps)
-            grid = LatticeGrid(n_sites=int(6.4 / eps), spacing=eps, time_step=eps)
+            grid = LatticeGrid(n_sites=int(6.4 / eps), spacing=eps)
             field = AngleField(theta_bar=-1.0)
             init = DensityGrid.from_wave_state(WaveState.gaussian(grid, width=0.4))
             spec = NoiseSpec.single("xi1", "two-point", delta)
@@ -347,7 +349,7 @@ class TestEnsembleDensity:
 
     def test_cross_model_within_monte_carlo_error(self):
         eps, steps = 0.1, 10
-        grid = LatticeGrid(n_sites=64, spacing=eps, time_step=eps)
+        grid = LatticeGrid(n_sites=64, spacing=eps)
         field = AngleField(theta_bar=-0.5)
         init = WaveState.gaussian(grid, width=0.4)
         spec = NoiseSpec.single("theta", "gaussian", 0.5)
@@ -366,7 +368,7 @@ class TestEnsembleDensity:
 class TestNullNoises:
     def test_xi0_noise_exactly_null(self):
         eps, steps = 0.1, 10
-        grid = LatticeGrid(n_sites=30, spacing=eps, time_step=eps)
+        grid = LatticeGrid(n_sites=30, spacing=eps)
         field = AngleField(theta_bar=-1.0)
         spec = NoiseSpec.single("xi0", "two-point", 1.0)
         rho = DensityGrid.pure_site(grid, coin=(1.0, 1.0))

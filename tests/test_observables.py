@@ -103,7 +103,7 @@ class TestRegimeTimes:
         xlim, v = 2.0, 1.0
         m = xlim * np.tanh(v * t / xlim)
         s = MomentSeries(times=t, mean_x=m, second_moment=1 + t)
-        r = regime_times(s, v_g=v, tol_prop=0.02, tol_plateau=0.01)
+        r = regime_times(s, v_g=v)
         assert r.x_plateau == pytest.approx(xlim, rel=0.01)
         assert r.t1 is not None and 0.0 < r.t1 < 1.0
         assert r.t2 is not None and 3.0 < r.t2 < 10.0

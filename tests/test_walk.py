@@ -273,7 +273,7 @@ class TestWalkStep:
             assert np.all(p[c + k + 1 :] == 0.0)
 
     def test_constant_field_matches_per_site_coins(self):
-        grid = LatticeGrid(n_sites=40, spacing=0.1, time_step=0.1)
+        grid = LatticeGrid(n_sites=40, spacing=0.1)
         field = AngleField(xi0_bar=0.3, xi1_bar=-0.2, theta_bar=-0.9, chi_bar=0.4)
         a = b = WaveState.gaussian(grid, width=0.3, p0=0.5)
         for k in range(30):
@@ -313,16 +313,12 @@ class TestAngleField:
 
 
 class TestLatticeGrid:
-    def test_ballistic_scaling_enforced(self):
-        with pytest.raises(ConfigurationError):
-            LatticeGrid(n_sites=8, spacing=0.1, time_step=0.2)
-
     def test_minimum_size(self):
         with pytest.raises(ConfigurationError):
             LatticeGrid(n_sites=3)
 
     def test_center_at_zero(self):
-        g = LatticeGrid(n_sites=9, spacing=0.5, time_step=0.5)
+        g = LatticeGrid(n_sites=9, spacing=0.5)
         assert g.positions[g.center_index] == pytest.approx(0.0)
 
     def test_for_duration_contains_cone(self):
