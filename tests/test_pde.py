@@ -137,7 +137,6 @@ class TestCharacteristicTransform:
 
 class TestHomogeneousStep:
     def test_point_moves_down_left_for_v0(self):
-        grid = make_grid(8)
         v = np.zeros((4, 8, 8), dtype=complex)
         v[0, 5, 6] = 1.0
         out = homogeneous_step(v)
@@ -145,7 +144,6 @@ class TestHomogeneousStep:
         assert np.count_nonzero(out) == 1
 
     def test_all_components_follow_their_speeds(self):
-        grid = make_grid(8)
         v = np.zeros((4, 8, 8), dtype=complex)
         for mu in range(4):
             v[mu, 4, 4] = 1.0
