@@ -200,10 +200,15 @@ def runner_compare() -> dict[str, np.ndarray]:
     cfg = config.parse_config(
         "scenario = compare\nm = 0.5\ngamma1 = 0.2\ngamma2 = 0.5\np0 = 1\nsigma = 0.5\n"
         "eps_list = 0.1, 0.05\nt_final = 1\ndx = 0.05\nhalf_width = 4\n")
+    return _run_columns(cfg, ("convergence", "channel_eps0.1", "channel_eps0.05", "pde_diag"))
+
+
+def _run_columns(cfg: config.ScenarioConfig, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Every column of the named CSV files of one run, keyed ``<file>.<column>``."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         runner.run(cfg, tmp)
-        for name in ("convergence", "channel_eps0.1", "channel_eps0.05", "pde_diag"):
+        for name in names:
             path = Path(tmp) / f"{name}.csv"
             header = path.read_text().split("\n", 1)[0].split("  #")[0].split(",")
             data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -211,6 +216,18 @@ def runner_compare() -> dict[str, np.ndarray]:
             for k, column in enumerate(header):
                 out[f"{name}.{column}"] = data[:, k]
     return out
+
+
+def runner_lindblad_full() -> dict[str, np.ndarray]:
+    """``final_diag.csv`` and ``moments.csv`` of a ``lindblad`` run with ``fast = full``.
+
+    m, gamma1, gamma2 > 0 on n = 120 for 90 steps: the run crosses the
+    blow-up check at step 64 between its ten snapshots.
+    """
+    cfg = config.parse_config(
+        "scenario = lindblad\nfast = full\nm = 0.6\ngamma1 = 0.3\ngamma2 = 0.4\np0 = 1.5\n"
+        "sigma = 1\ndx = 0.05\nhalf_width = 3\nt_final = 4.5\nn_snapshots = 10\n")
+    return _run_columns(cfg, ("final_diag", "moments"))
 
 
 def fourier_run() -> dict[str, np.ndarray]:
@@ -373,6 +390,7 @@ CASES = {
     "diagonal_evolve_log": (diagonal_evolve_log, False),
     "diagonal_evolve_alpha": (diagonal_evolve_alpha, False),
     "runner_compare": (runner_compare, False),
+    "runner_lindblad_full": (runner_lindblad_full, False),
     "fourier_run": (fourier_run, False),
     "telegraph_run": (telegraph_run, False),
     "walk_run": (walk_run, False),
