@@ -322,6 +322,16 @@ class GridPacket:
         amp /= np.linalg.norm(amp)
         return WaveState(amp, self.grid)
 
+    def mean_velocity(self) -> float:
+        """The packet's spectral mean velocity: p / E_p averaged over |psi(p)|^2.
+
+        A packet with a momentum spread moves at this velocity, not at the
+        group velocity of its center p0.
+        """
+        e = dispersion(self.momenta, self.packet.m)
+        v = np.divide(self.momenta, e, out=np.zeros_like(e), where=e > 0)
+        return float(np.sum(np.abs(self.amplitudes) ** 2 * v))
+
     def negative_energy_fraction(self) -> float:
         """Max |alpha^-| reconstructed from the discrete amplitudes."""
         _, v_minus = eigenvectors(self.momenta, self.packet.m)

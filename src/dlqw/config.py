@@ -238,8 +238,14 @@ def load_config(source: str) -> ScenarioConfig:
     """Load a config from a path or from ``preset:<name>``."""
     if source.startswith("preset:"):
         return parse_config(preset_text(source.split(":", 1)[1]))
-    with open(source, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"cannot read config {source}: {exc.strerror}"]) from None
+    except UnicodeDecodeError:
+        raise ConfigError([f"config {source} is not UTF-8 text"]) from None
+    return parse_config(text)
 
 
 def preset_text(name: str) -> str:

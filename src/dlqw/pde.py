@@ -20,6 +20,11 @@ offset k alone, so the source step is one batched matmul over k, the exact
 advection is again an integer roll per component, and the diagonal is the
 row s[0].  The field is skewed once at the start of a run and unskewed once
 at the end.
+
+A homogeneous run from a pure momentum packet needs no position grid at all
+(:func:`band_evolve`): in (p, p') Fourier space the Strang step is a 4x4 mix
+and a phase per mode, so only the box of modes the packet occupies is
+stepped, and each snapshot diagonal is one n-point inverse FFT.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from __future__ import annotations
 import copy
 import os
 import struct
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, TypeVar
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property, lru_cache, partial
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
@@ -44,6 +49,9 @@ from .walk import (
     mix_components,
     roll_components,
 )
+
+if TYPE_CHECKING:
+    from .analytic import GridPacket
 
 
 class NumericalError(RuntimeError):
@@ -397,18 +405,26 @@ def kernel_source_step(
 class EvolveResult:
     """The moment series and the diagonal fields at each snapshot of one PDE run.
 
-    ``final`` is the full field at the end of an :func:`evolve` run; the
-    diagonal fast path keeps no full field and leaves it ``None``.
+    ``build_final`` builds the full field at the end of the run, which
+    :attr:`final` holds from its first access on; the diagonal fast path keeps
+    no full field and leaves both ``None``.
     """
 
     series: MomentSeries
     diagonals: list[DiagonalFields]
-    final: PauliField | None = None
+    build_final: Callable[[], PauliField] | None = dc_field(default=None, repr=False)
+
+    @cached_property
+    def final(self) -> PauliField | None:
+        """The full field at the end of the run, built on first access."""
+        return None if self.build_final is None else self.build_final()
 
 
 def _step_marks(t_final: float, dt: float,
                 snapshot_steps: list[int] | None) -> tuple[int, np.ndarray]:
     """Step count of a run and its sorted snapshot steps, by default its two ends."""
+    if t_final < 0:
+        raise ConfigurationError("t_final must be non-negative")
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
         raise ConfigurationError(f"t_final = {t_final} is not a multiple of dt = {dt}")
@@ -417,6 +433,46 @@ def _step_marks(t_final: float, dt: float,
     if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
         raise ConfigurationError("snapshot steps outside the run")
     return n_steps, marks
+
+
+def _march(state: State, maps: tuple[StateMap, StateMap, StateMap], n_steps: int,
+           marks: np.ndarray, dt: float, diagonal: Callable[[State], np.ndarray],
+           peak: Callable[[State], float]) -> tuple[State, list[np.ndarray]]:
+    """Take the ``n_steps`` Strang steps of a run; return its final state and snapshots.
+
+    ``diagonal`` reads v(x, x) from a state and ``peak`` its largest |v|.
+    The state must be exact at snapshots, at every 64th step (blow-up check)
+    and at the last step; the steps between them run fused.  Each snapshot
+    is the (4, n) Pauli diagonal, from the diagonal of v first and then the
+    4x4 transform: O(n), not O(n^2).
+    """
+    diags: list[np.ndarray] = []
+    mark_set = set(int(s) for s in marks)
+    checks = set(range(64, n_steps + 1, 64)) | {n_steps}
+    if 0 in mark_set:
+        diags.append((U_CHAR_INV @ diagonal(state)).real)
+    done = 0
+    for stop in sorted((checks | mark_set) - {0}):
+        state = _strang_steps(state, stop - done, *maps)
+        done = stop
+        if stop in checks:
+            largest = peak(state)
+            if not np.isfinite(largest) or largest > 1e6:
+                raise NumericalError(
+                    f"field blow-up at t={stop * dt:.6g} (max |v| = {largest:.3e})"
+                )
+        if stop in mark_set:
+            diags.append((U_CHAR_INV @ diagonal(state)).real)
+    return state, diags
+
+
+def _evolve_result(grid: LatticeGrid, marks: np.ndarray, diags: list[np.ndarray],
+                   build_final: Callable[[], PauliField]) -> EvolveResult:
+    """The result of a run from its snapshot steps and the (4, n) diagonal at each."""
+    x, dt = grid.positions, grid.spacing
+    diag = np.reshape(diags, (-1, 4, x.size))
+    return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
+                        diagonals=[DiagonalFields(x, d) for d in diag], build_final=build_final)
 
 
 def evolve(
@@ -434,59 +490,90 @@ def evolve(
     :func:`moment_series` builds the moments, trace and continuity residual;
     the full field is kept at the end only.
     """
-    if t_final < 0:
-        raise ConfigurationError("t_final must be non-negative")
     grid = init.grid
     dt = grid.spacing
     n_steps, marks = _step_marks(t_final, dt, snapshot_steps)
 
     if kernels is None:
         # ghost-padded storage: each source step and its advection are one pass
-        state = GhostGrid(v_transform(init))
         maps = _ghost_maps(
             _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha))
+        on_diagonal = np.arange(grid.n_sites)
+        state, diags = _march(GhostGrid(v_transform(init)), maps, n_steps, marks, dt,
+                              lambda g: g.field[:, on_diagonal, on_diagonal],
+                              lambda g: np.abs(g.field).max())
+        final = state.field
     else:
         # skewed storage: the source is one batched matmul, the diagonal is row 0
         half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
-        state = skew(v_transform(init))
         maps = _strang_maps(half.apply, half.squared().apply, skewed_advect)
-    on_diagonal = np.arange(grid.n_sites)
-    diags: list[np.ndarray] = []
+        state, diags = _march(skew(v_transform(init)), maps, n_steps, marks, dt,
+                              lambda s: s[0], lambda s: np.abs(s).max())
+        final = unskew(state)
+    return _evolve_result(grid, marks, diags, partial(v_inverse, final, grid))
 
-    def stored() -> np.ndarray:
-        """The field v in its storage: (4, n, n), or skewed (n, 4, n)."""
-        return state.field if kernels is None else state
 
-    def record() -> None:
-        # the diagonal of v first, then the 4x4 transform: O(n), not O(n^2)
-        v = stored()
-        diagonal = v[:, on_diagonal, on_diagonal] if kernels is None else v[0]
-        diags.append((U_CHAR_INV @ diagonal).real)
+# A momentum mode enters the band of :func:`band_evolve` when its amplitude
+# |psi(p)| exceeds this fraction of the largest; below it, sampled packets
+# are round-off.
+BAND_CUT = 1e-14
 
-    # The state must be exact at snapshots, at every 64th step (blow-up
-    # check) and at the last step; the steps between them run fused.
-    mark_set = set(int(s) for s in marks)
-    checks = set(range(64, n_steps + 1, 64)) | {n_steps}
-    if 0 in mark_set:
-        record()
-    done = 0
-    for stop in sorted((checks | mark_set) - {0}):
-        state = _strang_steps(state, stop - done, *maps)
-        done = stop
-        if stop in checks:
-            peak = np.abs(stored()).max()
-            if not np.isfinite(peak) or peak > 1e6:
-                raise NumericalError(
-                    f"field blow-up at t={stop * dt:.6g} (max |v| = {peak:.3e})"
-                )
-        if stop in mark_set:
-            record()
 
-    x = grid.positions
-    diag = np.reshape(diags, (-1, 4, x.size))
-    return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
-                        diagonals=[DiagonalFields(x, d) for d in diag],
-                        final=v_inverse(state.field if kernels is None else unskew(state), grid))
+def band_evolve(
+    packet: "GridPacket",
+    params: GeneratorParams,
+    t_final: float,
+    alpha: float = 0.5,
+    snapshot_steps: list[int] | None = None,
+) -> EvolveResult:
+    """:func:`evolve` of the pure start |psi><psi| of a momentum packet, mode by mode.
+
+    The homogeneous Strang step is one constant 4x4 mix and one integer shift
+    per component, so in (p, p') Fourier space it multiplies each mode's four
+    components by the mix and then by a phase, and no two modes mix.  The
+    start rho(p, p') = psi(p) psi*(p') vanishes to round-off outside the box
+    of modes above :data:`BAND_CUT` on each axis, and the steps keep it
+    there, so only that box is stepped.  The steps, the blow-up checks (on
+    the diagonal) and the snapshots fall as in :func:`evolve`; each snapshot
+    diagonal sums the modes of each offset p - p' and takes one n-point
+    inverse FFT.  The full field is built, by one zero-padded inverse 2-D
+    FFT, only when :attr:`EvolveResult.final` is read.
+    """
+    grid = packet.grid
+    n, dt = grid.n_sites, grid.spacing
+    n_steps, marks = _step_marks(t_final, dt, snapshot_steps)
+
+    # psi(x) = sum_k c[:, k] e^{2 pi i k x / n}, the normalized packet state
+    c = packet.amplitudes / (np.sqrt(n) * np.linalg.norm(packet.amplitudes))
+    weight = np.linalg.norm(c, axis=0)
+    modes = np.flatnonzero(weight > BAND_CUT * weight.max())
+    c = c[:, modes]
+    # v(x, x') = sum band[:, k, k'] e^{2 pi i (k x - k' x') / n} over the kept modes
+    band = mix_components(U_CHAR, np.einsum("mvu,uk,vl->mkl", SIGMA, c, c.conj()) / dt)
+    # a shift by (s, s') multiplies mode (k, k') by e^{-2 pi i (s k - s' k') / n}
+    phase = np.exp(-2j * np.pi / n * np.stack(
+        [(s * modes[:, None] - sp * modes[None, :]) % n for s, sp in ADVECTION_SHIFTS]))
+    t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
+    maps = _strang_maps(partial(mix_components, t_half), partial(mix_components, t_half @ t_half),
+                        partial(np.multiply, phase))
+    # the (real, imaginary) part of band[a, k, k'] sums into bin (a, (k - k') mod n, part)
+    offsets = (modes[:, None] - modes[None, :]) % n
+    bins = (2 * n * np.arange(4)[:, None, None] + 2 * offsets.ravel()[None, :, None]
+            + np.arange(2)).ravel()
+
+    def diagonal(b: np.ndarray) -> np.ndarray:
+        """v(x, x) from the sum of the modes of each offset k - k'."""
+        sums = np.bincount(bins, b.view(np.float64).ravel(), minlength=8 * n)
+        return n * np.fft.ifft(sums.view(complex).reshape(4, n), axis=1)
+
+    def full_field(b: np.ndarray) -> PauliField:
+        padded = np.zeros((4, n, n), dtype=complex)
+        padded[:, modes[:, None], -modes[None, :] % n] = b
+        return v_inverse(n * n * np.fft.ifft2(padded), grid)
+
+    band, diags = _march(band, maps, n_steps, marks, dt, diagonal,
+                         lambda b: np.abs(diagonal(b)).max())
+    return _evolve_result(grid, marks, diags, partial(full_field, band))
 
 
 def diagonal_evolve(

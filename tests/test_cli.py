@@ -143,7 +143,8 @@ class TestPresets:
         assert report.passed, report.human_summary()
 
     @pytest.mark.parametrize("name", ["acceptance-telegraph", "acceptance-kernel",
-                                      "acceptance-walk", "fig1-middle", "fig1-left-grid"])
+                                      "acceptance-walk", "fig1-middle", "fig1-left-grid",
+                                      "fig1-right"])
     def test_grid_and_walk_presets_pass_their_gates(self, tmp_path, name):
         report = run(load_config(f"preset:{name}"), str(tmp_path / name))
         assert report.passed, report.human_summary()
@@ -237,6 +238,21 @@ class TestRunner:
         assert np.abs(trace - 1.0).max() < 1e-12
         assert np.any(residual != 0.0)
 
+    def test_dirac_free_grades_the_packet_velocity(self, tmp_path):
+        # the default sigma = 0.5 spreads the packet's momenta: it moves at its
+        # spectral mean velocity 0.9125, not at v_g(p0) = 0.8944
+        text = ("scenario = dirac-free\nm = 0.5\np0 = 1\ndx = 0.05\nt_final = 10\n"
+                "half_width = 20\n")
+        report = run(parse_config(text), str(tmp_path / "d"))
+        assert report.passed, report.human_summary()
+        assert report.metrics["vg_formula"] == pytest.approx(0.894427191, rel=1e-9)
+        assert report.checks[0].target == report.metrics["vg_packet"]
+        assert report.metrics["vg_packet"] == pytest.approx(0.91246, rel=1e-4)
+        # a declared target still wins
+        report = run(parse_config(text + "vg_target = 0.894427191\n"), str(tmp_path / "t"))
+        assert report.checks[0].target == 0.894427191
+        assert not report.passed
+
     def test_emit_plot_script_writes_file(self, tmp_path):
         cfg = load_config("preset:fig2-e")
         run(cfg, str(tmp_path / "r"))
@@ -326,15 +342,45 @@ class TestMain:
         # within the work limit (1e10 cell-steps), but not the memory limit
         ("scenario = walk\ntheta = 0.8\nn_steps = 1\nn = 10000000000\n",
          "the walk buffers need 596 GiB, above the limit of 1 GiB"),
+        # only lindblad reads fast: this run still steps the whole (x, x') field
+        ("scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
+         "kernel_ell = 0.2\ndx = 0.001\nhalf_width = 20\nt_final = 1\nfast = diagonal\n",
+         "a 40000-site (x, x') field needs 95.4 GiB, above the limit of 1 GiB"),
     ], ids=["grid-field", "channel-blocks", "telegraph-steps", "spectral-snapshots",
-            "walk-amplitudes"])
+            "walk-amplitudes", "kernel-fast-diagonal"])
     def test_run_over_a_resource_limit_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "big.cfg"
         cfg_path.write_text(text)
-        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        tracemalloc.start()
+        try:
+            rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and "Traceback" not in err
+        assert peak < 2**20
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "cannot read config {}: No such file or directory"),
+        ("directory", "cannot read config {}: Is a directory"),
+        ("not-utf8", "config {} is not UTF-8 text"),
+    ])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, kind, message):
+        path = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.cfg"}[kind]
+        if kind == "not-utf8":
+            path.write_bytes(b"label = caf\xe9\n")
+        good = tmp_path / "good.cfg"
+        good.write_text(MINI_TRAJ)
+        for argv in (["run", str(path)], ["sweep", str(path), "--eps", "0.1"],
+                     ["compare", str(good), str(path)]):
+            rc = main(argv + ["--out", str(tmp_path / "r")])
+            err = capsys.readouterr().err
+            assert rc == 2, argv
+            assert message.format(path) in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     def test_repeated_key_exit_two(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from dlqw import analytic, runner
+from dlqw.config import load_config, parse_config
 from dlqw.noise import DensityGrid
 from dlqw.pde import (
     GeneratorParams,
@@ -16,6 +18,7 @@ from dlqw.pde import (
     U_CHAR,
     U_CHAR_INV,
     _propagator_from_f,
+    band_evolve,
     density_from_pauli,
     diagonal_evolve,
     evolve,
@@ -545,3 +548,74 @@ class TestBinaryFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ConfigurationError):
             read_field_binary(path)
+
+
+# The strang-grid runs of the grid-noise benchmark at seeds 0 and 7: (m, gamma2, p0, sigma)
+STRANG_GRID = {
+    "seed0-transient": (0.5243, 0.5079, 4.8664, 0.512),
+    "seed0-diffusive": (0.5322, 1.9774, 5.3853, 0.5451),
+    "seed7-transient": (0.4875, 0.526, 4.7202, 0.5002),
+    "seed7-diffusive": (0.463, 2.0858, 5.1199, 0.5224),
+}
+# m, gamma1, gamma2 > 0 over 90 steps: the runner_lindblad_full golden's run
+FULL_GRID = ("scenario = lindblad\nfast = full\nm = 0.6\ngamma1 = 0.3\ngamma2 = 0.4\np0 = 1.5\n"
+             "sigma = 1\ndx = 0.05\nhalf_width = 3\nt_final = 4.5\nn_snapshots = 10\n")
+BAND_CONFIGS = {
+    **{name: ("scenario = lindblad\nfast = full\ndx = 0.1\nhalf_width = 15\nt_final = 6\n"
+              f"n_snapshots = 13\nm = {m}\ngamma2 = {g}\np0 = {p0}\nsigma = {sigma}\n")
+       for name, (m, g, p0, sigma) in STRANG_GRID.items()},
+    "runner-compare": ("scenario = compare\nm = 0.5\ngamma1 = 0.2\ngamma2 = 0.5\np0 = 1\n"
+                       "sigma = 0.5\neps_list = 0.1, 0.05\nt_final = 1\ndx = 0.05\n"
+                       "half_width = 4\n"),
+    "full-grid": FULL_GRID,
+    "fig1-middle": "preset:fig1-middle",
+}
+
+
+def band_and_evolve(cfg):
+    """The band engine and :func:`evolve` from the packet start of a grid config."""
+    params = GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
+    grid = runner._pde_grid(cfg)
+    pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid)
+    marks = (runner._snapshot_steps(cfg, round(cfg.t_final / cfg.dx))
+             if cfg.scenario == "lindblad" else None)
+    band = band_evolve(pk, params, cfg.t_final, alpha=cfg.alpha, snapshot_steps=marks)
+    ref = evolve(pauli_from_wave_state(pk.state(0.0)), params, cfg.t_final, alpha=cfg.alpha,
+                 snapshot_steps=marks)
+    return band, ref
+
+
+class TestBandEvolve:
+    @pytest.mark.parametrize("name", list(BAND_CONFIGS))
+    def test_matches_evolve(self, name):
+        text = BAND_CONFIGS[name]
+        cfg = load_config(text) if text.startswith("preset:") else parse_config(text)
+        band, ref = band_and_evolve(cfg)
+        np.testing.assert_array_equal(band.series.times, ref.series.times)
+        assert len(band.diagonals) == len(ref.diagonals)
+        for got, want in zip(band.diagonals, ref.diagonals):
+            # each diagonal column to 1e-12 of its own largest entry
+            for mu in range(4):
+                np.testing.assert_allclose(got.R[mu], want.R[mu], rtol=0,
+                                           atol=1e-12 * np.abs(want.R[mu]).max())
+
+    def test_binary_dump_matches_evolve_final(self, tmp_path):
+        cfg = parse_config(FULL_GRID + "formats = binary\n")
+        runner.run(cfg, str(tmp_path / "r"))
+        dumped, t = read_field_binary(tmp_path / "r" / "final_field.dlqw")
+        _, ref = band_and_evolve(cfg)
+        assert t == cfg.t_final
+        np.testing.assert_allclose(dumped.r, ref.final.r, rtol=0,
+                                   atol=1e-12 * np.abs(ref.final.r).max())
+
+    def test_final_field_built_only_when_read(self):
+        cfg = parse_config(FULL_GRID)
+        band, _ = band_and_evolve(cfg)
+        assert "final" not in vars(band)
+        assert band.final is band.final
+
+    def test_blow_up_guard(self):
+        grid = make_grid(64, 0.1)
+        pk = analytic.build_packet(1.0, 1.0, 0.5, grid)
+        with pytest.raises(NumericalError, match="blow-up at t=6.4"):
+            band_evolve(pk, GeneratorParams(m=0.5, gamma2=300.0), 80 * 0.1, alpha=1.0)
