@@ -511,12 +511,12 @@ class _EigenPropagator:
     keep the momentum axis last, so a step is a few contiguous multiply-adds.
     """
 
-    def __init__(self, lam: np.ndarray, v: np.ndarray):
-        # lam (n, 4) and v (n, 4, 4) as np.linalg.eig returns them
+    def __init__(self, lam: np.ndarray, v: np.ndarray, w: np.ndarray):
+        # lam (n, 4) and v (n, 4, 4) as np.linalg.eig returns them, w = inv(v)
         n = lam.shape[0]
         self.v = v
-        self.w = np.linalg.inv(v)
-        b = self.w @ _G_OFFSET @ v
+        self.w = w
+        b = w @ _G_OFFSET @ v
         lam = self.lam = np.ascontiguousarray(lam.T)  # (4, n)
         self.b = np.ascontiguousarray(b.transpose(1, 2, 0))  # (4, 4, n)
         self.bb = self.b[:, :, None, :] * self.b[None, :, :, :]  # B_ij B_jk, (4, 4, 4, n)
@@ -569,6 +569,26 @@ class _EigenPropagator:
         l = self.b * f2.reshape(4, 4, n)
         k = (self.bb * f3[_TRIPLE_OF].reshape(4, 4, 4, n)).sum(axis=1)
         return e, l, k
+
+
+def _well_conditioned(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of the stack ``v`` whose 1-norm condition number is at most
+    ``_EIG_COND_MAX``, as a mask, and their inverses.
+
+    Each matrix is inverted once, and its condition number is
+    ``np.linalg.cond(v, 1)`` computed from that inverse.  An exactly singular
+    matrix, whose condition number is infinite, makes the stacked inverse
+    raise; then the condition numbers come from ``cond``, and only the kept
+    matrices are inverted again.
+    """
+    try:
+        w = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.cond(v, 1) <= _EIG_COND_MAX
+        return ok, np.linalg.inv(v[ok])
+    cond = np.linalg.norm(v, 1, axis=(-2, -1)) * np.linalg.norm(w, 1, axis=(-2, -1))
+    ok = cond <= _EIG_COND_MAX
+    return ok, w[ok]
 
 
 def _triple_series(dt: float, u2: np.ndarray, u3: np.ndarray, reach: float) -> np.ndarray:
@@ -636,9 +656,9 @@ def spectral_moments(
 
     g0 = generator_matrix(p, p, params)  # (n_p, 4, 4), real at p = q
     lam, vec = np.linalg.eig(g0.real)
-    ok = np.linalg.cond(vec, 1) <= _EIG_COND_MAX
+    ok, w = _well_conditioned(vec)
     bad = ~ok
-    prop = _EigenPropagator(lam[ok], vec[ok])
+    prop = _EigenPropagator(lam[ok], vec[ok], w)
     # eigen coordinates z = W m of each 4-block; only row 0 of V is read back
     z0, z1, z2 = (np.einsum("xab,bx->ax", prop.w, m[:, ok]) for m in (m0, m1, m2))
     row0 = prop.v[:, 0, :].T

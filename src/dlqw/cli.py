@@ -11,6 +11,7 @@ import numpy as np
 
 from .config import ConfigError, list_presets, load_config, parse_eps_list
 from .observables import l1_density_distance
+from .pde import NumericalError
 from .runner import emit_plot_script, run, verify_report
 from .walk import ConfigurationError
 
@@ -133,6 +134,10 @@ def main(argv=None) -> int:
     except (ConfigError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        # the input was well formed, but the run could not be computed
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

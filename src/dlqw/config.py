@@ -196,6 +196,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("sigma must be positive")
     if values.get("n_traj", 1) < 1:
         errors.append("n_traj must be >= 1")
+    if values.get("seed", 0) < 0:
+        errors.append("seed must be >= 0")
     if "eps" in values and values["eps"] <= 0:
         errors.append("eps must be positive")
     if "dx" in values and values["dx"] <= 0:
@@ -220,6 +222,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("snapshot_spacing must be 'uniform' or 'log'")
     if values.get("t_final", 0.0) < 0:
         errors.append("t_final must be >= 0")
+    elif scenario == "dirac-free" and values.get("t_final") == 0:
+        errors.append("dirac-free needs t_final > 0 to measure a velocity")
     elif values.get("t_final", 0.0) == 0 and values.get("snapshot_spacing") == "log":
         errors.append("snapshot_spacing = log requires t_final > 0")
     if values.get("n_snapshots", 2) < 2:

@@ -17,6 +17,7 @@ continuum limit, which is what the cross-model tests exercise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -161,6 +162,75 @@ def rng_for_trajectory(seed: int, trajectory: int) -> np.random.Generator:
     )
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four 32-bit
+# words, the constants of its mixing and of generate_state
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(word: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of a uint32 array: the hashed words and the next
+    hash constant, which steps by ``mult`` whatever the words are."""
+    word = word ^ np.uint32(const)
+    const = const * mult & _MASK32
+    word = word * np.uint32(const)
+    return word ^ (word >> np.uint32(16)), const
+
+
+def philox_keys(seed: int, ids) -> np.ndarray:
+    """The Philox keys of trajectories ``ids``, shape (len(ids), 2) uint64.
+
+    Row k is ``SeedSequence(seed, spawn_key=(ids[k],)).generate_state(2,
+    np.uint64)``, the key of :func:`rng_for_trajectory` (seed, ids[k]), bit
+    for bit: numpy's pool mixing and ``generate_state`` run once, on uint32
+    arrays over the trajectories.  Every id must fit one 32-bit word, as a
+    one-word spawn key.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigurationError("seed must be a non-negative integer")
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and not 0 <= ids.min() <= ids.max() <= _MASK32:
+        raise ConfigurationError("trajectory ids must lie in [0, 2**32)")
+    # the seed's little-endian words, padded with zeros to the pool size
+    # because a spawn key follows them, then the id
+    run = [(seed >> (32 * i)) & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.full(ids.shape, w, dtype=np.uint32) for w in run] + [ids.astype(np.uint32)]
+
+    const = _INIT_A
+
+    def hashmix(word):
+        nonlocal const
+        word, const = _hashmix(word, const, _MULT_A)
+        return word
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    # the pool's first words, the all-pairs mix, then each remaining word
+    # against every pool word, in SeedSequence's order of hash calls
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64) hashes the four pool words, paired little-endian
+    state, const = [], _INIT_B
+    for word in pool:
+        word, const = _hashmix(word, const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    lo0, hi0, lo1, hi1 = state
+    return np.stack([lo0 | hi0 << np.uint64(32), lo1 | hi1 << np.uint64(32)], axis=-1)
+
+
 def _draw_unscaled(entry: ParamNoise, rng: np.random.Generator, size=None) -> np.ndarray:
     if entry.delta == 0.0:
         return np.zeros(size if size is not None else ())
@@ -184,10 +254,12 @@ def sample_coin_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator) -
     return np.array([root * _draw_unscaled(e, rng) for e in spec.entries])
 
 
-def trajectory_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator,
-                       n_steps: int) -> np.ndarray:
-    """Offsets of ``n_steps`` steps, shape (n_steps, 4): the stream of
-    ``n_steps`` calls of :func:`sample_coin_offsets`, value for value.
+def _offset_sampler(spec: NoiseSpec, eps: float, n_steps: int):
+    """The draw plan of :func:`trajectory_offsets`, made once per spec.
+
+    Returns ``(active, draw)``: the angles with a nonzero delta, and a map
+    from a generator to their offsets over ``n_steps`` steps, shape
+    (n_steps, len(active)); the other angles' offsets are 0.
 
     The scalar loop draws step by step, each step in angle order.  When every
     active angle has one kind, a single draw of shape (n_steps, n_active)
@@ -198,13 +270,26 @@ def trajectory_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator,
     active = [l for l, e in enumerate(spec.entries) if e.delta != 0.0]
     kinds = {spec.entries[l].kind for l in active}
     if len(kinds) > 1:
-        return np.array([sample_coin_offsets(spec, eps, rng) for _ in range(n_steps)])
+        return active, lambda rng: np.array(
+            [sample_coin_offsets(spec, eps, rng) for _ in range(n_steps)]
+        ).reshape(n_steps, 4)[:, active]
+    if not active:
+        return active, lambda rng: np.zeros((n_steps, 0))
+    kind = kinds.pop()
+    deltas = np.array([spec.entries[l].delta for l in active])
+    scale = float(deltas[0]) if (deltas == deltas[0]).all() else deltas
+    root = np.sqrt(eps)
+    shape = (n_steps, len(active))
+    return active, lambda rng: root * _draw(kind, scale, rng, shape)
+
+
+def trajectory_offsets(spec: NoiseSpec, eps: float, rng: np.random.Generator,
+                       n_steps: int) -> np.ndarray:
+    """Offsets of ``n_steps`` steps, shape (n_steps, 4): the stream of
+    ``n_steps`` calls of :func:`sample_coin_offsets`, value for value."""
+    active, draw = _offset_sampler(spec, eps, n_steps)
     out = np.zeros((n_steps, 4))
-    if active:
-        deltas = np.array([spec.entries[l].delta for l in active])
-        scale = float(deltas[0]) if (deltas == deltas[0]).all() else deltas
-        out[:, active] = np.sqrt(eps) * _draw(kinds.pop(), scale, rng,
-                                              (n_steps, len(active)))
+    out[:, active] = draw(rng)
     return out
 
 
@@ -269,18 +354,19 @@ def run_ensemble(
 ) -> TrajectoryEnsemble:
     """Evolve ``n_traj`` independently noised trajectories and accumulate them.
 
-    Each trajectory k draws the offsets of all its steps from
-    :func:`rng_for_trajectory` (seed, k) with :func:`trajectory_offsets`, and
-    the sums take the trajectories one after another in order, so the result
-    is the same bit for bit whatever the batch size is.  Each batch of up to
+    Each trajectory k draws the offsets of all its steps as
+    :func:`trajectory_offsets` does from :func:`rng_for_trajectory` (seed, k):
+    one generator is reset to each key of :func:`philox_keys`.  The sums take
+    the trajectories one after another in order, so the result is the same
+    bit for bit whatever the batch size is.  Each batch of up to
     :data:`ENSEMBLE_BATCH` trajectories steps as one :class:`BatchedWalk`,
     with a (T, 2, 2) coin stack for spatially constant barred angles and a
     (T, n, 2, 2) stack for per-site fields.  That batch bounds those arrays
     (16 MB each at n = 240): 4096 trajectories were no faster, and 256 paid
     more per-step overhead.
     """
-    if n_traj < 1:
-        raise ConfigurationError("n_traj must be >= 1")
+    if not 1 <= n_traj <= 2**32:
+        raise ConfigurationError("n_traj must lie in [1, 2**32] (one 32-bit word per id)")
     grid = init.grid
     eps = grid.spacing
     n = grid.n_sites
@@ -288,31 +374,44 @@ def run_ensemble(
     ens = TrajectoryEnsemble(grid=grid, sum_blocks=(
         np.zeros((2, 2, n, n), dtype=complex) if accumulate_blocks else None))
     base = eps * np.array(field.rates, dtype=float) if field.is_constant else None
+    active, draw = _offset_sampler(spec, eps, n_steps)
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    fresh = bits.state  # counter 0, an empty buffer and no spare 32-bit word
+    # buffers of one batch; offsets[j, k, l] is step j, trajectory k, angle l,
+    # and the angles without noise stay 0
+    drawn = np.empty((min(batch, n_traj), n_steps, len(active)))
+    offsets = np.zeros((n_steps, min(batch, n_traj), 4))
     for start in range(0, n_traj, batch):
-        ids = range(start, min(start + batch, n_traj))
-        # offsets[j, k, l]: step j, trajectory k, angle l -- one stream per trajectory
-        offsets = np.empty((n_steps, len(ids), 4))
-        for kk, k in enumerate(ids):
-            offsets[:, kk] = trajectory_offsets(spec, eps, rng_for_trajectory(seed, k), n_steps)
-        walk = BatchedWalk(np.broadcast_to(init.amplitudes, (len(ids), 2, n)))
+        ids = np.arange(start, min(start + batch, n_traj))
+        t = len(ids)
+        # each trajectory's stream is rng_for_trajectory(seed, k): its key, counter 0
+        for kk, key in enumerate(philox_keys(seed, ids)):
+            fresh["state"]["key"] = key
+            bits.state = fresh
+            drawn[kk] = draw(rng)
+        offsets[:, :t, active] = drawn[:t].transpose(1, 0, 2)
+        walk = BatchedWalk(np.broadcast_to(init.amplitudes, (t, 2, n)))
         for j in range(n_steps):
             if base is None:
                 # per-trajectory offsets as (T, 1) columns against the (n,) site angles
-                coins = step_coins(field, j * eps, grid, offsets=tuple(offsets[j].T[:, :, None]))
+                coins = step_coins(field, j * eps, grid,
+                                   offsets=tuple(offsets[j, :t].T[:, :, None]))
             else:
-                ang = base[None, :] + offsets[j]
+                ang = base[None, :] + offsets[j, :t]
                 coins = coin_matrices(ang[:, 0], ang[:, 1], ang[:, 2], ang[:, 3])
             walk.step(coins)
         amps = walk.amplitudes
         if accumulate_blocks:
             # one trajectory at a time, in order, like the probability sums below
-            for a in amps:
-                ens.sum_blocks += np.einsum("ux,vy->uvxy", a, a.conj())
+            for k in range(t):
+                ens.sum_blocks += np.einsum("ux,vy->uvxy", amps[k], amps[k].conj())
         p = np.sum(np.abs(amps) ** 2, axis=1).real
         # the running total heads the rows, so an axis-0 sum adds them in order
         ens.sum_prob = np.concatenate([ens.sum_prob[None], p]).sum(axis=0)
         ens.sum_prob2 = np.concatenate([ens.sum_prob2[None], p * p]).sum(axis=0)
-        ens.count += len(ids)
+        ens.count += t
+        del walk, amps  # before the next batch builds its own buffers
     return ens
 
 

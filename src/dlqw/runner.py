@@ -287,8 +287,9 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
         n_steps = int(round(cfg.t_final / cfg.dx))
         marks = _snapshot_steps(cfg, n_steps)
         if cfg.fast == "diagonal":
-            field0 = pde.pauli_from_wave_state(pk.state(0.0)).diagonal()
-            res = pde.diagonal_evolve(field0.R[0], field0.R[3], grid, params,
+            # R0 and R3 of the pure start, (|psi_L|^2 +- |psi_R|^2) / dx, with no (x, x') field
+            left, right = np.abs(pk.state(0.0).amplitudes) ** 2 / grid.spacing
+            res = pde.diagonal_evolve(left + right, left - right, grid, params,
                                       cfg.t_final, alpha=cfg.alpha, snapshot_steps=marks)
         else:
             res = pde.band_evolve(pk, params, cfg.t_final, alpha=cfg.alpha,
@@ -599,10 +600,11 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
         n_steps = _steps(cfg.t_final, cfg.eps)
         if s == "channel":
             return [n], [], n * n * n_steps, 0
-        # the run sums probabilities only, one batch of trajectories at a time
+        # the run sums probabilities only, one batch of trajectories at a time;
+        # each trajectory is set up and summed even when it takes no step
         batch = min(cfg.n_traj, noise.ENSEMBLE_BATCH)
         return ([], [("the walk buffers", walk_bytes(batch, n, n_steps))],
-                cfg.n_traj * n * n_steps, 0)
+                cfg.n_traj * n * max(n_steps, 1), 0)
     if s == "lindblad" and cfg.fast == "spectral":
         # the run's snapshots, and the three times of the group-velocity fit
         return [], [], 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
@@ -622,7 +624,14 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
     return [n], engine, n * n * n_steps, 0
 
 
-def _bytes_text(size: float) -> str:
+def _count(value: int) -> float:
+    """A count as a float for a message: inf past the float range, where an
+    absurd config (say ``half_width = 1e300``) puts its estimates."""
+    return float(value) if value < 2**1023 else float("inf")
+
+
+def _bytes_text(size: int) -> str:
+    size = _count(size)
     for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
         if size < 1024 or unit == "TiB":
             return f"{size:.3g} {unit}"
@@ -646,10 +655,10 @@ def check_resources(cfg: ScenarioConfig) -> None:
     needs += [(f"{name} need", size) for name, size in buffers]
     errors = [_over_memory_limit(what, size) for what, size in needs if size > MAX_FIELD_BYTES]
     if cell_steps > MAX_CELL_STEPS:
-        errors.append(f"the run needs {cell_steps:.3g} cell-steps, above the limit of "
+        errors.append(f"the run needs {_count(cell_steps):.3g} cell-steps, above the limit of "
                       f"{MAX_CELL_STEPS:.0e}")
     if spectral_points > MAX_SPECTRAL_POINTS:
-        errors.append(f"the run needs {spectral_points:.3g} snapshot-momenta, above the "
+        errors.append(f"the run needs {_count(spectral_points):.3g} snapshot-momenta, above the "
                       f"limit of {MAX_SPECTRAL_POINTS:.0e}")
     if errors:
         raise ConfigError(errors)

@@ -471,7 +471,7 @@ class TestEigenPropagator:
                               GeneratorParams(m=m, gamma1=gamma1, gamma2=gamma2))
         lam, v = np.linalg.eig(g0.real)
         assume(np.linalg.cond(v, 1)[0] <= analytic._EIG_COND_MAX)
-        prop = analytic._EigenPropagator(lam, v)
+        prop = analytic._EigenPropagator(lam, v, np.linalg.inv(v))
         e, l, k = (np.moveaxis(block, -1, 0) for block in prop.blocks(dt))
         w = prop.w
         ref = expm_stack(dt * analytic._moment_generator(g0))
@@ -481,6 +481,42 @@ class TestEigenPropagator:
                           (v @ (2.0 * k) @ w, ref[:, 8:12, 0:4])):
             scale = float(np.abs(want).max())
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * scale)
+
+    def test_singular_eigenvectors_are_not_kept(self):
+        singular = np.eye(4, dtype=complex)
+        singular[:, 1] = singular[:, 0]
+        v = np.stack([np.eye(4) + 0.1j, singular, 3.0 * np.eye(4)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(v)
+        ok, w = analytic._well_conditioned(v)
+        np.testing.assert_array_equal(ok, [True, False, True])
+        np.testing.assert_array_equal(w, np.linalg.inv(v[[0, 2]]))
+        # the kept mask is cond's, computed from the one inverse
+        ok, w = analytic._well_conditioned(v[[0, 2]])
+        np.testing.assert_array_equal(ok, np.linalg.cond(v[[0, 2]], 1) <= analytic._EIG_COND_MAX)
+
+    def test_singular_eigenvectors_fall_back_to_pade(self, monkeypatch):
+        wp = DiracWavepacket(p0=1.0, sigma=0.2, m=0.5)
+        params = GeneratorParams(m=0.5, gamma2=0.5)
+        times = np.linspace(0.0, 4.0, 5)
+        ref = spectral_moments(wp, params, times, n_momenta=65)
+        eig = np.linalg.eig
+
+        def singular_at_32(a):
+            lam, vec = eig(a)
+            vec[32, :, 1] = vec[32, :, 0]
+            return lam, vec
+
+        rows = []
+        pade = analytic.expm_stack
+        monkeypatch.setattr(analytic.np.linalg, "eig", singular_at_32)
+        monkeypatch.setattr(analytic, "expm_stack", lambda a: rows.append(a.shape[0]) or pade(a))
+        series = spectral_moments(wp, params, times, n_momenta=65)
+        assert rows == [1]  # the one momentum, at the one distinct time step
+        for name in ("mean_x", "second_moment", "trace"):
+            got, want = getattr(series, name), getattr(ref, name)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
 
     def test_exceptional_point_falls_back_to_pade(self, monkeypatch):
         # with m -> 0 the (r1, r2) block is critically damped at p = gamma2 / 4,

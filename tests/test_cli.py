@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dlqw import runner
+from dlqw.analytic import build_packet
 from dlqw.cli import main
 from dlqw.config import ConfigError, list_presets, load_config, parse_config
+from dlqw.pde import GeneratorParams, diagonal_evolve, pauli_from_wave_state
 from dlqw.runner import check_resources, emit_plot_script, run, verify_report
 from dlqw.walk import ConfigurationError, GhostGrid
 
@@ -193,6 +195,39 @@ class TestRunner:
         ratios = times[2:] / times[1:-1]
         assert ratios.min() >= 2.0  # uniform spacing would give ratios near 1
 
+    @pytest.mark.filterwarnings("ignore:m = 0")
+    def test_diagonal_run_starts_from_the_pure_state_diagonal(self, tmp_path):
+        cfg = parse_config(
+            "scenario = lindblad\nfast = diagonal\nm = 0\ngamma1 = 0.3\ngamma2 = 0.7\n"
+            "dx = 0.05\nhalf_width = 8\nt_final = 3\np0 = 0.5\nsigma = 0.3\n"
+        )
+        run(cfg, str(tmp_path / "run"))
+        got = np.loadtxt(tmp_path / "run" / "final_diag.csv", delimiter=",", skiprows=1)
+        # the diagonal of the whole (x, x') Pauli field of the start
+        grid = runner._pde_grid(cfg)
+        start = pauli_from_wave_state(
+            build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)).diagonal()
+        res = diagonal_evolve(start.R[0], start.R[3], grid,
+                              GeneratorParams(m=0.0, gamma1=0.3, gamma2=0.7), cfg.t_final)
+        want = res.diagonals[-1].R[[0, 3]]
+        for column, ref in zip((got[:, 1], got[:, 4]), want):
+            np.testing.assert_allclose(column, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.filterwarnings("ignore:m = 0")
+    def test_diagonal_run_allocates_no_xx_field(self, tmp_path):
+        # n = 1000: one (2, 2, n, n) complex field alone would be 64 MB
+        cfg = parse_config(
+            "scenario = lindblad\nfast = diagonal\nm = 0\ngamma2 = 0.5\ndx = 0.05\n"
+            "half_width = 25\nt_final = 0.5\n"
+        )
+        tracemalloc.start()
+        try:
+            run(cfg, str(tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     @pytest.mark.parametrize("text", [
         "scenario = telegraph\ngamma2 = 0.5\ndx = 0.02\nhalf_width = 4\n",
         "scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
@@ -346,8 +381,16 @@ class TestMain:
         ("scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
          "kernel_ell = 0.2\ndx = 0.001\nhalf_width = 20\nt_final = 1\nfast = diagonal\n",
          "a 40000-site (x, x') field needs 95.4 GiB, above the limit of 1 GiB"),
+        # estimates past the float range
+        ("scenario = channel\neps = 0.25\nhalf_width = 1e300\nt_final = 1\n",
+         "field needs inf TiB, above the limit of 1 GiB"),
+        # a trajectory is set up even when it takes no step
+        ("scenario = trajectories\neps = 0.1\nhalf_width = 8\nt_final = 0\n"
+         "noise_delta = 0.5\nn_traj = 100000000000\n",
+         "the run needs 1.6e+13 cell-steps, above the limit of 1e+10"),
     ], ids=["grid-field", "channel-blocks", "telegraph-steps", "spectral-snapshots",
-            "walk-amplitudes", "kernel-fast-diagonal"])
+            "walk-amplitudes", "kernel-fast-diagonal", "channel-overflow",
+            "trajectories-no-steps"])
     def test_run_over_a_resource_limit_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "big.cfg"
         cfg_path.write_text(text)
@@ -382,6 +425,43 @@ class TestMain:
             assert rc == 2, argv
             assert message.format(path) in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    def test_dirac_free_without_time_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "free.cfg"
+        cfg_path.write_text("scenario = dirac-free\nm = 0.5\ndx = 0.1\nhalf_width = 4\n"
+                            "t_final = 0\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "dirac-free needs t_final > 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_numerical_failure_exit_one(self, tmp_path, capsys):
+        # the packet's quadrature cannot converge at this mass
+        cfg_path = tmp_path / "heavy.cfg"
+        cfg_path.write_text("scenario = dirac-free\nm = 1e300\ndx = 0.1\nhalf_width = 4\n"
+                            "t_final = 0.5\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: numerical failure: quadrature did not converge" in err
+
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(MINI_TRAJ.replace("seed = 11", "seed = -1"))
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("seed", [2**32, 2**130 + 7])
+    def test_multi_word_seed_runs(self, tmp_path, capsys, seed):
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(MINI_TRAJ.replace("seed = 11", f"seed = {seed}"))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+        density = np.loadtxt(tmp_path / "r" / "density.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(density).all()
 
     def test_repeated_key_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "twice.cfg"

@@ -255,6 +255,48 @@ class TestTrajectoryOffsets:
         assert rng_a.random() == rng_b.random()
 
 
+class TestTrajectoryStreams:
+    """run_ensemble's batched set-up of the streams of rng_for_trajectory."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345])
+    def test_keys_match_seed_sequence(self, seed):
+        ids = [0, 1, 1023, 1024, 2999]
+        want = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(2, np.uint64)
+                for k in ids]
+        got = noise.philox_keys(seed, ids)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+
+    def test_keys_reject_what_a_one_word_spawn_key_cannot_hold(self):
+        with pytest.raises(ConfigurationError):
+            noise.philox_keys(-1, [0])
+        with pytest.raises(ConfigurationError):
+            noise.philox_keys(0, [2**32])
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(xi1=ParamNoise("two-point", 0.4), theta=ParamNoise("gaussian", 0.5)),
+        NoiseSpec(xi0=ParamNoise("uniform", 0.3), chi=ParamNoise("two-point", 0.2)),
+    ], ids=["two-point+gaussian", "uniform+two-point"])
+    def test_two_kind_spec_matches_per_trajectory_loop(self, spec, monkeypatch):
+        grid = LatticeGrid(n_sites=20, spacing=0.1)
+        field = AngleField(theta_bar=-1.0, xi1_bar=0.5)
+        init = WaveState.gaussian(grid, width=0.3, p0=0.5)
+        monkeypatch.setattr(noise, "ENSEMBLE_BATCH", 4)  # three batches, one partial
+        ens = run_ensemble(field, spec, init, 7, n_traj=10, seed=2**33 + 5)
+
+        sum_prob = np.zeros(grid.n_sites)
+        blocks = np.zeros_like(ens.sum_blocks)
+        for k in range(10):
+            offsets = trajectory_offsets(spec, 0.1, rng_for_trajectory(2**33 + 5, k), 7)
+            s = init
+            for j in range(7):
+                s = trajectory_step(s, field, offsets[j], 0.1 * j)
+            sum_prob = sum_prob + s.probabilities()
+            blocks += DensityGrid.from_wave_state(s).blocks
+        np.testing.assert_array_equal(ens.sum_prob, sum_prob)
+        np.testing.assert_array_equal(ens.sum_blocks, blocks)
+
+
 class TestEnsembleDensity:
     def test_single_noiseless_trajectory_is_projector(self):
         grid = LatticeGrid(n_sites=24, spacing=0.1)
