@@ -66,7 +66,6 @@ from .walk import (
     AngleField,
     BatchedWalk,
     CoinAngles,
-    GhostGrid,
     LatticeGrid,
     WaveState,
     asymptotic_spread,

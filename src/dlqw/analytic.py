@@ -687,5 +687,10 @@ def spectral_moments(
         read[:, bad] = y[:, 0::4].T
         # trace = int r0, <x> = int i dr0/ds, <x^2> = -int d2r0/ds2
         series[i] = np.trapezoid(np.stack([read[0].real, -read[1].imag, -read[2].real]), p)
+    not_finite = ~np.isfinite(series)
+    if not_finite.any():
+        i, col = np.argwhere(not_finite)[0]
+        name = ("trace", "mean", "second moment")[col]
+        raise NumericalError(f"spectral moments: the {name} is not finite at t = {times[i]:.6g}")
     trace, mean_x, second = series.T.copy()
     return MomentSeries(times=times, mean_x=mean_x, second_moment=second, trace=trace)

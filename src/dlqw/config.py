@@ -214,9 +214,14 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append("fast = spectral requires m != 0; use fast = diagonal")
         if fast == "diagonal" and m != 0:
             errors.append("fast = diagonal requires m = 0")
+    init = values.get("init", "packet")
+    if init not in ("packet", "delta", "gaussian"):
+        errors.append(f"init must be one of packet/delta/gaussian, got {init!r}")
+    elif scenario == "kernel-lindblad" and init == "delta":
+        errors.append("kernel-lindblad has no delta start; use init = packet or gaussian")
     if scenario == "kernel-lindblad" and values.get("kernel_ell", 1.0) <= 0:
         errors.append("kernel_ell must be positive")
-    if values.get("kernel_channel", "") not in ("", "identity", "phase-flip", "coin-flip"):
+    if values.get("kernel_channel", "identity") not in ("identity", "phase-flip", "coin-flip"):
         errors.append(f"unknown kernel_channel {values.get('kernel_channel')!r}")
     if values.get("snapshot_spacing", "uniform") not in ("uniform", "log"):
         errors.append("snapshot_spacing must be 'uniform' or 'log'")

@@ -8,9 +8,11 @@ integer grid shift per component and the only discretization error comes from
 operator splitting.  The source is integrated with an explicit-implicit
 one-step scheme (parameter alpha, default 0.5) and composed symmetrically
 (half source, full advection, half source), giving second-order accuracy.
-In v variables the source matrix is real, so a source step followed by the
-advection is one real matmul into shifted rows of a ghost-padded buffer
-(:class:`dlqw.walk.GhostGrid`).
+In v variables the source propagator is a constant real 4x4 matrix, so on
+the position grid a source step is :func:`mix_components` and the advection
+is :func:`homogeneous_step`.  That grid (:func:`evolve` without kernels,
+:func:`strang_step`) is the reference for :func:`band_evolve` below, which
+steps every homogeneous run.
 
 The position-dependent noise generalization replaces the source's noise part
 with per-separation coefficients kappa(|x - x'|), handled by one propagator
@@ -42,7 +44,6 @@ from .noise import DensityGrid
 from .observables import AntiDiagonalFields, DiagonalFields, MomentSeries, moment_series
 from .walk import (
     ConfigurationError,
-    GhostGrid,
     LatticeGrid,
     SIGMA,
     WaveState,
@@ -158,8 +159,6 @@ def homogeneous_step(v: np.ndarray) -> np.ndarray:
 
     Each component shifts by one cell along both axes according to its
     characteristic speeds, a pure permutation with no dispersion error.
-    This is the reference for the advection that :class:`GhostGrid` fuses
-    with the source mix; the solver itself steps through that engine.
     """
     return roll_components(v, ADVECTION_SHIFTS)
 
@@ -227,10 +226,10 @@ def _strang_maps(half_source: StateMap, full_source: StateMap,
     return (lambda v: advect(half_source(v)), lambda v: advect(full_source(v)), half_source)
 
 
-def _ghost_maps(t_half: np.ndarray) -> tuple[StateMap, StateMap, StateMap]:
-    """The three maps of :func:`_strang_steps` on a :class:`GhostGrid`, one pass each."""
-    t_full = t_half @ t_half
-    return (lambda g: g.step(t_half), lambda g: g.step(t_full), lambda g: g.mix(t_half))
+def _mix_maps(t_half: np.ndarray, advect: StateMap) -> tuple[StateMap, StateMap, StateMap]:
+    """The maps of :func:`_strang_maps` for the constant half-source mix ``t_half``."""
+    return _strang_maps(partial(mix_components, t_half),
+                        partial(mix_components, t_half @ t_half), advect)
 
 
 def _strang_steps(v: State, n_steps: int, shifted_half: StateMap, shifted_full: StateMap,
@@ -253,7 +252,7 @@ def strang_step(v: np.ndarray, grid: LatticeGrid, params: GeneratorParams,
     """Half source, exact advection, half source over dt = dx; O(dt^2) accurate globally."""
     t_half = _source_propagator_v(0.5 * grid.spacing, params.m, params.gamma1, params.gamma2,
                                   alpha)
-    return np.array(_strang_steps(GhostGrid(v), 1, *_ghost_maps(t_half)).field)
+    return _strang_steps(v, 1, *_mix_maps(t_half, homogeneous_step))
 
 
 @dataclass(frozen=True)
@@ -495,14 +494,13 @@ def evolve(
     n_steps, marks = _step_marks(t_final, dt, snapshot_steps)
 
     if kernels is None:
-        # ghost-padded storage: each source step and its advection are one pass
-        maps = _ghost_maps(
-            _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha))
-        on_diagonal = np.arange(grid.n_sites)
-        state, diags = _march(GhostGrid(v_transform(init)), maps, n_steps, marks, dt,
-                              lambda g: g.field[:, on_diagonal, on_diagonal],
-                              lambda g: np.abs(g.field).max())
-        final = state.field
+        # the plain (4, n, n) field: mix the components, then roll each by its shift
+        maps = _mix_maps(
+            _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha),
+            homogeneous_step)
+        final, diags = _march(v_transform(init), maps, n_steps, marks, dt,
+                              partial(np.diagonal, axis1=1, axis2=2),
+                              lambda v: np.abs(v).max())
     else:
         # skewed storage: the source is one batched matmul, the diagonal is row 0
         half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
@@ -554,8 +552,7 @@ def band_evolve(
     phase = np.exp(-2j * np.pi / n * np.stack(
         [(s * modes[:, None] - sp * modes[None, :]) % n for s, sp in ADVECTION_SHIFTS]))
     t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
-    maps = _strang_maps(partial(mix_components, t_half), partial(mix_components, t_half @ t_half),
-                        partial(np.multiply, phase))
+    maps = _mix_maps(t_half, partial(np.multiply, phase))
     # the (real, imaginary) part of band[a, k, k'] sums into bin (a, (k - k') mod n, part)
     offsets = (modes[:, None] - modes[None, :]) % n
     bins = (2 * n * np.arange(4)[:, None, None] + 2 * offsets.ravel()[None, :, None]
@@ -567,9 +564,11 @@ def band_evolve(
         return n * np.fft.ifft(sums.view(complex).reshape(4, n), axis=1)
 
     def full_field(b: np.ndarray) -> PauliField:
-        padded = np.zeros((4, n, n), dtype=complex)
-        padded[:, modes[:, None], -modes[None, :] % n] = b
-        return v_inverse(n * n * np.fft.ifft2(padded), grid)
+        v = np.zeros((4, n, n), dtype=complex)
+        v[:, modes[:, None], -modes[None, :] % n] = b
+        v = np.fft.ifft2(v)
+        v *= n * n
+        return v_inverse(v, grid)
 
     band, diags = _march(band, maps, n_steps, marks, dt, diagonal,
                          lambda b: np.abs(diagonal(b)).max())
@@ -602,8 +601,7 @@ def diagonal_evolve(
     vmat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     t_r = _propagator_from_f(source_matrix(params), 0.5 * dt, alpha)[np.ix_([0, 3], [0, 3])]
     t_half = vmat.T @ t_r @ vmat
-    maps = _strang_maps(partial(mix_components, t_half), partial(mix_components, t_half @ t_half),
-                        partial(roll_components, shifts=((-1,), (1,))))
+    maps = _mix_maps(t_half, partial(roll_components, shifts=((-1,), (1,))))
 
     w = vmat.T @ np.stack([np.asarray(init_r0, float), np.asarray(init_r3, float)])
     diags = np.zeros((marks.size, 4, grid.n_sites))
@@ -634,10 +632,8 @@ def write_field_binary(path, field: PauliField, t: float) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Qdd", n, field.grid.spacing, t))
-        inter = np.empty((4, n, n, 2))
-        inter[..., 0] = field.r.real
-        inter[..., 1] = field.r.imag
-        fh.write(inter.astype("<f8").tobytes())
+        # a little-endian complex is its (re, im) f8 pair, so the field is written as it lies
+        fh.write(np.ascontiguousarray(field.r, dtype="<c16"))
 
 
 def read_field_binary(path) -> tuple[PauliField, float]:

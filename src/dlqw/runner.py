@@ -18,7 +18,7 @@ import numpy as np
 from . import analytic, noise, observables, pde
 from .config import ConfigError, ScenarioConfig, default_output_root
 from .walk import AngleField, ConfigurationError, LatticeGrid, WaveState, walk_step
-from .walk import asymptotic_spread, ghost_grid_bytes
+from .walk import asymptotic_spread
 
 
 @dataclass
@@ -360,7 +360,8 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
 
 def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
     grid = _pde_grid(cfg)
-    ell = cfg.kernel_ell
+    # as a numpy float, a huge ell squares to inf (a flat kernel), not an OverflowError
+    ell = np.float64(cfg.kernel_ell)
     channel = pde.KernelChannel(cfg.kernel_rate,
                                 lambda d: np.exp(-(d**2) / (2 * ell**2)))
     kernels = pde.KernelSet(**{cfg.kernel_channel.replace("-", "_"): channel})
@@ -381,7 +382,7 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
     pde.write_diagonal_csv(report.add_file("final_diag.csv"), res.diagonals[-1],
                            t=cfg.t_final)
     start, end = field0.r[0], res.final.r[0]
-    k = max(1, int(round(2 * ell / grid.spacing)))
+    k = max(1, int(round(min(2 * ell / grid.spacing, grid.n_sites))))
     with np.errstate(invalid="ignore", divide="ignore"):
         off = np.abs(np.diagonal(end, offset=k)) / np.abs(np.diagonal(start, offset=k))
         diag = np.abs(np.diagonal(end)) / np.abs(np.diagonal(start))
@@ -404,7 +405,7 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
 def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> None:
     grid = _pde_grid(cfg)
     x = grid.positions
-    width = cfg.init_width or 0.35
+    width = np.float64(cfg.init_width or 0.35)  # as in WaveState.gaussian
     prof = np.exp(-(x**2) / (2 * width**2))
     prof /= prof.sum() * grid.spacing
     params = pde.GeneratorParams(m=0.0, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
@@ -582,11 +583,11 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
     (name, bytes), its cell-steps and its spectral points.
 
     A cell is one lattice site of one walk (or trajectory), or one (x, x')
-    pair of a field; each step advances every cell once.  A homogeneous
-    Strang grid (``lindblad`` with ``fast = full``, the ``compare``
-    reference) is estimated as the position grid, with the two ghost-padded
-    buffers of its engine, though :func:`pde.band_evolve` steps it in a band
-    of Fourier modes and needs far less.  Only ``lindblad`` reads ``fast``.
+    pair of a field; each step advances every cell once.  Every Strang grid
+    is estimated as its (x, x') field, though a homogeneous one (``lindblad``
+    with ``fast = full``, the ``compare`` reference) steps in a band of
+    Fourier modes (:func:`pde.band_evolve`) and builds that field only for
+    the binary dump.  Only ``lindblad`` reads ``fast``.
     """
     s = cfg.scenario
     if s == "walk":
@@ -614,14 +615,11 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
         return [], [], n * max(cfg.n_snapshots, 3), 0
     if s in ("telegraph", "fourier") or (s == "lindblad" and cfg.fast == "diagonal"):
         return [], [], n * n_steps, 0
-    if s == "kernel-lindblad":
-        return [n], [], n * n * n_steps, 0
-    engine = [("the grid engine's buffers", ghost_grid_bytes(n))]
     if s == "compare":
         sizes = [int(round(2 * cfg.half_width / eps)) for eps in cfg.eps_list]
         work = sum(m * m * _steps(cfg.t_final, eps) for m, eps in zip(sizes, cfg.eps_list))
-        return [n] + sizes, engine, n * n * n_steps + work, 0
-    return [n], engine, n * n * n_steps, 0
+        return [n] + sizes, [], n * n * n_steps + work, 0
+    return [n], [], n * n * n_steps, 0
 
 
 def _count(value: int) -> float:

@@ -9,7 +9,7 @@ from dlqw.cli import main
 from dlqw.config import ConfigError, list_presets, load_config, parse_config
 from dlqw.pde import GeneratorParams, diagonal_evolve, pauli_from_wave_state
 from dlqw.runner import check_resources, emit_plot_script, run, verify_report
-from dlqw.walk import ConfigurationError, GhostGrid
+from dlqw.walk import ConfigurationError
 
 MINI_TRAJ = """
 scenario = trajectories
@@ -38,6 +38,9 @@ half_width = 40
 t_final = 400
 snapshot_spacing = log
 """
+
+KERNEL = ("scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\ndx = 0.1\n"
+          "half_width = 2\nt_final = 0.5\n")
 
 SPECTRAL_PRESETS = [name for name in list_presets()
                     if load_config(f"preset:{name}").fast == "spectral"]
@@ -357,13 +360,33 @@ class TestMain:
          "kernel_ell must be positive"),
         ("scenario = compare\neps_list = 0.1, 0\nt_final = 1\nhalf_width = 5\ndx = 0.025\n",
          "eps_list values must be positive"),
-    ], ids=["m-nan", "t_final-inf", "kernel_ell-zero", "eps_list-zero"])
+        ("scenario = channel\neps = 0.25\nt_final = 0.5\nhalf_width = 4\ninit = abc\n",
+         "init must be one of packet/delta/gaussian, got 'abc'"),
+        (KERNEL + "kernel_ell = 0.2\ninit = delta\n", "kernel-lindblad has no delta start"),
+        (KERNEL.replace("identity", "") + "kernel_ell = 0.2\n", "unknown kernel_channel ''"),
+    ], ids=["m-nan", "t_final-inf", "kernel_ell-zero", "eps_list-zero", "init-unknown",
+            "init-kernel-delta", "kernel_channel-empty"])
     def test_bad_value_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("text", [
+        KERNEL + "kernel_ell = 1e300\ninit = gaussian\n",
+        KERNEL + "kernel_ell = 1e12\ninit = gaussian\n",
+        KERNEL + "kernel_ell = 0.2\ninit = gaussian\ninit_width = 1e300\n",
+        "scenario = telegraph\ngamma2 = 0.5\ndx = 0.1\nhalf_width = 4\nt_final = 0.5\n"
+        "init_width = 1e300\n",
+    ], ids=["kernel_ell", "kernel_ell-offset", "init_width", "telegraph-init_width"])
+    def test_huge_length_exits_with_a_code(self, tmp_path, text):
+        # a length that squares past the float range gives a flat kernel or start
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "r")]) in (0, 1)
 
     @pytest.mark.parametrize("text, message", [
         ("scenario = lindblad\nfast = full\ndx = 0.001\nhalf_width = 400\nt_final = 1\n",
@@ -446,6 +469,26 @@ class TestMain:
         assert rc == 1
         assert "error: numerical failure: quadrature did not converge" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t_final, rc_want", [("1e20", 0), ("1e300", 1)])
+    def test_non_finite_spectral_moments_fail_the_run(self, tmp_path, capsys, t_final,
+                                                      rc_want):
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text("scenario = lindblad\nfast = spectral\nm = 1\np0 = 1\n"
+                            "sigma = 0.5\ngamma2 = 0.5\ndx = 0.1\nhalf_width = 10\n"
+                            f"n_snapshots = 6\nt_final = {t_final}\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == rc_want
+        if rc_want:
+            # the snapshots are at 0, 2e299, ..., 1e300
+            assert ("error: numerical failure: spectral moments: the second moment is not "
+                    "finite at t = 2e+299") in err
+        else:
+            moments = np.loadtxt(tmp_path / "r" / "moments.csv", delimiter=",", skiprows=1)
+            # mean_x, second_moment and trace; eta is nan without enough snapshots
+            assert np.isfinite(moments[:, [1, 2, 4]]).all()
+
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "seed.cfg"
         cfg_path.write_text(MINI_TRAJ.replace("seed = 11", "seed = -1"))
@@ -478,16 +521,11 @@ class TestMain:
     def _full_grid(n: int) -> str:
         return f"scenario = lindblad\nfast = full\ndx = 1\nhalf_width = {n / 2}\nt_final = 1\n"
 
-    def test_grid_engine_estimate_is_its_buffer(self):
-        _, buffers, _, _ = runner._demands(parse_config(self._full_grid(7)))
-        engine = GhostGrid(np.zeros((4, 7, 7), dtype=complex))
-        assert buffers == [("the grid engine's buffers", engine.nbytes)]
-
     def test_largest_full_grid(self, tmp_path, capsys):
-        # 2893 sites is the largest grid whose engine fits in 1 GiB
-        check_resources(parse_config(self._full_grid(2893)))
+        # 4096 sites is the largest (x, x') field within 1 GiB
+        check_resources(parse_config(self._full_grid(4096)))
         cfg_path = tmp_path / "big.cfg"
-        cfg_path.write_text(self._full_grid(2894))
+        cfg_path.write_text(self._full_grid(4097))
         tracemalloc.start()
         try:
             rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
@@ -496,7 +534,7 @@ class TestMain:
             tracemalloc.stop()
         err = capsys.readouterr().err
         assert rc == 2
-        assert ("the grid engine's buffers need 1073975968 B, above the limit of "
+        assert ("a 4097-site (x, x') field needs 1074266176 B, above the limit of "
                 "1073741824 B") in err
         assert peak < 2**20
         assert not (tmp_path / "r").exists()

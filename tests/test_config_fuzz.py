@@ -31,6 +31,9 @@ TINY = {
                  "t_final = 0.5\n",
     "fourier": "scenario = fourier\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 4\nt_final = 0.5\n",
     "dirac-free": "scenario = dirac-free\nm = 0.5\ndx = 0.1\nhalf_width = 4\nt_final = 0.5\n",
+    "kernel-lindblad": "scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
+                       "kernel_ell = 0.2\ndx = 0.1\nhalf_width = 2\nt_final = 0.5\n"
+                       "init = gaussian\ninit_width = 0.2\n",
 }
 
 ADVERSARIAL = ["-1", "0", "-0.5", "1e300", "1000000000000", "nan", "inf", "2.5", "",

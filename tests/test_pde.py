@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dlqw import analytic, runner
 from dlqw.config import load_config, parse_config
 from dlqw.noise import DensityGrid
 from dlqw.pde import (
+    ADVECTION_SHIFTS,
     GeneratorParams,
     KernelChannel,
     KernelSet,
@@ -17,7 +19,9 @@ from dlqw.pde import (
     PauliField,
     U_CHAR,
     U_CHAR_INV,
+    _mix_maps,
     _propagator_from_f,
+    _strang_steps,
     band_evolve,
     density_from_pauli,
     diagonal_evolve,
@@ -37,7 +41,13 @@ from dlqw.pde import (
     v_transform,
     write_field_binary,
 )
-from dlqw.walk import ConfigurationError, LatticeGrid, WaveState
+from dlqw.walk import (
+    ConfigurationError,
+    LatticeGrid,
+    WaveState,
+    mix_components,
+    roll_components,
+)
 
 
 def make_grid(n=32, dx=0.1):
@@ -220,9 +230,22 @@ class TestStrangStep:
         want = source_step(homogeneous_step(source_step(v, half, params)), half, params)
         np.testing.assert_array_equal(strang_step(v, grid, params), want)
 
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_step_is_roll_after_mix(self, n, steps):
+        # the maps of every constant-mix Strang run on the plain (4, n, n) field
+        rng = np.random.default_rng(10 * n + steps)
+        v = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+        t_half = rng.normal(size=(4, 4))
+        want = roll_components(mix_components(t_half, v), ADVECTION_SHIFTS)
+        for _ in range(steps - 1):
+            want = roll_components(mix_components(t_half @ t_half, want), ADVECTION_SHIFTS)
+        got = _strang_steps(v, steps, *_mix_maps(t_half, homogeneous_step))
+        np.testing.assert_array_equal(got, mix_components(t_half, want))
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_source_propagator_is_real_in_v_variables(self, alpha):
-        # so the grid engine's real matmul on the float view drops nothing
+        # so the ``.real`` of the v-variable source propagator drops nothing
         for m, g1, g2, dt in itertools.product([0.0, 0.8, 3.0], [0.0, 0.3], [0.0, 0.5, 2.0],
                                                [0.01, 0.05, 0.5]):
             t_r = _propagator_from_f(source_matrix(GeneratorParams(m, g1, g2)), dt, alpha)
@@ -607,6 +630,20 @@ class TestBandEvolve:
         assert t == cfg.t_final
         np.testing.assert_allclose(dumped.r, ref.final.r, rtol=0,
                                    atol=1e-12 * np.abs(ref.final.r).max())
+
+    def test_binary_dump_peak_memory(self, tmp_path):
+        # the full field is built by one inverse FFT and written as it lies
+        cfg = parse_config("scenario = lindblad\nfast = full\nm = 0.5\ngamma2 = 0.5\n"
+                           "dx = 0.05\nhalf_width = 12.8\nt_final = 0.5\n"
+                           "formats = csv,binary\n")
+        assert runner._pde_grid(cfg).n_sites == 512
+        tracemalloc.start()
+        try:
+            runner.run(cfg, str(tmp_path / "r"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * runner.field_bytes(512)
 
     def test_final_field_built_only_when_read(self):
         cfg = parse_config(FULL_GRID)

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlqw.pde import ADVECTION_SHIFTS
 from dlqw.walk import (
     AngleField,
     BatchedWalk,
     CoinAngles,
     ConfigurationError,
     DomainError,
-    GhostGrid,
     LatticeGrid,
     WaveState,
     asymptotic_spread,
@@ -139,35 +137,6 @@ class TestBatchedWalk:
             rolled = np.stack([roll_components(a, ((-1,), (1,))) for a in want])
             want = np.einsum("txab,tbx->tax", np.broadcast_to(coins, (2, 6, 2, 2)), rolled)
         np.testing.assert_allclose(walk.amplitudes, want, rtol=0, atol=1e-15)
-
-
-class TestGhostGrid:
-    @pytest.mark.parametrize("n", [4, 5, 7, 8])
-    @pytest.mark.parametrize("steps", [1, 2, 3])
-    def test_step_is_roll_after_mix(self, n, steps):
-        rng = np.random.default_rng(10 * n + steps)
-        v = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
-        grid = GhostGrid(v)
-        want = v
-        for _ in range(steps):
-            m = rng.normal(size=(4, 4))
-            grid.step(m)
-            want = roll_components(mix_components(m, want), ADVECTION_SHIFTS)
-            np.testing.assert_array_equal(grid.field, want)
-        m = rng.normal(size=(4, 4))
-        grid.mix(m)
-        np.testing.assert_array_equal(grid.field, mix_components(m, want))
-
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_ghost_ring_is_the_periodic_copy(self, n):
-        # the passes alternate the two buffers, so each buffer's ring is
-        # checked after a step and after a mix
-        rng = np.random.default_rng(n)
-        grid = GhostGrid(rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n)))
-        for op in ("step", "mix", "step", "step", "mix"):
-            getattr(grid, op)(rng.normal(size=(4, 4)))
-            wrapped = np.pad(grid.field, ((0, 0), (1, 1), (1, 1)), mode="wrap")
-            np.testing.assert_array_equal(grid.padded, wrapped)
 
 
 class TestMixAndShift:
