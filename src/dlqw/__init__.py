@@ -4,6 +4,7 @@ Modules:
   walk        unitary walk, coin algebra, lattice/state types
   noise       flip channels and random coin unitaries
   pde         Strang-split continuum solver in Pauli components
+  momentum    the band of (k, k') Fourier modes that pde and noise step in
   analytic    closed-form oracles and momentum-space propagation
   observables moments, exponents, regime times, diffusion fits
   config/runner/cli  scenario files, execution, reports
@@ -28,6 +29,7 @@ from .noise import (
     DensityGrid,
     NoiseSpec,
     ParamNoise,
+    channel_run,
     channel_step,
     ensemble_density,
     run_ensemble,

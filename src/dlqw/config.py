@@ -229,6 +229,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("t_final must be >= 0")
     elif scenario == "dirac-free" and values.get("t_final") == 0:
         errors.append("dirac-free needs t_final > 0 to measure a velocity")
+    elif scenario == "kernel-lindblad" and values.get("t_final") == 0:
+        errors.append("kernel-lindblad needs t_final > 0 for its coherence to decay")
     elif values.get("t_final", 0.0) == 0 and values.get("snapshot_spacing") == "log":
         errors.append("snapshot_spacing = log requires t_final > 0")
     if values.get("n_snapshots", 2) < 2:

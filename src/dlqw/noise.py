@@ -11,6 +11,11 @@ Two noise models act on the walk of :mod:`dlqw.walk`:
   coin angles, scaled by sqrt(eps), and applies the resulting unitary; the
   ensemble average over trajectories estimates the Kraus integral.
 
+A run of the channel model with a constant coin from a pure start steps in a
+band of (k, k') Fourier modes (:func:`band_channel`), where each step is a
+4x4 mix and a phase per mode; :func:`channel_run` picks that path or the
+position-space :func:`channel_step`.
+
 With matched rates (pi-rate == delta**2 per channel) the two models share one
 continuum limit, which is what the cross-model tests exercise.
 """
@@ -20,9 +25,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
+from .momentum import ModeBand
 from .walk import (
     AngleField,
     BatchedWalk,
@@ -476,6 +483,91 @@ def channel_step(
         flips = p1 * _PHASE_FLIP + p2 * _COIN_FLIP
         out += mix_components(flips, rho.blocks.reshape(4, -1)).reshape(out.shape)
     return DensityGrid(out, rho.grid)
+
+
+@dataclass
+class ChannelRun:
+    """The site diagonals of a flip-channel run at its marks, and its end.
+
+    ``r0`` and ``r3`` stack, over the marks, R^0 = p/a (site probability over
+    the spacing a) and R^3 = (b00 - b11)/a, each of shape (marks, n).
+    ``edge_mass`` is p on the two end sites at the last mark, and
+    ``build_final`` returns the blocks there.
+    """
+
+    r0: np.ndarray
+    r3: np.ndarray
+    edge_mass: float
+    build_final: Callable[[], DensityGrid]
+
+
+def channel_run(state: WaveState, field: AngleField, rates: ChannelRates,
+                marks) -> ChannelRun:
+    """The flip channel from the pure start |state><state| to the last of the
+    sorted step ``marks``, with the diagonals at each mark.
+
+    A constant coin steps in the band of modes the start occupies
+    (:func:`band_channel`) unless that band fills the axis, as for a delta
+    start or a start that does not vanish smoothly at the periodic edge;
+    then, and for per-site coins, the (2, 2, n, n) blocks step by
+    :func:`channel_step`.  Either way the rates are checked before any step.
+    """
+    grid = state.grid
+    a = grid.spacing
+    rates.step_probabilities(a)
+    if field.is_constant:
+        band = ModeBand(np.fft.fft(state.amplitudes, axis=1) / grid.n_sites)
+        if not band.fills_axis:
+            return band_channel(grid, band, field, rates, marks)
+    rho = DensityGrid.from_wave_state(state)
+    r0, r3 = [], []
+    done = 0
+    for stop in marks:
+        for step in range(done, stop):
+            rho = channel_step(rho, field, rates, t=step * a)
+        done = stop
+        b = rho.blocks
+        r0.append(rho.site_probabilities() / a)
+        r3.append((np.diagonal(b[0, 0]) - np.diagonal(b[1, 1])).real / a)
+    return ChannelRun(np.array(r0), np.array(r3), rho.edge_mass(), lambda: rho)
+
+
+def band_channel(grid: LatticeGrid, band: ModeBand, field: AngleField, rates: ChannelRates,
+                 marks) -> ChannelRun:
+    """:func:`channel_step` with the constant coin C of ``field``, mode by mode.
+
+    ``band`` holds the start's coefficients c(k) on its kept modes, and the
+    blocks start as rho_uv(k, k') = c_u(k) c_v*(k').  In (k, k') space the
+    shift of the blocks by :data:`BLOCK_SHIFTS` is a phase table D, so a step
+    is (1 - p1 - p2) kron(C, conj C) (D * rho) + (p1 s3 x s3 + p2 s1 x s1) rho
+    for each mode, and no two modes mix.  Each mark's diagonal is one n-point
+    inverse FFT; the (2, 2, n, n) blocks are built, by one zero-padded
+    inverse 2-D FFT, on each call of ``build_final`` only.
+    """
+    a, n = grid.spacing, grid.n_sites
+    p1, p2 = rates.step_probabilities(a)
+    coin = coin_matrices(*(a * np.array(field.rates, dtype=float)))
+    walk_mix = (1.0 - p1 - p2) * np.kron(coin, coin.conj())
+    shift = band.phases(BLOCK_SHIFTS)
+    flips = p1 * _PHASE_FLIP + p2 * _COIN_FLIP
+    c = band.coefficients
+    k = c.shape[1]
+    rho = np.einsum("uk,vl->uvkl", c, c.conj()).reshape(4, k, k)
+    r0, r3 = [], []
+    done = 0
+    for stop in marks:
+        for _ in range(done, stop):
+            out = mix_components(walk_mix, shift * rho)
+            if p1 or p2:
+                out += mix_components(flips, rho)
+            rho = out
+        done = stop
+        d = band.diagonal(rho).real
+        p = d[0] + d[3]
+        r0.append(p / a)
+        r3.append((d[0] - d[3]) / a)
+    return ChannelRun(np.array(r0), np.array(r3), float(p[0] + p[-1]),
+                      lambda: DensityGrid(band.field(rho).reshape(2, 2, n, n), grid))
 
 
 def two_point_channel_step(

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
+from .momentum import ModeBand
 from .noise import DensityGrid
 from .observables import AntiDiagonalFields, DiagonalFields, MomentSeries, moment_series
 from .walk import (
@@ -511,12 +512,6 @@ def evolve(
     return _evolve_result(grid, marks, diags, partial(v_inverse, final, grid))
 
 
-# A momentum mode enters the band of :func:`band_evolve` when its amplitude
-# |psi(p)| exceeds this fraction of the largest; below it, sampled packets
-# are round-off.
-BAND_CUT = 1e-14
-
-
 def band_evolve(
     packet: "GridPacket",
     params: GeneratorParams,
@@ -530,49 +525,29 @@ def band_evolve(
     per component, so in (p, p') Fourier space it multiplies each mode's four
     components by the mix and then by a phase, and no two modes mix.  The
     start rho(p, p') = psi(p) psi*(p') vanishes to round-off outside the box
-    of modes above :data:`BAND_CUT` on each axis, and the steps keep it
-    there, so only that box is stepped.  The steps, the blow-up checks (on
-    the diagonal) and the snapshots fall as in :func:`evolve`; each snapshot
-    diagonal sums the modes of each offset p - p' and takes one n-point
-    inverse FFT.  The full field is built, by one zero-padded inverse 2-D
-    FFT, only when :attr:`EvolveResult.final` is read.
+    of modes above :data:`dlqw.momentum.BAND_CUT` on each axis, and the
+    steps keep it there, so only that box (a :class:`ModeBand`) is stepped.
+    The steps, the blow-up checks (on the diagonal) and the snapshots fall as
+    in :func:`evolve`; each snapshot diagonal sums the modes of each offset
+    p - p' and takes one n-point inverse FFT.  The full field is built, by
+    one zero-padded inverse 2-D FFT, only when :attr:`EvolveResult.final` is
+    read.
     """
     grid = packet.grid
     n, dt = grid.n_sites, grid.spacing
     n_steps, marks = _step_marks(t_final, dt, snapshot_steps)
 
     # psi(x) = sum_k c[:, k] e^{2 pi i k x / n}, the normalized packet state
-    c = packet.amplitudes / (np.sqrt(n) * np.linalg.norm(packet.amplitudes))
-    weight = np.linalg.norm(c, axis=0)
-    modes = np.flatnonzero(weight > BAND_CUT * weight.max())
-    c = c[:, modes]
+    modes = ModeBand(packet.amplitudes / (np.sqrt(n) * np.linalg.norm(packet.amplitudes)))
+    c = modes.coefficients
     # v(x, x') = sum band[:, k, k'] e^{2 pi i (k x - k' x') / n} over the kept modes
     band = mix_components(U_CHAR, np.einsum("mvu,uk,vl->mkl", SIGMA, c, c.conj()) / dt)
-    # a shift by (s, s') multiplies mode (k, k') by e^{-2 pi i (s k - s' k') / n}
-    phase = np.exp(-2j * np.pi / n * np.stack(
-        [(s * modes[:, None] - sp * modes[None, :]) % n for s, sp in ADVECTION_SHIFTS]))
     t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
-    maps = _mix_maps(t_half, partial(np.multiply, phase))
-    # the (real, imaginary) part of band[a, k, k'] sums into bin (a, (k - k') mod n, part)
-    offsets = (modes[:, None] - modes[None, :]) % n
-    bins = (2 * n * np.arange(4)[:, None, None] + 2 * offsets.ravel()[None, :, None]
-            + np.arange(2)).ravel()
-
-    def diagonal(b: np.ndarray) -> np.ndarray:
-        """v(x, x) from the sum of the modes of each offset k - k'."""
-        sums = np.bincount(bins, b.view(np.float64).ravel(), minlength=8 * n)
-        return n * np.fft.ifft(sums.view(complex).reshape(4, n), axis=1)
-
-    def full_field(b: np.ndarray) -> PauliField:
-        v = np.zeros((4, n, n), dtype=complex)
-        v[:, modes[:, None], -modes[None, :] % n] = b
-        v = np.fft.ifft2(v)
-        v *= n * n
-        return v_inverse(v, grid)
-
-    band, diags = _march(band, maps, n_steps, marks, dt, diagonal,
-                         lambda b: np.abs(diagonal(b)).max())
-    return _evolve_result(grid, marks, diags, partial(full_field, band))
+    maps = _mix_maps(t_half, partial(np.multiply, modes.phases(ADVECTION_SHIFTS)))
+    band, diags = _march(band, maps, n_steps, marks, dt, modes.diagonal,
+                         lambda b: np.abs(modes.diagonal(b)).max())
+    return _evolve_result(grid, marks, diags,
+                          lambda: v_inverse(modes.field(band), grid))
 
 
 def diagonal_evolve(

@@ -192,49 +192,30 @@ def run_walk(cfg: ScenarioConfig, report: RunReport) -> None:
     report.checks.append(Check("edge_mass", state.edge_mass(), 0.0, 1e-12, "le"))
 
 
-def _channel_run(rho: noise.DensityGrid, field_: AngleField, rates: noise.ChannelRates,
-                 marks: list[int]) -> tuple[noise.DensityGrid, np.ndarray, np.ndarray]:
-    """Step the flip channel to the last of the sorted step ``marks``.
-
-    Returns the final state and, stacked over the marks, the diagonals
-    R^0 = p/a (site probability over spacing) and R^3 = (b00 - b11)/a.
-    """
-    grid = rho.grid
-    r0, r3 = [], []
-    done = 0
-    for stop in marks:
-        for step in range(done, stop):
-            rho = noise.channel_step(rho, field_, rates, t=step * grid.spacing)
-        done = stop
-        b = rho.blocks
-        r0.append(rho.site_probabilities() / grid.spacing)
-        r3.append((np.diagonal(b[0, 0]) - np.diagonal(b[1, 1])).real / grid.spacing)
-    return rho, np.array(r0), np.array(r3)
-
-
 def run_channel(cfg: ScenarioConfig, report: RunReport) -> None:
     grid = _lattice_grid(cfg)
-    rho = noise.DensityGrid.from_wave_state(_lattice_init(cfg, grid))
     rates = noise.ChannelRates(cfg.pi1_rate, cfg.pi2_rate)
     n_steps = int(round(cfg.t_final / cfg.eps))
     marks = _snapshot_steps(cfg, n_steps)
-    rho, r0, r3 = _channel_run(rho, AngleField.massive(cfg.m), rates, marks)
+    result = noise.channel_run(_lattice_init(cfg, grid), AngleField.massive(cfg.m), rates, marks)
+    # the band path builds the final blocks here, and they go once the defect is read
+    hermiticity = result.build_final().hermiticity_defect()
 
     series = observables.moment_series(cfg.eps * np.array(marks), grid.positions,
-                                       grid.spacing, r0, r3)
+                                       grid.spacing, result.r0, result.r3)
     _write_moments_csv(report.add_file("moments.csv"), series)
-    _write_density_csv(report.add_file("density.csv"), grid.positions, r0[-1])
+    _write_density_csv(report.add_file("density.csv"), grid.positions, result.r0[-1])
     report.metrics.update(
         trace_drift=series.max_trace_drift(),
-        hermiticity=rho.hermiticity_defect(),
-        edge_mass=rho.edge_mass(),
+        hermiticity=hermiticity,
+        edge_mass=result.edge_mass,
         n_steps=n_steps,
     )
     report.checks.append(Check("trace", series.max_trace_drift(), 0.0, cfg.tol_trace, "le"))
-    report.checks.append(Check("hermiticity", rho.hermiticity_defect(), 0.0, 1e-10, "le"))
+    report.checks.append(Check("hermiticity", hermiticity, 0.0, 1e-10, "le"))
     # positive-energy packets carry exponential tails on the Compton scale,
     # so the edge gate for packet starts is looser than for delta starts
-    report.checks.append(Check("edge_mass", rho.edge_mass(), 0.0, cfg.tol_edge, "le"))
+    report.checks.append(Check("edge_mass", result.edge_mass, 0.0, cfg.tol_edge, "le"))
 
 
 def run_trajectories(cfg: ScenarioConfig, report: RunReport) -> None:
@@ -491,9 +472,7 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> None:
         grid = LatticeGrid(n_sites=n, spacing=eps)
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
         n_steps = int(round(cfg.t_final / eps))
-        _, r0, _ = _channel_run(noise.DensityGrid.from_wave_state(state), field_, rates,
-                                [n_steps])
-        dens = r0[-1]
+        dens = noise.channel_run(state, field_, rates, [n_steps]).r0[-1]
         interp_ref = np.interp(grid.positions, ref_x, ref_density)
         l1 = observables.l1_density_distance(dens, interp_ref, eps)
         rows.append((eps, n_steps, l1))
@@ -587,7 +566,10 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
     is estimated as its (x, x') field, though a homogeneous one (``lindblad``
     with ``fast = full``, the ``compare`` reference) steps in a band of
     Fourier modes (:func:`pde.band_evolve`) and builds that field only for
-    the binary dump.  Only ``lindblad`` reads ``fast``.
+    the binary dump.  So is every flip channel, though one with a band that
+    leaves modes out (:func:`noise.band_channel`) builds its (x, x') blocks
+    once, at the end, for the hermiticity gate.  Only ``lindblad`` reads
+    ``fast``.
     """
     s = cfg.scenario
     if s == "walk":

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,6 +461,29 @@ class TestMain:
         assert rc == 2
         assert "dirac-free needs t_final > 0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_kernel_lindblad_without_time_exit_two(self, tmp_path, capsys):
+        # with nothing to decay, the coherence gate would grade round-off
+        cfg_path = tmp_path / "kernel.cfg"
+        cfg_path.write_text("scenario = kernel-lindblad\nkernel_channel = identity\n"
+                            "kernel_rate = 1\nkernel_ell = 0.2\ndx = 0.05\nhalf_width = 2\n"
+                            "t_final = 0\ninit = gaussian\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "kernel-lindblad needs t_final > 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m dlqw from a source checkout, with only src/ on the path
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dlqw", "run", "preset:acceptance-walk",
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "result: PASS" in proc.stdout
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_numerical_failure_exit_one(self, tmp_path, capsys):

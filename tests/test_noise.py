@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from dlqw import noise
+from dlqw import noise, runner
+from dlqw.analytic import build_packet
+from dlqw.config import load_config
+from dlqw.momentum import ModeBand
 from dlqw.noise import (
     ChannelRates,
     DensityGrid,
     NoiseSpec,
     ParamNoise,
+    channel_run,
     channel_step,
     ensemble_density,
     rng_for_trajectory,
@@ -147,6 +151,101 @@ class TestChannelStep:
             p = rho.site_probabilities()
             assert np.all(np.abs(p[: c - k]) < 1e-15)
             assert np.all(np.abs(p[c + k + 1 :]) < 1e-15)
+
+
+def channel_reference(state, field, rates, marks):
+    """Repeated :func:`channel_step` from |state><state|: R0 and R3 at each mark, final blocks."""
+    a = state.grid.spacing
+    rho = DensityGrid.from_wave_state(state)
+    r0, r3 = [], []
+    done = 0
+    for stop in marks:
+        for step in range(done, stop):
+            rho = channel_step(rho, field, rates, t=step * a)
+        done = stop
+        r0.append(rho.site_probabilities() / a)
+        r3.append((np.diagonal(rho.blocks[0, 0]) - np.diagonal(rho.blocks[1, 1])).real / a)
+    return np.array(r0), np.array(r3), rho
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Counts the calls of :func:`channel_step` that :func:`channel_run` makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return channel_step(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "channel_step", counted)
+    return calls
+
+
+BAND_GRID = LatticeGrid(n_sites=200, spacing=0.1)
+GENERIC_COIN = AngleField(theta_bar=-0.9, xi0_bar=0.3, xi1_bar=0.2, chi_bar=-0.4)
+# (start, coin, rates, marks) of runs whose start leaves modes out of the band
+BAND_RUNS = {
+    "packet": (build_packet(1.0, 0.5, 0.5, BAND_GRID).state(0.0), AngleField.massive(0.5),
+               ChannelRates(0.1, 0.25), list(range(0, 101, 20))),
+    "narrow-gaussian": (WaveState.gaussian(BAND_GRID, width=0.4, p0=1.0), GENERIC_COIN,
+                        ChannelRates(0.7, 1.1), [0, 3, 10, 40]),
+    "no-flips": (WaveState.gaussian(BAND_GRID, width=0.4, p0=1.0), AngleField.massive(0.5),
+                 ChannelRates(), [0, 5, 30]),
+}
+
+
+class TestBandChannel:
+    @pytest.mark.parametrize("name", list(BAND_RUNS))
+    def test_matches_channel_step(self, name, step_calls):
+        state, field, rates, marks = BAND_RUNS[name]
+        got = channel_run(state, field, rates, marks)
+        assert step_calls == []  # the band path
+        r0, r3, rho = channel_reference(state, field, rates, marks)
+        # each array to 1e-13 of its own largest entry
+        for have, want in ((got.r0, r0), (got.r3, r3), (got.build_final().blocks, rho.blocks)):
+            assert have.shape == want.shape
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        assert got.edge_mass == pytest.approx(rho.edge_mass(), abs=1e-15)
+
+    @pytest.mark.parametrize("name", list(BAND_RUNS))
+    def test_final_field_is_hermitian(self, name):
+        state, field, rates, marks = BAND_RUNS[name]
+        final = channel_run(state, field, rates, marks).build_final()
+        assert final.hermiticity_defect() <= 1e-14
+        assert final.trace() == pytest.approx(1.0, abs=1e-12)
+
+    def test_delta_start_takes_the_position_path(self, step_calls):
+        grid = LatticeGrid(n_sites=40, spacing=0.1)
+        state = WaveState.delta(grid)
+        rates = ChannelRates(0.3, 0.2)
+        got = channel_run(state, AngleField.massive(0.5), rates, [0, 4, 9])
+        assert len(step_calls) == 9
+        r0, r3, rho = channel_reference(state, AngleField.massive(0.5), rates, [0, 4, 9])
+        np.testing.assert_array_equal(got.r0, r0)
+        np.testing.assert_array_equal(got.r3, r3)
+        np.testing.assert_array_equal(got.build_final().blocks, rho.blocks)
+
+    def test_wrapped_gaussian_start_takes_the_position_path(self, step_calls):
+        # the acceptance-equivalence-channel start: its periodic wrap has a kink
+        cfg = load_config("preset:acceptance-equivalence-channel")
+        grid = runner._lattice_grid(cfg)
+        state = runner._lattice_init(cfg, grid)
+        assert ModeBand(np.fft.fft(state.amplitudes, axis=1)).fills_axis
+        channel_run(state, AngleField.massive(cfg.m),
+                    ChannelRates(cfg.pi1_rate, cfg.pi2_rate), [0, 1])
+        assert len(step_calls) == 1
+
+    def test_site_coin_takes_the_position_path(self, step_calls):
+        state, _, rates, _ = BAND_RUNS["packet"]
+        field = AngleField(theta_bar=lambda t, x: -0.5 + 0.1 * np.sin(x))
+        channel_run(state, field, rates, [0, 2])
+        assert len(step_calls) == 2
+
+    @pytest.mark.parametrize("path", ["band", "position"])
+    def test_rates_checked_before_any_step(self, path):
+        state = BAND_RUNS["packet"][0] if path == "band" else WaveState.delta(BAND_GRID)
+        with pytest.raises(ConfigurationError, match="reduce eps or the rates"):
+            channel_run(state, AngleField.massive(0.5), ChannelRates(6.0, 5.0), [0])
 
 
 class TestSampleCoinOffsets:
