@@ -26,9 +26,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     eps_list = parse_eps_list(args.eps)
-    if cfg.scenario not in ("channel", "trajectories", "sweep"):
+    if cfg.scenario not in ("channel", "sweep"):
         raise ConfigurationError(
-            f"sweep applies to lattice scenarios, not {cfg.scenario!r}"
+            f"sweep repeats the flip channel over eps; it cannot run {cfg.scenario!r}"
         )
     cfg = replace(cfg, scenario="sweep", eps_list=eps_list)
     report = run(cfg, args.out)

@@ -14,7 +14,8 @@ Two noise models act on the walk of :mod:`dlqw.walk`:
 A run of the channel model with a constant coin from a pure start steps in a
 band of (k, k') Fourier modes (:func:`band_channel`), where each step is a
 4x4 mix and a phase per mode; :func:`channel_run` picks that path or the
-position-space :func:`channel_step`.
+position-space :func:`channel_step`, and steps either through
+:func:`dlqw.walk.march`, the loop of the continuum engines too.
 
 With matched rates (pi-rate == delta**2 per channel) the two models share one
 continuum limit, which is what the cross-model tests exercise.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .walk import (
     step_coins,
     step_state,
 )
+from .walk import EvolveResult, march
 
 PARAM_NAMES = ("xi0", "xi1", "theta", "chi")
 NOISE_KINDS = ("gaussian", "uniform", "two-point")
@@ -440,6 +441,8 @@ BLOCK_SHIFTS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 # sigma^3 rho sigma^3 and sigma^1 rho sigma^1 as mixes of the four blocks
 _PHASE_FLIP = np.kron(SIGMA[3], SIGMA[3]).real
 _COIN_FLIP = np.kron(SIGMA[1], SIGMA[1]).real
+# tr(sigma^mu b) of a coin block b as a mix of (b00, b01, b10, b11)
+_PAULI_OF_BLOCKS = SIGMA.transpose(0, 2, 1).reshape(4, 4)
 
 
 def walk_conjugate(rho: DensityGrid, field: AngleField, t: float,
@@ -485,24 +488,21 @@ def channel_step(
     return DensityGrid(out, rho.grid)
 
 
-@dataclass
-class ChannelRun:
-    """The site diagonals of a flip-channel run at its marks, and its end.
+def _channel_march(rho, advance, block_diagonal, finish, grid: LatticeGrid, marks) -> EvolveResult:
+    """:func:`march` of a flip-channel state ``rho`` to the last of the sorted step ``marks``.
 
-    ``r0`` and ``r3`` stack, over the marks, R^0 = p/a (site probability over
-    the spacing a) and R^3 = (b00 - b11)/a, each of shape (marks, n).
-    ``edge_mass`` is p on the two end sites at the last mark, and
-    ``build_final`` returns the blocks there.
+    A snapshot mixes the block diagonals (b00, b01, b10, b11) that
+    ``block_diagonal`` reads into R^mu = tr(sigma^mu b) / a (R^0 = p / a);
+    the blow-up check reads them as they are, at most 1 in size for a
+    density, so a fine lattice does not trip it.
     """
-
-    r0: np.ndarray
-    r3: np.ndarray
-    edge_mass: float
-    build_final: Callable[[], DensityGrid]
+    return march(rho, advance,
+                 lambda s: mix_components(_PAULI_OF_BLOCKS, block_diagonal(s)).real / grid.spacing,
+                 block_diagonal, grid, int(marks[-1]), marks, finish)
 
 
 def channel_run(state: WaveState, field: AngleField, rates: ChannelRates,
-                marks) -> ChannelRun:
+                marks) -> EvolveResult:
     """The flip channel from the pure start |state><state| to the last of the
     sorted step ``marks``, with the diagonals at each mark.
 
@@ -510,7 +510,9 @@ def channel_run(state: WaveState, field: AngleField, rates: ChannelRates,
     (:func:`band_channel`) unless that band fills the axis, as for a delta
     start or a start that does not vanish smoothly at the periodic edge;
     then, and for per-site coins, the (2, 2, n, n) blocks step by
-    :func:`channel_step`.  Either way the rates are checked before any step.
+    :func:`channel_step`, at t = step * a.  Either way the rates are checked
+    before any step, and the result's ``build_final`` returns the blocks at
+    the last mark as a :class:`DensityGrid`.
     """
     grid = state.grid
     a = grid.spacing
@@ -519,21 +521,20 @@ def channel_run(state: WaveState, field: AngleField, rates: ChannelRates,
         band = ModeBand(np.fft.fft(state.amplitudes, axis=1) / grid.n_sites)
         if not band.fills_axis:
             return band_channel(grid, band, field, rates, marks)
-    rho = DensityGrid.from_wave_state(state)
-    r0, r3 = [], []
-    done = 0
-    for stop in marks:
+
+    def advance(rho: DensityGrid, done: int, stop: int) -> DensityGrid:
         for step in range(done, stop):
             rho = channel_step(rho, field, rates, t=step * a)
-        done = stop
-        b = rho.blocks
-        r0.append(rho.site_probabilities() / a)
-        r3.append((np.diagonal(b[0, 0]) - np.diagonal(b[1, 1])).real / a)
-    return ChannelRun(np.array(r0), np.array(r3), rho.edge_mass(), lambda: rho)
+        return rho
+
+    return _channel_march(
+        DensityGrid.from_wave_state(state), advance,
+        lambda rho: np.diagonal(rho.blocks, axis1=2, axis2=3).reshape(4, -1),
+        lambda rho: rho, grid, marks)
 
 
 def band_channel(grid: LatticeGrid, band: ModeBand, field: AngleField, rates: ChannelRates,
-                 marks) -> ChannelRun:
+                 marks) -> EvolveResult:
     """:func:`channel_step` with the constant coin C of ``field``, mode by mode.
 
     ``band`` holds the start's coefficients c(k) on its kept modes, and the
@@ -552,22 +553,18 @@ def band_channel(grid: LatticeGrid, band: ModeBand, field: AngleField, rates: Ch
     flips = p1 * _PHASE_FLIP + p2 * _COIN_FLIP
     c = band.coefficients
     k = c.shape[1]
-    rho = np.einsum("uk,vl->uvkl", c, c.conj()).reshape(4, k, k)
-    r0, r3 = [], []
-    done = 0
-    for stop in marks:
+
+    def advance(rho: np.ndarray, done: int, stop: int) -> np.ndarray:
         for _ in range(done, stop):
             out = mix_components(walk_mix, shift * rho)
             if p1 or p2:
                 out += mix_components(flips, rho)
             rho = out
-        done = stop
-        d = band.diagonal(rho).real
-        p = d[0] + d[3]
-        r0.append(p / a)
-        r3.append((d[0] - d[3]) / a)
-    return ChannelRun(np.array(r0), np.array(r3), float(p[0] + p[-1]),
-                      lambda: DensityGrid(band.field(rho).reshape(2, 2, n, n), grid))
+        return rho
+
+    return _channel_march(
+        np.einsum("uk,vl->uvkl", c, c.conj()).reshape(4, k, k), advance, band.diagonal,
+        lambda rho: DensityGrid(band.field(rho).reshape(2, 2, n, n), grid), grid, marks)
 
 
 def two_point_channel_step(

@@ -27,6 +27,10 @@ A homogeneous run from a pure momentum packet needs no position grid at all
 (:func:`band_evolve`): in (p, p') Fourier space the Strang step is a 4x4 mix
 and a phase per mode, so only the box of modes the packet occupies is
 stepped, and each snapshot diagonal is one n-point inverse FFT.
+
+Every engine here, like the flip channel, steps through the one loop
+:func:`dlqw.walk.march`, which takes its snapshots and blow-up checks and
+returns an :class:`EvolveResult`.
 """
 
 from __future__ import annotations
@@ -34,15 +38,15 @@ from __future__ import annotations
 import copy
 import os
 import struct
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache, partial
-from typing import TYPE_CHECKING, Callable, TypeVar
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .momentum import ModeBand
 from .noise import DensityGrid
-from .observables import AntiDiagonalFields, DiagonalFields, MomentSeries, moment_series
+from .observables import AntiDiagonalFields, DiagonalFields
 from .walk import (
     ConfigurationError,
     LatticeGrid,
@@ -51,13 +55,11 @@ from .walk import (
     mix_components,
     roll_components,
 )
+# the one marcher; its result and error are also this module's
+from .walk import EvolveResult, NumericalError, State, march, step_count
 
 if TYPE_CHECKING:
     from .analytic import GridPacket
-
-
-class NumericalError(RuntimeError):
-    """The integration produced non-finite or exploding values."""
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,6 @@ def source_step(v: np.ndarray, dt: float, params: GeneratorParams,
     return mix_components(t_v, v)
 
 
-State = TypeVar("State")
 StateMap = Callable[[State], State]
 
 
@@ -246,6 +247,11 @@ def _strang_steps(v: State, n_steps: int, shifted_half: StateMap, shifted_full: 
     for _ in range(n_steps - 1):
         v = shifted_full(v)
     return closing_half(v)
+
+
+def _strang_advance(maps: tuple[StateMap, StateMap, StateMap]):
+    """The ``advance`` of :func:`march` that takes the Strang steps of ``maps`` fused."""
+    return lambda v, done, stop: _strang_steps(v, stop - done, *maps)
 
 
 def strang_step(v: np.ndarray, grid: LatticeGrid, params: GeneratorParams,
@@ -401,80 +407,6 @@ def kernel_source_step(
     return unskew(KernelSourceOperator(grid, kernels, params, dt, alpha).apply(skew(v)))
 
 
-@dataclass
-class EvolveResult:
-    """The moment series and the diagonal fields at each snapshot of one PDE run.
-
-    ``build_final`` builds the full field at the end of the run, which
-    :attr:`final` holds from its first access on; the diagonal fast path keeps
-    no full field and leaves both ``None``.
-    """
-
-    series: MomentSeries
-    diagonals: list[DiagonalFields]
-    build_final: Callable[[], PauliField] | None = dc_field(default=None, repr=False)
-
-    @cached_property
-    def final(self) -> PauliField | None:
-        """The full field at the end of the run, built on first access."""
-        return None if self.build_final is None else self.build_final()
-
-
-def _step_marks(t_final: float, dt: float,
-                snapshot_steps: list[int] | None) -> tuple[int, np.ndarray]:
-    """Step count of a run and its sorted snapshot steps, by default its two ends."""
-    if t_final < 0:
-        raise ConfigurationError("t_final must be non-negative")
-    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
-    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
-        raise ConfigurationError(f"t_final = {t_final} is not a multiple of dt = {dt}")
-    marks = np.unique(np.asarray([0, n_steps] if snapshot_steps is None else snapshot_steps,
-                                 dtype=int))
-    if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
-        raise ConfigurationError("snapshot steps outside the run")
-    return n_steps, marks
-
-
-def _march(state: State, maps: tuple[StateMap, StateMap, StateMap], n_steps: int,
-           marks: np.ndarray, dt: float, diagonal: Callable[[State], np.ndarray],
-           peak: Callable[[State], float]) -> tuple[State, list[np.ndarray]]:
-    """Take the ``n_steps`` Strang steps of a run; return its final state and snapshots.
-
-    ``diagonal`` reads v(x, x) from a state and ``peak`` its largest |v|.
-    The state must be exact at snapshots, at every 64th step (blow-up check)
-    and at the last step; the steps between them run fused.  Each snapshot
-    is the (4, n) Pauli diagonal, from the diagonal of v first and then the
-    4x4 transform: O(n), not O(n^2).
-    """
-    diags: list[np.ndarray] = []
-    mark_set = set(int(s) for s in marks)
-    checks = set(range(64, n_steps + 1, 64)) | {n_steps}
-    if 0 in mark_set:
-        diags.append((U_CHAR_INV @ diagonal(state)).real)
-    done = 0
-    for stop in sorted((checks | mark_set) - {0}):
-        state = _strang_steps(state, stop - done, *maps)
-        done = stop
-        if stop in checks:
-            largest = peak(state)
-            if not np.isfinite(largest) or largest > 1e6:
-                raise NumericalError(
-                    f"field blow-up at t={stop * dt:.6g} (max |v| = {largest:.3e})"
-                )
-        if stop in mark_set:
-            diags.append((U_CHAR_INV @ diagonal(state)).real)
-    return state, diags
-
-
-def _evolve_result(grid: LatticeGrid, marks: np.ndarray, diags: list[np.ndarray],
-                   build_final: Callable[[], PauliField]) -> EvolveResult:
-    """The result of a run from its snapshot steps and the (4, n) diagonal at each."""
-    x, dt = grid.positions, grid.spacing
-    diag = np.reshape(diags, (-1, 4, x.size))
-    return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
-                        diagonals=[DiagonalFields(x, d) for d in diag], build_final=build_final)
-
-
 def evolve(
     init: PauliField,
     params: GeneratorParams,
@@ -485,31 +417,28 @@ def evolve(
 ) -> EvolveResult:
     """Integrate the full (x, x') system to t_final with the Strang scheme.
 
-    dt is the grid spacing (exact-advection constraint).  Snapshots, by
-    default at the run's two ends, record the diagonal fields, from which
-    :func:`moment_series` builds the moments, trace and continuity residual;
-    the full field is kept at the end only.
+    dt is the grid spacing (exact-advection constraint).  :func:`march`
+    takes the steps; its snapshots, by default at the run's two ends, record
+    the diagonal fields, and the full field is built from the last state only.
     """
     grid = init.grid
     dt = grid.spacing
-    n_steps, marks = _step_marks(t_final, dt, snapshot_steps)
-
+    n_steps = step_count(t_final, dt)
+    # each snapshot takes the diagonal of v, then the 4x4 transform: O(n), not O(n^2)
     if kernels is None:
         # the plain (4, n, n) field: mix the components, then roll each by its shift
         maps = _mix_maps(
             _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha),
             homogeneous_step)
-        final, diags = _march(v_transform(init), maps, n_steps, marks, dt,
-                              partial(np.diagonal, axis1=1, axis2=2),
-                              lambda v: np.abs(v).max())
-    else:
-        # skewed storage: the source is one batched matmul, the diagonal is row 0
-        half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
-        maps = _strang_maps(half.apply, half.squared().apply, skewed_advect)
-        state, diags = _march(skew(v_transform(init)), maps, n_steps, marks, dt,
-                              lambda s: s[0], lambda s: np.abs(s).max())
-        final = unskew(state)
-    return _evolve_result(grid, marks, diags, partial(v_inverse, final, grid))
+        return march(v_transform(init), _strang_advance(maps),
+                     lambda v: (U_CHAR_INV @ np.diagonal(v, axis1=1, axis2=2)).real,
+                     lambda v: v, grid, n_steps, snapshot_steps, partial(v_inverse, grid=grid))
+    # skewed storage: the source is one batched matmul, the diagonal is row 0
+    half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
+    maps = _strang_maps(half.apply, half.squared().apply, skewed_advect)
+    return march(skew(v_transform(init)), _strang_advance(maps),
+                 lambda s: (U_CHAR_INV @ s[0]).real, lambda s: s, grid, n_steps,
+                 snapshot_steps, lambda s: v_inverse(unskew(s), grid))
 
 
 def band_evolve(
@@ -527,15 +456,15 @@ def band_evolve(
     start rho(p, p') = psi(p) psi*(p') vanishes to round-off outside the box
     of modes above :data:`dlqw.momentum.BAND_CUT` on each axis, and the
     steps keep it there, so only that box (a :class:`ModeBand`) is stepped.
-    The steps, the blow-up checks (on the diagonal) and the snapshots fall as
-    in :func:`evolve`; each snapshot diagonal sums the modes of each offset
-    p - p' and takes one n-point inverse FFT.  The full field is built, by
-    one zero-padded inverse 2-D FFT, only when :attr:`EvolveResult.final` is
-    read.
+    :func:`march` takes the steps, the blow-up checks (on the diagonal) and
+    the snapshots as in :func:`evolve`; each snapshot diagonal sums the modes
+    of each offset p - p' and takes one n-point inverse FFT.  The full field
+    is built, by one zero-padded inverse 2-D FFT, only when
+    :attr:`EvolveResult.final` is read.
     """
     grid = packet.grid
     n, dt = grid.n_sites, grid.spacing
-    n_steps, marks = _step_marks(t_final, dt, snapshot_steps)
+    n_steps = step_count(t_final, dt)
 
     # psi(x) = sum_k c[:, k] e^{2 pi i k x / n}, the normalized packet state
     modes = ModeBand(packet.amplitudes / (np.sqrt(n) * np.linalg.norm(packet.amplitudes)))
@@ -544,10 +473,9 @@ def band_evolve(
     band = mix_components(U_CHAR, np.einsum("mvu,uk,vl->mkl", SIGMA, c, c.conj()) / dt)
     t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
     maps = _mix_maps(t_half, partial(np.multiply, modes.phases(ADVECTION_SHIFTS)))
-    band, diags = _march(band, maps, n_steps, marks, dt, modes.diagonal,
-                         lambda b: np.abs(modes.diagonal(b)).max())
-    return _evolve_result(grid, marks, diags,
-                          lambda: v_inverse(modes.field(band), grid))
+    return march(band, _strang_advance(maps), lambda b: (U_CHAR_INV @ modes.diagonal(b)).real,
+                 modes.diagonal, grid, n_steps, snapshot_steps,
+                 lambda b: v_inverse(modes.field(b), grid))
 
 
 def diagonal_evolve(
@@ -563,13 +491,14 @@ def diagonal_evolve(
 
     The full solver's Strang composition and source step, restricted to the
     two-component system d_t R0 = d_x R3, d_t R3 = d_x R0 - gamma2 R3.
-    The phase-flip rate gamma1 does not enter these equations.  Snapshots
-    are taken as in :func:`evolve`; the run stops at the last one.
+    The phase-flip rate gamma1 does not enter these equations.  The steps,
+    the blow-up checks (on the two characteristic fields) and the snapshots
+    fall as in :func:`evolve`; no full field is kept.
     """
     if params.m != 0.0:
         raise ConfigurationError("diagonal fast path requires m = 0")
     dt = grid.spacing
-    _, marks = _step_marks(t_final, dt, snapshot_steps)
+    n_steps = step_count(t_final, dt)
     # At m = 0 the source F is diagonal, so the (R0, R3) block of its
     # propagator is exact on its own.  Characteristic variables
     # w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left.
@@ -579,17 +508,9 @@ def diagonal_evolve(
     maps = _mix_maps(t_half, partial(roll_components, shifts=((-1,), (1,))))
 
     w = vmat.T @ np.stack([np.asarray(init_r0, float), np.asarray(init_r3, float)])
-    diags = np.zeros((marks.size, 4, grid.n_sites))
-    done = 0
-    for k, stop in enumerate(marks):
-        if stop > done:
-            w = _strang_steps(w, stop - done, *maps)
-        done = stop
-        diags[k, [0, 3]] = vmat @ w
-
-    x = grid.positions
-    return EvolveResult(series=moment_series(dt * marks, x, dt, diags[:, 0], diags[:, 3]),
-                        diagonals=[DiagonalFields(x, d) for d in diags])
+    # each snapshot is (R0, 0, 0, R3)
+    return march(w, _strang_advance(maps), lambda w: np.insert(vmat @ w, [1, 1], 0.0, axis=0),
+                 lambda w: w, grid, n_steps, snapshot_steps)
 
 
 MAGIC = b"DLQW"

@@ -18,7 +18,7 @@ import numpy as np
 from . import analytic, noise, observables, pde
 from .config import ConfigError, ScenarioConfig, default_output_root
 from .walk import AngleField, ConfigurationError, LatticeGrid, WaveState, walk_step
-from .walk import asymptotic_spread
+from .walk import asymptotic_spread, step_count
 
 
 @dataclass
@@ -195,27 +195,28 @@ def run_walk(cfg: ScenarioConfig, report: RunReport) -> None:
 def run_channel(cfg: ScenarioConfig, report: RunReport) -> None:
     grid = _lattice_grid(cfg)
     rates = noise.ChannelRates(cfg.pi1_rate, cfg.pi2_rate)
-    n_steps = int(round(cfg.t_final / cfg.eps))
+    n_steps = step_count(cfg.t_final, cfg.eps)
     marks = _snapshot_steps(cfg, n_steps)
     result = noise.channel_run(_lattice_init(cfg, grid), AngleField.massive(cfg.m), rates, marks)
     # the band path builds the final blocks here, and they go once the defect is read
     hermiticity = result.build_final().hermiticity_defect()
 
-    series = observables.moment_series(cfg.eps * np.array(marks), grid.positions,
-                                       grid.spacing, result.r0, result.r3)
+    series = result.series
+    r0 = result.diagonals[-1].R[0]
+    edge_mass = float((r0[0] + r0[-1]) * grid.spacing)
     _write_moments_csv(report.add_file("moments.csv"), series)
-    _write_density_csv(report.add_file("density.csv"), grid.positions, result.r0[-1])
+    _write_density_csv(report.add_file("density.csv"), grid.positions, r0)
     report.metrics.update(
         trace_drift=series.max_trace_drift(),
         hermiticity=hermiticity,
-        edge_mass=result.edge_mass,
+        edge_mass=edge_mass,
         n_steps=n_steps,
     )
     report.checks.append(Check("trace", series.max_trace_drift(), 0.0, cfg.tol_trace, "le"))
     report.checks.append(Check("hermiticity", hermiticity, 0.0, 1e-10, "le"))
     # positive-energy packets carry exponential tails on the Compton scale,
     # so the edge gate for packet starts is looser than for delta starts
-    report.checks.append(Check("edge_mass", result.edge_mass, 0.0, cfg.tol_edge, "le"))
+    report.checks.append(Check("edge_mass", edge_mass, 0.0, cfg.tol_edge, "le"))
 
 
 def run_trajectories(cfg: ScenarioConfig, report: RunReport) -> None:
@@ -223,7 +224,7 @@ def run_trajectories(cfg: ScenarioConfig, report: RunReport) -> None:
     init = _lattice_init(cfg, grid)
     spec = noise.NoiseSpec.single(cfg.noise_param, cfg.noise_kind, cfg.noise_delta)
     field_ = AngleField.massive(cfg.m)
-    n_steps = int(round(cfg.t_final / cfg.eps))
+    n_steps = step_count(cfg.t_final, cfg.eps)
     ens = noise.run_ensemble(field_, spec, init, n_steps, cfg.n_traj, cfg.seed,
                              accumulate_blocks=False)
     p = ens.probability_mean()
@@ -265,8 +266,7 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
     else:
         grid = _pde_grid(cfg)
         pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid)
-        n_steps = int(round(cfg.t_final / cfg.dx))
-        marks = _snapshot_steps(cfg, n_steps)
+        marks = _snapshot_steps(cfg, step_count(cfg.t_final, cfg.dx))
         if cfg.fast == "diagonal":
             # R0 and R3 of the pure start, (|psi_L|^2 +- |psi_R|^2) / dx, with no (x, x') field
             left, right = np.abs(pk.state(0.0).amplitudes) ** 2 / grid.spacing
@@ -355,7 +355,7 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
     else:
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
     field0 = pde.pauli_from_wave_state(state)
-    marks = _snapshot_steps(cfg, int(round(cfg.t_final / cfg.dx)))
+    marks = _snapshot_steps(cfg, step_count(cfg.t_final, cfg.dx))
     res = pde.evolve(field0, params, cfg.t_final, kernels=kernels, alpha=cfg.alpha,
                      snapshot_steps=marks)
     series = res.series
@@ -390,7 +390,7 @@ def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> None:
     prof = np.exp(-(x**2) / (2 * width**2))
     prof /= prof.sum() * grid.spacing
     params = pde.GeneratorParams(m=0.0, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
-    marks = _snapshot_steps(cfg, int(round(cfg.t_final / cfg.dx)))
+    marks = _snapshot_steps(cfg, step_count(cfg.t_final, cfg.dx))
     res = pde.diagonal_evolve(prof, np.zeros_like(prof), grid, params, cfg.t_final,
                               alpha=cfg.alpha, snapshot_steps=marks)
     _write_moments_csv(report.add_file("moments.csv"), res.series)
@@ -471,8 +471,8 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> None:
         n = int(round(2 * cfg.half_width / eps))
         grid = LatticeGrid(n_sites=n, spacing=eps)
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
-        n_steps = int(round(cfg.t_final / eps))
-        dens = noise.channel_run(state, field_, rates, [n_steps]).r0[-1]
+        n_steps = step_count(cfg.t_final, eps)
+        dens = noise.channel_run(state, field_, rates, [n_steps]).diagonals[-1].R[0]
         interp_ref = np.interp(grid.positions, ref_x, ref_density)
         l1 = observables.l1_density_distance(dens, interp_ref, eps)
         rows.append((eps, n_steps, l1))
@@ -553,10 +553,6 @@ def walk_bytes(walks: int, n: int, n_steps: int = 0) -> int:
     return 2 * walks * 2 * (n + 2) * 16 + walks * n_steps * 4 * 8
 
 
-def _steps(t_final: float, step: float) -> int:
-    return int(round(t_final / step))
-
-
 def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int, int]:
     """Site counts of the run's (x, x') fields, its other buffers as
     (name, bytes), its cell-steps and its spectral points.
@@ -570,6 +566,8 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
     leaves modes out (:func:`noise.band_channel`) builds its (x, x') blocks
     once, at the end, for the hermiticity gate.  Only ``lindblad`` reads
     ``fast``.
+    A ``t_final`` that is not a multiple of the step (:func:`step_count`)
+    raises ConfigurationError; ``dirac-free`` and ``fast = spectral`` take no steps.
     """
     s = cfg.scenario
     if s == "walk":
@@ -580,7 +578,7 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
         return [n for f, _, _, _ in parts for n in f], [], sum(p[2] for p in parts), 0
     if s in ("channel", "trajectories"):
         n = _lattice_grid(cfg).n_sites
-        n_steps = _steps(cfg.t_final, cfg.eps)
+        n_steps = step_count(cfg.t_final, cfg.eps)
         if s == "channel":
             return [n], [], n * n * n_steps, 0
         # the run sums probabilities only, one batch of trajectories at a time;
@@ -592,14 +590,14 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
         # the run's snapshots, and the three times of the group-velocity fit
         return [], [], 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
     n = _pde_grid(cfg).n_sites
-    n_steps = _steps(cfg.t_final, cfg.dx)
     if s == "dirac-free":
         return [], [], n * max(cfg.n_snapshots, 3), 0
+    n_steps = step_count(cfg.t_final, cfg.dx)
     if s in ("telegraph", "fourier") or (s == "lindblad" and cfg.fast == "diagonal"):
         return [], [], n * n_steps, 0
     if s == "compare":
         sizes = [int(round(2 * cfg.half_width / eps)) for eps in cfg.eps_list]
-        work = sum(m * m * _steps(cfg.t_final, eps) for m, eps in zip(sizes, cfg.eps_list))
+        work = sum(m * m * step_count(cfg.t_final, eps) for m, eps in zip(sizes, cfg.eps_list))
         return [n] + sizes, [], n * n * n_steps + work, 0
     return [n], [], n * n * n_steps, 0
 
@@ -628,7 +626,8 @@ def _over_memory_limit(what: str, size: int) -> str:
 def check_resources(cfg: ScenarioConfig) -> None:
     """Reject a run whose memory or work exceeds the stated limits, before it starts.
 
-    Raises ConfigError listing every limit the run would exceed.
+    Raises ConfigError listing every limit the run would exceed, or
+    ConfigurationError when ``t_final`` is not a multiple of the run's step.
     """
     fields, buffers, cell_steps, spectral_points = _demands(cfg)
     needs = [(f"a {n}-site (x, x') field needs", field_bytes(n)) for n in fields]
@@ -648,7 +647,8 @@ def run(cfg: ScenarioConfig, output_dir: str | None = None) -> RunReport:
     """Execute a scenario, write its outputs and report, and return the report.
 
     The run is rejected by :func:`check_resources` before anything is
-    created when it would exceed a memory or work limit.
+    created when it would exceed a memory or work limit, or when its
+    ``t_final`` is not a multiple of its time step.
     """
     check_resources(cfg)
     out = output_dir or cfg.output_dir

@@ -9,20 +9,25 @@ scaling under which the walk converges to a Dirac equation as the lattice is
 refined with spacing == time step.
 
 The module also holds :class:`BatchedWalk`, the stepping engine of the
-amplitude walks, and the component mix and roll that the flip channel and
-the (x, x') grid of the continuum solver step with.
+amplitude walks, the component mix and roll that the flip channel and the
+(x, x') grid of the continuum solver step with, and :func:`march`, the one
+stepping loop of every density engine, with its :class:`EvolveResult`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import product
-from typing import Callable, Union
+from typing import Callable, TypeVar, Union
 
 import numpy as np
 
+from .observables import DiagonalFields, MomentSeries, moment_series
+
 ScalarOrField = Union[float, Callable[[float, np.ndarray], "np.ndarray | float"]]
+State = TypeVar("State")
 
 
 class DomainError(ValueError):
@@ -265,6 +270,80 @@ def roll_components(field: np.ndarray, shifts) -> np.ndarray:
             src_idx, dst_idx = zip(*combo)
             dst[dst_idx] = src[src_idx]
     return out
+
+
+class NumericalError(RuntimeError):
+    """The integration produced non-finite or exploding values."""
+
+
+@dataclass
+class EvolveResult:
+    """The moment series and the diagonal fields at each snapshot of one density run.
+
+    ``build_final`` builds the full density at the end (a ``PauliField`` or a
+    ``DensityGrid``), which :attr:`final` holds from its first access on; the
+    massless diagonal path keeps none and leaves both ``None``.
+    """
+
+    series: MomentSeries
+    diagonals: list[DiagonalFields]
+    build_final: Callable[[], object] | None = field(default=None, repr=False)
+
+    @cached_property
+    def final(self):
+        """The full density at the end of the run, built on first access."""
+        return None if self.build_final is None else self.build_final()
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """The number of steps dt in ``t_final``, which must be a non-negative multiple of dt."""
+    if t_final < 0:
+        raise ConfigurationError("t_final must be non-negative")
+    steps = t_final / dt
+    # an overflowing count is no multiple either
+    n_steps = round(steps) if math.isfinite(steps) else 0
+    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
+        raise ConfigurationError(f"t_final = {t_final} is not a multiple of the step {dt}")
+    return n_steps
+
+
+def march(state: State, advance: Callable[[State, int, int], State],
+          read: Callable[[State], np.ndarray], watched: Callable[[State], np.ndarray],
+          grid: LatticeGrid, n_steps: int, snapshot_steps=None,
+          finish: Callable[[State], object] | None = None) -> EvolveResult:
+    """Step a density ``n_steps`` steps on ``grid``, with snapshots at ``snapshot_steps``.
+
+    ``advance(state, done, stop)`` takes the state from step ``done`` to
+    ``stop``, fused or not.  The state is exact at each snapshot (by default
+    the run's two ends), where ``read`` gives its (4, n) real Pauli diagonal
+    R^mu(x), and at every 64th step and the last, where a non-finite entry
+    of ``watched(state)``, or one above 1e6 in size, raises
+    :class:`NumericalError`.  ``finish`` maps the final state to the full
+    density when :attr:`EvolveResult.build_final` is called.
+    """
+    marks = np.unique(np.asarray([0, n_steps] if snapshot_steps is None else snapshot_steps,
+                                 dtype=int))
+    if marks.size and (marks[0] < 0 or marks[-1] > n_steps):
+        raise ConfigurationError("snapshot steps outside the run")
+    mark_set = set(marks.tolist())
+    checks = set(range(64, n_steps + 1, 64)) | {n_steps}
+    diags = [read(state)] if 0 in mark_set else []
+    done = 0
+    for stop in sorted((checks | mark_set) - {0}):
+        state = advance(state, done, stop)
+        done = stop
+        if stop in checks:
+            largest = np.abs(watched(state)).max()
+            if not np.isfinite(largest) or largest > 1e6:
+                raise NumericalError(f"field blow-up at t={stop * grid.spacing:.6g} "
+                                     f"(largest |entry| = {largest:.3e})")
+        if stop in mark_set:
+            diags.append(read(state))
+    x, dt = grid.positions, grid.spacing
+    diag = np.reshape(diags, (-1, 4, x.size))
+    return EvolveResult(series=moment_series(dt * marks, x, dt, diag[:, 0], diag[:, 3]),
+                        diagonals=[DiagonalFields(x, d) for d in diag],
+                        build_final=None if finish is None else partial(finish, state))
 
 
 def step_coins(

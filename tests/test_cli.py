@@ -625,11 +625,89 @@ class TestMain:
             "scenario = channel\neps = 0.1\nt_final = 0.5\nm = 0.5\n"
             "pi2_rate = 0.25\np0 = 1\nsigma = 0.5\nhalf_width = 8\n"
         )
-        rc = main(["sweep", str(cfg_path), "--eps", "0.2,0.1",
+        rc = main(["sweep", str(cfg_path), "--eps", "0.25,0.1",
                    "--out", str(tmp_path / "s")])
         assert rc == 0
         assert (tmp_path / "s" / "sweep_summary.csv").exists()
-        assert (tmp_path / "s" / "eps-0.2" / "report.kv").exists()
+        assert (tmp_path / "s" / "eps-0.25" / "report.kv").exists()
+
+    def test_sweep_of_trajectories_exit_two(self, tmp_path, capsys):
+        # sweep repeats the flip channel, so it would not run the ensemble asked for
+        cfg_path = tmp_path / "traj.cfg"
+        cfg_path.write_text(MINI_TRAJ)
+        rc = main(["sweep", str(cfg_path), "--eps", "0.1,0.05", "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "cannot run 'trajectories'" in err and "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("text, command", [
+        ("scenario = channel\neps = 0.1\nhalf_width = 4\n", ["run"]),
+        ("scenario = trajectories\neps = 0.1\nhalf_width = 4\nn_traj = 4\n"
+         "noise_delta = 0.5\n", ["run"]),
+        ("scenario = lindblad\nm = 0.5\ndx = 0.1\nhalf_width = 4\n", ["run"]),
+        ("scenario = lindblad\nfast = diagonal\ndx = 0.1\nhalf_width = 4\n", ["run"]),
+        ("scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
+         "kernel_ell = 0.2\ndx = 0.1\nhalf_width = 2\n", ["run"]),
+        ("scenario = telegraph\ngamma2 = 0.5\ndx = 0.1\nhalf_width = 4\n", ["run"]),
+        ("scenario = fourier\ngamma2 = 0.5\ndx = 0.1\nhalf_width = 4\n", ["run"]),
+        ("scenario = compare\nm = 0.5\neps_list = 0.05, 0.1\ndx = 0.05\nhalf_width = 4\n",
+         ["run"]),
+        ("scenario = compare\nm = 0.5\neps_list = 0.05\ndx = 0.1\nhalf_width = 4\n",
+         ["run"]),
+        ("scenario = channel\neps = 0.05\nhalf_width = 4\n", ["sweep", "--eps", "0.05,0.1"]),
+    ], ids=["channel", "trajectories", "lindblad-full", "lindblad-diagonal",
+            "kernel-lindblad", "telegraph", "fourier", "compare-lattice",
+            "compare-reference", "sweep"])
+    def test_t_final_off_the_step_exit_two(self, tmp_path, capsys, text, command):
+        # 1.05 is 21 steps of 0.05 and 10.5 steps of 0.1
+        cfg_path = tmp_path / "off.cfg"
+        cfg_path.write_text(text + "t_final = 1.05\n")
+        rc = main([command[0], str(cfg_path), *command[1:], "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "t_final = 1.05 is not a multiple of the step 0.1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_overflowing_step_count_exit_two(self, tmp_path, capsys):
+        # t_final / dx overflows to inf, which is no whole number of steps
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text("scenario = lindblad\nfast = diagonal\ndx = 1e-10\n"
+                            "half_width = 1e-9\nt_final = 1e300\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "is not a multiple of the step 1e-10" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_t_final_off_the_step_refused_by_run(self, tmp_path):
+        cfg = parse_config("scenario = channel\neps = 0.1\nhalf_width = 4\nt_final = 1.05\n")
+        with pytest.raises(ConfigurationError, match="not a multiple of the step 0.1"):
+            run(cfg, str(tmp_path / "r"))
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("text", [
+        "scenario = dirac-free\nm = 0.5\ndx = 0.1\nhalf_width = 4\n",
+        "scenario = lindblad\nfast = spectral\nm = 0.5\ndx = 0.1\nhalf_width = 4\n",
+    ], ids=["dirac-free", "spectral"])
+    def test_t_final_off_the_step_without_steps_runs(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "free.cfg"
+        cfg_path.write_text(text + "t_final = 1.05\n")
+        # no step to fit: the run is not refused and writes its report
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "r")]) != 2
+        assert (tmp_path / "r" / "report.kv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_telegraph_blow_up_exit_one(self, tmp_path, capsys):
+        # the explicit source step (alpha = 1) is unstable at this rate
+        cfg_path = tmp_path / "stiff.cfg"
+        cfg_path.write_text("scenario = telegraph\ngamma2 = 300\nalpha = 1\ndx = 0.05\n"
+                            "half_width = 1.6\nt_final = 4\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: numerical failure: field blow-up at t=" in err
 
     @pytest.mark.parametrize("text, scenario", [
         ("scenario = walk\ntheta = 0.5\nn_steps = 10\n", "walk"),

@@ -202,10 +202,12 @@ class TestBandChannel:
         assert step_calls == []  # the band path
         r0, r3, rho = channel_reference(state, field, rates, marks)
         # each array to 1e-13 of its own largest entry
-        for have, want in ((got.r0, r0), (got.r3, r3), (got.build_final().blocks, rho.blocks)):
+        got_r0, got_r3 = (np.stack([d.R[mu] for d in got.diagonals]) for mu in (0, 3))
+        for have, want in ((got_r0, r0), (got_r3, r3), (got.build_final().blocks, rho.blocks)):
             assert have.shape == want.shape
             np.testing.assert_allclose(have, want, rtol=0, atol=1e-13 * np.abs(want).max())
-        assert got.edge_mass == pytest.approx(rho.edge_mass(), abs=1e-15)
+        edge_mass = got.diagonals[-1].R[0][[0, -1]].sum() * state.grid.spacing
+        assert edge_mass == pytest.approx(rho.edge_mass(), abs=1e-15)
 
     @pytest.mark.parametrize("name", list(BAND_RUNS))
     def test_final_field_is_hermitian(self, name):
@@ -221,9 +223,16 @@ class TestBandChannel:
         got = channel_run(state, AngleField.massive(0.5), rates, [0, 4, 9])
         assert len(step_calls) == 9
         r0, r3, rho = channel_reference(state, AngleField.massive(0.5), rates, [0, 4, 9])
-        np.testing.assert_array_equal(got.r0, r0)
-        np.testing.assert_array_equal(got.r3, r3)
+        np.testing.assert_array_equal(np.stack([d.R[0] for d in got.diagonals]), r0)
+        np.testing.assert_array_equal(np.stack([d.R[3] for d in got.diagonals]), r3)
         np.testing.assert_array_equal(got.build_final().blocks, rho.blocks)
+
+    def test_fine_lattice_delta_start_is_not_a_blow_up(self):
+        # the blow-up check reads probabilities, not R = p / a = 1e7 here
+        grid = LatticeGrid(n_sites=40, spacing=1e-7)
+        got = channel_run(WaveState.delta(grid), AngleField.massive(0.5),
+                          ChannelRates(0.3, 0.2), [0, 64, 70])
+        assert got.series.trace == pytest.approx(np.ones(3), abs=1e-12)
 
     def test_wrapped_gaussian_start_takes_the_position_path(self, step_calls):
         # the acceptance-equivalence-channel start: its periodic wrap has a kink

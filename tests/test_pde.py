@@ -342,6 +342,15 @@ class TestMasslessStructure:
                               snapshot_steps=steps)
         np.testing.assert_allclose(res.series.times, 0.05 * np.array(steps), rtol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fast_path_blow_up_guard(self):
+        # the explicit source step (alpha = 1) is unstable at this rate
+        grid = make_grid(32, 0.05)
+        d0 = gaussian_pauli(grid).diagonal()
+        with pytest.raises(NumericalError, match="blow-up at t="):
+            diagonal_evolve(d0.R[0], d0.R[3], grid, GeneratorParams(gamma2=300.0),
+                            80 * grid.spacing, alpha=1.0)
+
     def test_fast_path_requires_massless(self):
         grid = make_grid(16, 0.1)
         with pytest.raises(ConfigurationError):
