@@ -54,12 +54,8 @@ from .pde import (
     density_from_pauli,
     diagonal_evolve,
     evolve,
-    homogeneous_step,
-    kernel_source_step,
     pauli_from_density,
     pauli_from_wave_state,
-    source_step,
-    strang_step,
     v_inverse,
     v_transform,
 )

@@ -11,6 +11,7 @@ moments without any spatial grid.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -238,7 +239,12 @@ def group_velocity(p0: float, m: float) -> float:
     """dE/dp at p0; the packet transport speed, always inside (-1, 1) for m > 0."""
     if p0 == 0.0 and m == 0.0:
         raise DomainError("group velocity undefined at p0 = m = 0")
-    return p0 / math.sqrt(p0 * p0 + m * m)
+    e2 = p0 * p0 + m * m
+    if e2 < sys.float_info.min or not math.isfinite(e2):
+        # the squares underflow or overflow; hypot scales them, but it is an
+        # ulp off the plain root for some ordinary (p0, m)
+        return p0 / math.hypot(p0, m)
+    return p0 / math.sqrt(e2)
 
 
 def limit_position(v_g: float, gamma: float) -> float:
@@ -615,6 +621,24 @@ def _triple_series(dt: float, u2: np.ndarray, u3: np.ndarray, reach: float) -> n
 N_MOMENTA = 2048
 
 
+def spectral_momenta(p0: float, sigma: float, n_momenta: int = N_MOMENTA,
+                     span: float = 12.0) -> np.ndarray:
+    """The momentum quadrature points of :func:`spectral_moments`: p0 +- span sigma.
+
+    Raises ConfigurationError for a sigma the quadrature cannot resolve:
+    sigma^2 underflows, or the window holds fewer than ``n_momenta``
+    distinct floats (a sigma far below the spacing of floats near p0).
+    """
+    if sigma * sigma < sys.float_info.min:
+        raise ConfigurationError(f"sigma = {sigma:g} is too small: sigma^2 underflows")
+    p = np.linspace(p0 - span * sigma, p0 + span * sigma, n_momenta)
+    if not np.all(np.diff(p) > 0):
+        raise ConfigurationError(
+            f"sigma = {sigma:g} is too small for p0 = {p0:g}: the momentum window "
+            f"p0 +- {span:g} sigma cannot hold {n_momenta} distinct points")
+    return p
+
+
 def spectral_moments(
     packet: DiracWavepacket,
     params: GeneratorParams,
@@ -641,8 +665,7 @@ def spectral_moments(
         raise ConfigurationError("times must be non-negative")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ConfigurationError("times must be strictly increasing")
-    p = np.linspace(packet.p0 - span * packet.sigma, packet.p0 + span * packet.sigma,
-                    n_momenta)
+    p = spectral_momenta(packet.p0, packet.sigma, n_momenta, span)
     psi, dpsi, d2psi = packet.momentum_spinor_derivatives(p)
 
     def pauli_form(bra, ket):

@@ -8,20 +8,18 @@ integer grid shift per component and the only discretization error comes from
 operator splitting.  The source is integrated with an explicit-implicit
 one-step scheme (parameter alpha, default 0.5) and composed symmetrically
 (half source, full advection, half source), giving second-order accuracy.
-In v variables the source propagator is a constant real 4x4 matrix, so on
-the position grid a source step is :func:`mix_components` and the advection
-is :func:`homogeneous_step`.  That grid (:func:`evolve` without kernels,
-:func:`strang_step`) is the reference for :func:`band_evolve` below, which
-steps every homogeneous run.
 
-The position-dependent noise generalization replaces the source's noise part
-with per-separation coefficients kappa(|x - x'|), handled by one propagator
-per distance class of the periodic grid.  That path runs in skewed storage,
-s[k, b, i] = v[b, i, (i + k) mod n]: a cell's distance class depends on the
-offset k alone, so the source step is one batched matmul over k, the exact
-advection is again an integer roll per component, and the diagonal is the
-row s[0].  The field is skewed once at the start of a run and unskewed once
-at the end.
+The skewed (x, x') grid of :func:`evolve` is the one position-space engine.
+Its noise part may carry per-separation coefficients kappa(|x - x'|),
+handled by one propagator per distance class of the periodic grid; the
+default :class:`KernelSet` takes the uniform rates of
+:class:`GeneratorParams`, and that run is the reference for
+:func:`band_evolve` below, which steps every homogeneous run.  The grid
+runs in skewed storage, s[k, b, i] = v[b, i, (i + k) mod n]: a cell's
+distance class depends on the offset k alone, so the source step is one
+batched matmul over k, the exact advection is an integer roll per
+component, and the diagonal is the row s[0].  The field is skewed once at
+the start of a run and unskewed once at the end.
 
 A homogeneous run from a pure momentum packet needs no position grid at all
 (:func:`band_evolve`): in (p, p') Fourier space the Strang step is a 4x4 mix
@@ -157,15 +155,6 @@ def v_inverse(v: np.ndarray, grid: LatticeGrid) -> PauliField:
     return PauliField(np.einsum("ab,bxy->axy", U_CHAR_INV, v), grid)
 
 
-def homogeneous_step(v: np.ndarray) -> np.ndarray:
-    """Exact advection over one step dt = dx.
-
-    Each component shifts by one cell along both axes according to its
-    characteristic speeds, a pure permutation with no dispersion error.
-    """
-    return roll_components(v, ADVECTION_SHIFTS)
-
-
 def source_matrix(params: GeneratorParams) -> np.ndarray:
     """Pointwise source F acting on (r^0, r^1, r^2, r^3)."""
     g1, g2, m = params.gamma1, params.gamma2, params.m
@@ -212,19 +201,12 @@ def _source_propagator_v(dt: float, m: float, g1: float, g2: float, alpha: float
     return np.ascontiguousarray((U_CHAR @ t_r @ U_CHAR_INV).real)
 
 
-def source_step(v: np.ndarray, dt: float, params: GeneratorParams,
-                alpha: float = 0.5) -> np.ndarray:
-    """Pointwise source integration over dt in characteristic variables."""
-    t_v = _source_propagator_v(dt, params.m, params.gamma1, params.gamma2, alpha)
-    return mix_components(t_v, v)
-
-
 StateMap = Callable[[State], State]
 
 
 def _strang_maps(half_source: StateMap, full_source: StateMap,
                  advect: StateMap) -> tuple[StateMap, StateMap, StateMap]:
-    """The three maps of :func:`_strang_steps` from source maps and an advection."""
+    """The three maps of :func:`_strang_advance` from source maps and an advection."""
     return (lambda v: advect(half_source(v)), lambda v: advect(full_source(v)), half_source)
 
 
@@ -234,32 +216,24 @@ def _mix_maps(t_half: np.ndarray, advect: StateMap) -> tuple[StateMap, StateMap,
                         partial(mix_components, t_half @ t_half), advect)
 
 
-def _strang_steps(v: State, n_steps: int, shifted_half: StateMap, shifted_full: StateMap,
-                  closing_half: StateMap) -> State:
-    """``n_steps`` >= 1 Strang steps: half source, exact advection, half source.
+def _strang_advance(maps: tuple[StateMap, StateMap, StateMap]):
+    """The ``advance`` of :func:`march`: ``stop - done`` >= 1 Strang steps, fused.
 
-    The trailing half source of each step and the leading one of the next are
-    applied together as one full source, so the maps are a half source then
+    A Strang step is half source, exact advection, half source.  The
+    trailing half source of each step and the leading one of the next are
+    applied together as one full source, so ``maps`` are a half source then
     the advection, a full source then the advection, and the closing half
     source of the last step.
     """
-    v = shifted_half(v)
-    for _ in range(n_steps - 1):
-        v = shifted_full(v)
-    return closing_half(v)
+    shifted_half, shifted_full, closing_half = maps
 
+    def advance(v: State, done: int, stop: int) -> State:
+        v = shifted_half(v)
+        for _ in range(stop - done - 1):
+            v = shifted_full(v)
+        return closing_half(v)
 
-def _strang_advance(maps: tuple[StateMap, StateMap, StateMap]):
-    """The ``advance`` of :func:`march` that takes the Strang steps of ``maps`` fused."""
-    return lambda v, done, stop: _strang_steps(v, stop - done, *maps)
-
-
-def strang_step(v: np.ndarray, grid: LatticeGrid, params: GeneratorParams,
-                alpha: float = 0.5) -> np.ndarray:
-    """Half source, exact advection, half source over dt = dx; O(dt^2) accurate globally."""
-    t_half = _source_propagator_v(0.5 * grid.spacing, params.m, params.gamma1, params.gamma2,
-                                  alpha)
-    return _strang_steps(v, 1, *_mix_maps(t_half, homogeneous_step))
+    return advance
 
 
 @dataclass(frozen=True)
@@ -345,11 +319,13 @@ SKEWED_SHIFTS = tuple((si, sj - si) for si, sj in ADVECTION_SHIFTS)
 
 
 def skewed_advect(s: np.ndarray) -> np.ndarray:
-    """Exact advection of a skewed field: :func:`homogeneous_step` in skewed storage.
+    """Exact advection of a skewed field over one step dt = dx.
 
-    The (x, x') shift (si, sj) of a component is the (i, k) shift
-    (si, sj - si).  Rolling the (b, i, k) view of ``s`` writes an output of
-    the same memory layout, so the result is again contiguous in (k, b, i).
+    Each component shifts by one cell along both axes according to its
+    characteristic speeds, a pure permutation with no dispersion error.  The
+    (x, x') shift (si, sj) of a component is the (i, k) shift (si, sj - si).
+    Rolling the (b, i, k) view of ``s`` writes an output of the same memory
+    layout, so the result is again contiguous in (k, b, i).
     """
     return roll_components(s.transpose(1, 2, 0), SKEWED_SHIFTS).transpose(2, 0, 1)
 
@@ -395,45 +371,26 @@ class KernelSourceOperator:
         return np.matmul(self._by_offset, s)
 
 
-def kernel_source_step(
-    v: np.ndarray,
-    grid: LatticeGrid,
-    dt: float,
-    kernels: KernelSet,
-    params: GeneratorParams,
-    alpha: float = 0.5,
-) -> np.ndarray:
-    """Source integration with per-separation noise coefficients on a (4, n, n) field."""
-    return unskew(KernelSourceOperator(grid, kernels, params, dt, alpha).apply(skew(v)))
-
-
 def evolve(
     init: PauliField,
     params: GeneratorParams,
     t_final: float,
-    kernels: KernelSet | None = None,
+    kernels: KernelSet = KernelSet(),
     alpha: float = 0.5,
     snapshot_steps: list[int] | None = None,
 ) -> EvolveResult:
     """Integrate the full (x, x') system to t_final with the Strang scheme.
 
-    dt is the grid spacing (exact-advection constraint).  :func:`march`
-    takes the steps; its snapshots, by default at the run's two ends, record
-    the diagonal fields, and the full field is built from the last state only.
+    The one position-space engine, stepped in skewed storage (:func:`skew`);
+    the default ``kernels`` take the uniform rates of ``params``.  dt is the
+    grid spacing (exact-advection constraint).  :func:`march` takes the
+    steps; its snapshots, by default at the run's two ends, record the
+    diagonal fields, each from the row s[0] in O(n), and the full field is
+    built from the last state only.
     """
     grid = init.grid
     dt = grid.spacing
     n_steps = step_count(t_final, dt)
-    # each snapshot takes the diagonal of v, then the 4x4 transform: O(n), not O(n^2)
-    if kernels is None:
-        # the plain (4, n, n) field: mix the components, then roll each by its shift
-        maps = _mix_maps(
-            _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha),
-            homogeneous_step)
-        return march(v_transform(init), _strang_advance(maps),
-                     lambda v: (U_CHAR_INV @ np.diagonal(v, axis1=1, axis2=2)).real,
-                     lambda v: v, grid, n_steps, snapshot_steps, partial(v_inverse, grid=grid))
-    # skewed storage: the source is one batched matmul, the diagonal is row 0
     half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
     maps = _strang_maps(half.apply, half.squared().apply, skewed_advect)
     return march(skew(v_transform(init)), _strang_advance(maps),

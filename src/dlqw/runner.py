@@ -568,6 +568,7 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
     ``fast``.
     A ``t_final`` that is not a multiple of the step (:func:`step_count`)
     raises ConfigurationError; ``dirac-free`` and ``fast = spectral`` take no steps.
+    So does a ``sigma`` that the momenta of ``fast = spectral`` cannot resolve.
     """
     s = cfg.scenario
     if s == "walk":
@@ -587,11 +588,15 @@ def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int
         return ([], [("the walk buffers", walk_bytes(batch, n, n_steps))],
                 cfg.n_traj * n * max(n_steps, 1), 0)
     if s == "lindblad" and cfg.fast == "spectral":
-        # the run's snapshots, and the three times of the group-velocity fit
-        return [], [], 0, (cfg.n_snapshots + 3) * analytic.N_MOMENTA
+        # the momenta (a sigma they cannot resolve raises) at the run's
+        # snapshots and the three times of the group-velocity fit
+        momenta = analytic.spectral_momenta(cfg.p0, cfg.sigma)
+        return [], [], 0, (cfg.n_snapshots + 3) * momenta.size
     n = _pde_grid(cfg).n_sites
     if s == "dirac-free":
-        return [], [], n * max(cfg.n_snapshots, 3), 0
+        # the (2, snapshots, n) complex amplitudes of every snapshot, stacked
+        n_times = max(cfg.n_snapshots, 3)
+        return [], [("the snapshot amplitudes", 2 * n_times * n * 16)], n * n_times, 0
     n_steps = step_count(cfg.t_final, cfg.dx)
     if s in ("telegraph", "fourier") or (s == "lindblad" and cfg.fast == "diagonal"):
         return [], [], n * n_steps, 0

@@ -33,9 +33,11 @@ from dlqw.pde import (
     GeneratorParams,
     KernelChannel,
     KernelSet,
+    KernelSourceOperator,
     evolve,
-    kernel_source_step,
     pauli_from_wave_state,
+    skew,
+    unskew,
     v_inverse,
     v_transform,
 )
@@ -302,8 +304,9 @@ def test_criterion_10_kernel_limit():
     decay_kernels = KernelSet(identity=KernelChannel(1.5, lambda d: np.exp(-(d**2) / 0.08)))
     start = pauli_from_wave_state(WaveState.gaussian(grid2, width=0.3, coin=(1.0, 0.0)))
     v = v_transform(start)
+    op = KernelSourceOperator(grid2, decay_kernels, GeneratorParams(), dt)
     for _ in range(50):
-        v = kernel_source_step(v, grid2, dt, decay_kernels, GeneratorParams())
+        v = unskew(op.apply(skew(v)))
     out = v_inverse(v, grid2)
     k = 10
     sel = np.abs(np.diagonal(start.r[0], offset=k)) > 1e-8

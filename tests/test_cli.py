@@ -516,6 +516,34 @@ class TestMain:
             # mean_x, second_moment and trace; eta is nan without enough snapshots
             assert np.isfinite(moments[:, [1, 2, 4]]).all()
 
+    def test_massless_group_velocity_of_a_tiny_momentum(self, tmp_path, capsys):
+        # p0 * p0 underflows to 0
+        cfg_path = tmp_path / "slow.cfg"
+        cfg_path.write_text("scenario = lindblad\nfast = diagonal\nm = 0\ngamma2 = 0.5\n"
+                            "dx = 0.25\nhalf_width = 4\nt_final = 0.5\np0 = 1e-300\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 0 and "Traceback" not in capsys.readouterr().err
+        report = (tmp_path / "r" / "report.kv").read_text()
+        assert "metric.vg_formula = 1\n" in report
+
+    @pytest.mark.parametrize("p0", ["0", "0.5"])
+    @pytest.mark.parametrize("sigma", ["1e-20", "1e-160", "1e-300"])
+    def test_spectral_sigma_too_small_exit_two(self, tmp_path, capsys, sigma, p0):
+        cfg_path = tmp_path / "narrow.cfg"
+        cfg_path.write_text("scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\n"
+                            "dx = 0.25\nhalf_width = 4\nt_final = 1\nn_snapshots = 3\n"
+                            f"sigma = {sigma}\np0 = {p0}\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if (sigma, p0) == ("1e-20", "0"):
+            # the window 0 +- 12 sigma still holds distinct floats
+            assert rc == 0
+            return
+        assert rc == 2
+        assert f"error: sigma = {sigma} is too small" in err
+        assert not (tmp_path / "r").exists()
+
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "seed.cfg"
         cfg_path.write_text(MINI_TRAJ.replace("seed = 11", "seed = -1"))
@@ -572,6 +600,14 @@ class TestMain:
                            .replace("t_final = 1\n", "t_final = 0.3\n") + "n = 5000\n")
         check_resources(cfg)
         assert run(cfg, str(tmp_path / "t")).passed
+
+    def test_dirac_free_snapshot_amplitudes_are_counted(self):
+        # 8e7 sites: the (2, 21, n) stack of the snapshots' amplitudes is 50 GiB
+        cfg = parse_config("scenario = dirac-free\nm = 0.5\ndx = 1e-7\nhalf_width = 4\n"
+                           "t_final = 0.5\n")
+        with pytest.raises(ConfigError, match="the snapshot amplitudes need 50.1 GiB, above "
+                                              "the limit of 1 GiB"):
+            check_resources(cfg)
 
     def test_presets_are_within_the_resource_limits(self):
         for name in list_presets():

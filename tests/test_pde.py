@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,21 +22,17 @@ from dlqw.pde import (
     U_CHAR_INV,
     _mix_maps,
     _propagator_from_f,
-    _strang_steps,
+    _strang_advance,
     band_evolve,
     density_from_pauli,
     diagonal_evolve,
     evolve,
-    homogeneous_step,
-    kernel_source_step,
     pauli_from_density,
     pauli_from_wave_state,
     read_field_binary,
     skew,
     skewed_advect,
     source_matrix,
-    source_step,
-    strang_step,
     unskew,
     v_inverse,
     v_transform,
@@ -148,11 +145,21 @@ class TestCharacteristicTransform:
         np.testing.assert_allclose(back.r, field.r, atol=1e-13)
 
 
+def advect(v):
+    """The exact advection of :func:`skewed_advect` on a (4, n, n) field."""
+    return unskew(skewed_advect(skew(v)))
+
+
+def source(v, grid, dt, params, kernels=KernelSet(), alpha=0.5):
+    """One source step of :class:`KernelSourceOperator` on a (4, n, n) field."""
+    return unskew(KernelSourceOperator(grid, kernels, params, dt, alpha).apply(skew(v)))
+
+
 class TestHomogeneousStep:
     def test_point_moves_down_left_for_v0(self):
         v = np.zeros((4, 8, 8), dtype=complex)
         v[0, 5, 6] = 1.0
-        out = homogeneous_step(v)
+        out = advect(v)
         assert out[0, 4, 5] == 1.0
         assert np.count_nonzero(out) == 1
 
@@ -160,7 +167,7 @@ class TestHomogeneousStep:
         v = np.zeros((4, 8, 8), dtype=complex)
         for mu in range(4):
             v[mu, 4, 4] = 1.0
-        out = homogeneous_step(v)
+        out = advect(v)
         for mu in range(4):
             assert out[mu, 4 + LAMBDA[mu], 4 + LAMBDA_P[mu]] == 1.0
 
@@ -168,7 +175,7 @@ class TestHomogeneousStep:
         grid = make_grid(16)
         field = hermitian_field(grid, seed=4)
         v = v_transform(field)
-        out = homogeneous_step(v)
+        out = advect(v)
         for mu in range(4):
             np.testing.assert_array_equal(
                 np.sort_complex(out[mu].ravel()), np.sort_complex(v[mu].ravel())
@@ -177,18 +184,18 @@ class TestHomogeneousStep:
     def test_periodic_return(self):
         grid = make_grid(10)
         field = hermitian_field(grid, seed=5)
-        v = v_transform(field)
-        out = v
+        s = skew(v_transform(field))
+        out = s
         for _ in range(grid.n_sites):
-            out = homogeneous_step(out)
-        np.testing.assert_array_equal(out, v)
+            out = skewed_advect(out)
+        np.testing.assert_array_equal(out, s)
 
 
 class TestSourceStep:
     def test_identity_when_free(self):
         grid = make_grid(8)
         v = v_transform(hermitian_field(grid, seed=6))
-        out = source_step(v, grid.spacing, GeneratorParams())
+        out = source(v, grid, grid.spacing, GeneratorParams())
         np.testing.assert_allclose(out, v, atol=1e-14)
 
     def test_decay_rates_against_exponential(self):
@@ -196,7 +203,7 @@ class TestSourceStep:
         grid = LatticeGrid(n_sites=8, spacing=dt)
         params = GeneratorParams(m=0.0, gamma1=0.4, gamma2=0.7)
         field = hermitian_field(grid, seed=7)
-        out = v_inverse(source_step(v_transform(field), dt, params), grid)
+        out = v_inverse(source(v_transform(field), grid, dt, params), grid)
         for mu, rate in ((1, 0.4), (2, 1.1), (3, 0.7)):
             np.testing.assert_allclose(
                 out.r[mu], field.r[mu] * np.exp(-rate * dt), rtol=3 * dt**2
@@ -207,14 +214,16 @@ class TestSourceStep:
         grid = make_grid(8)
         params = GeneratorParams(m=1.5, gamma1=0.3, gamma2=0.9)
         field = hermitian_field(grid, seed=8)
-        out = v_inverse(source_step(v_transform(field), grid.spacing, params), grid)
+        out = v_inverse(source(v_transform(field), grid, grid.spacing, params), grid)
         np.testing.assert_allclose(out.r[0], field.r[0], atol=1e-13)
 
     def test_alpha_validated(self):
         grid = make_grid(8)
         v = v_transform(hermitian_field(grid))
         with pytest.raises(ConfigurationError):
-            source_step(v, grid.spacing, GeneratorParams(), alpha=1.5)
+            source(v, grid, grid.spacing, GeneratorParams(), alpha=1.5)
+        with pytest.raises(ConfigurationError):
+            evolve(hermitian_field(grid), GeneratorParams(), grid.spacing, alpha=1.5)
         with pytest.raises(ConfigurationError):
             diagonal_evolve(np.zeros(8), np.zeros(8), grid, GeneratorParams(gamma2=0.5),
                             2 * grid.spacing, alpha=1.5)
@@ -225,10 +234,11 @@ class TestStrangStep:
     def test_is_mix_shift_mix_bit_for_bit(self, n):
         grid = make_grid(n, 0.05)
         params = GeneratorParams(m=0.8, gamma1=0.2, gamma2=0.5)
-        v = v_transform(hermitian_field(grid, seed=n))
-        half = 0.5 * grid.spacing
-        want = source_step(homogeneous_step(source_step(v, half, params)), half, params)
-        np.testing.assert_array_equal(strang_step(v, grid, params), want)
+        field = hermitian_field(grid, seed=n)
+        half = KernelSourceOperator(grid, KernelSet(), params, 0.5 * grid.spacing)
+        want = half.apply(skewed_advect(half.apply(skew(v_transform(field)))))
+        got = evolve(field, params, grid.spacing).final
+        np.testing.assert_array_equal(got.r, v_inverse(unskew(want), grid).r)
 
     @pytest.mark.parametrize("n", [4, 5, 7, 8])
     @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -240,8 +250,9 @@ class TestStrangStep:
         want = roll_components(mix_components(t_half, v), ADVECTION_SHIFTS)
         for _ in range(steps - 1):
             want = roll_components(mix_components(t_half @ t_half, want), ADVECTION_SHIFTS)
-        got = _strang_steps(v, steps, *_mix_maps(t_half, homogeneous_step))
-        np.testing.assert_array_equal(got, mix_components(t_half, want))
+        advance = _strang_advance(_mix_maps(t_half, partial(roll_components,
+                                                            shifts=ADVECTION_SHIFTS)))
+        np.testing.assert_array_equal(advance(v, 0, steps), mix_components(t_half, want))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_source_propagator_is_real_in_v_variables(self, alpha):
@@ -253,21 +264,20 @@ class TestStrangStep:
 
     def test_free_is_pure_advection(self):
         grid = make_grid(8)
-        v = v_transform(hermitian_field(grid, seed=9))
-        out = strang_step(v, grid, GeneratorParams())
-        ref = homogeneous_step(v)
+        field = hermitian_field(grid, seed=9)
+        out = v_transform(evolve(field, GeneratorParams(), grid.spacing).final)
+        ref = advect(v_transform(field))
         np.testing.assert_allclose(out, ref, atol=1e-14)
 
     def test_trace_drift_over_thousand_steps(self):
         grid = make_grid(128, 0.05)
         params = GeneratorParams(m=0.8, gamma1=0.2, gamma2=0.5)
         field = gaussian_pauli(grid, width=0.5)
-        v = v_transform(field)
         t0 = field.trace()
-        for _ in range(1000):
-            v = strang_step(v, grid, params)
-        assert abs(v_inverse(v, grid).trace() - t0) < 1e-8
-        # evolve runs the same steps fused between snapshots and checks
+        # a snapshot at every step makes evolve take the steps one at a time
+        stepwise = evolve(field, params, 1000 * grid.spacing, snapshot_steps=list(range(1001)))
+        assert abs(stepwise.final.trace() - t0) < 1e-8
+        # otherwise it runs the same steps fused between snapshots and checks
         final = evolve(field, params, 1000 * grid.spacing).final
         assert abs(final.trace() - t0) < 1e-8
 
@@ -275,13 +285,11 @@ class TestStrangStep:
         grid = make_grid(64, 0.05)
         params = GeneratorParams(m=0.8, gamma1=0.2, gamma2=0.5)
         field = gaussian_pauli(grid, width=0.4)
-        v = v_transform(field)
-        for _ in range(200):
-            v = strang_step(v, grid, params)
-        assert v_inverse(v, grid).hermiticity_defect() < 1e-10
+        stepwise = evolve(field, params, 200 * grid.spacing, snapshot_steps=list(range(201)))
+        assert stepwise.final.hermiticity_defect() < 1e-10
         final = evolve(field, params, 200 * grid.spacing).final
         assert final.hermiticity_defect() < 1e-10
-        np.testing.assert_allclose(final.r, v_inverse(v, grid).r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final.r, stepwise.final.r, rtol=0, atol=1e-12)
 
     def test_self_convergence_second_order(self):
         # same physical problem on dx, dx/2, dx/4; errors on shared points
@@ -437,7 +445,7 @@ class TestSkewedStorage:
         v = random_field(n, seed=n + 1)
         s = skewed_advect(skew(v))
         assert s.flags.c_contiguous
-        np.testing.assert_array_equal(unskew(s), homogeneous_step(v))
+        np.testing.assert_array_equal(unskew(s), roll_components(v, ADVECTION_SHIFTS))
 
     @pytest.mark.parametrize("n", [9, 10, 31, 48])
     def test_kernel_source_step_matches_per_cell_reference(self, n):
@@ -450,7 +458,8 @@ class TestSkewedStorage:
         )
         params = GeneratorParams(m=0.6, gamma1=0.1)
         v = random_field(n, seed=n)
-        props = KernelSourceOperator(grid, kernels, params, 0.05).props
+        op = KernelSourceOperator(grid, kernels, params, 0.05)
+        props = op.props
         # each cell's distance class, then one product per class over its cells
         cells = {}
         for i in range(n):
@@ -461,7 +470,7 @@ class TestSkewedStorage:
         for d, ij in cells.items():
             i, j = np.array(ij).T
             want[:, i, j] = props[d] @ v[:, i, j]
-        np.testing.assert_array_equal(kernel_source_step(v, grid, 0.05, kernels, params), want)
+        np.testing.assert_array_equal(unskew(op.apply(skew(v))), want)
 
 
 class TestKernelSource:
@@ -478,8 +487,8 @@ class TestKernelSource:
             coin_flip=KernelChannel(0.6, ones),
         )
         v = self.make_v(grid)
-        a = kernel_source_step(v, grid, 0.05, kernels, params)
-        b = source_step(v, 0.05, params)
+        a = source(v, grid, 0.05, params, kernels)
+        b = source(v, grid, 0.05, params)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_diagonal_cells_follow_homogeneous_generator(self):
@@ -492,8 +501,8 @@ class TestKernelSource:
             coin_flip=KernelChannel(0.6, kern),
         )
         v = self.make_v(grid)
-        a = v_inverse(kernel_source_step(v, grid, 0.05, kernels, params), grid)
-        b = v_inverse(source_step(v, 0.05, params), grid)
+        a = v_inverse(source(v, grid, 0.05, params, kernels), grid)
+        b = v_inverse(source(v, grid, 0.05, params), grid)
         for mu in range(4):
             np.testing.assert_allclose(
                 np.diagonal(a.r[mu]), np.diagonal(b.r[mu]), atol=1e-12
@@ -508,12 +517,13 @@ class TestKernelSource:
         kernels = KernelSet(identity=KernelChannel(gamma0, lambda d: np.exp(-((d / 0.02) ** 2))))
         params = GeneratorParams()  # no mass, no uniform noise, advection not applied
         v = self.make_v(grid, seed=12)
+        op = KernelSourceOperator(grid, kernels, params, dt)
         steps = 100
-        out = v
+        out = skew(v)
         for _ in range(steps):
-            out = kernel_source_step(out, grid, dt, kernels, params)
+            out = op.apply(out)
         i, j = 5, 37  # separation far beyond the kernel width
-        ratio = v_inverse(out, grid).r[0][i, j] / v_inverse(v, grid).r[0][i, j]
+        ratio = v_inverse(unskew(out), grid).r[0][i, j] / v_inverse(v, grid).r[0][i, j]
         assert ratio.real == pytest.approx(np.exp(-gamma0 * steps * dt / 2), rel=1e-4)
 
     def test_kernel_coherence_decays_faster_off_diagonal(self):
@@ -522,10 +532,11 @@ class TestKernelSource:
         kernels = KernelSet(identity=KernelChannel(1.5, lambda d: np.exp(-(d**2) / 0.1)))
         params = GeneratorParams()
         field = gaussian_pauli(grid, width=0.2)
-        v = v_transform(field)
+        op = KernelSourceOperator(grid, kernels, params, dt)
+        s = skew(v_transform(field))
         for _ in range(50):
-            v = kernel_source_step(v, grid, dt, kernels, params)
-        out = v_inverse(v, grid)
+            s = op.apply(s)
+        out = v_inverse(unskew(s), grid)
         k = 8  # fixed separation d = k*dt > 0
         start = np.abs(np.diagonal(field.r[0], offset=k))
         end = np.abs(np.diagonal(out.r[0], offset=k))
