@@ -276,13 +276,14 @@ class DiracWavepacket:
         if self.m == 0.0:
             return 1.0
 
-        def weight(p):
-            q = p - self.p0
+        def weight(q):
+            # over q = p - p0 itself: from absolute momenta, q keeps few digits when sigma << p0
+            p = self.p0 + q
             gs = _gaussian_momentum_profile(q, self.sigma) ** 2
             return gs * (1.0 + ((dispersion(p, self.m) + p) / self.m) ** 2)
 
         span = 14.0 * self.sigma
-        total = adaptive_gauss_legendre(weight, self.p0 - span, self.p0 + span, tol=1e-12)
+        total = adaptive_gauss_legendre(weight, -span, span, tol=1e-12)
         return 1.0 / float(total)
 
     def momentum_spinor(self, p) -> np.ndarray:
@@ -690,22 +691,22 @@ def spectral_moments(
 
     series = np.empty((times.size, 3))  # trace, mean, second moment
     read = np.empty((3, n_momenta), dtype=complex)
-    prev_t = 0.0
+    steps = np.diff(times, prepend=0.0)
+    last_use = {round(dt, 15): i for i, dt in enumerate(steps)}  # blocks go after last use
     prop_cache: dict[float, tuple] = {}
-    for i, t in enumerate(times):
-        dt = t - prev_t
+    for i, dt in enumerate(steps):
         if dt > 0:
             key = round(dt, 15)
             if key not in prop_cache:
                 fallback = expm_stack(dt * big) if bad.any() else None
                 prop_cache[key] = prop.blocks(dt) + (fallback,)
-            e, l, k, fallback = prop_cache[key]
+            e, l, k, fallback = (prop_cache.pop(key) if last_use[key] == i
+                                 else prop_cache[key])
             z2 = e * z2 + 2.0 * ((l * z1).sum(axis=1) + (k * z0).sum(axis=1))
             z1 = e * z1 + (l * z0).sum(axis=1)
             z0 = e * z0
             if fallback is not None:
                 y = np.einsum("xab,xb->xa", fallback, y)
-        prev_t = t
         read[:, ok] = [(row0 * z).sum(axis=0) for z in (z0, z1, z2)]
         read[:, bad] = y[:, 0::4].T
         # trace = int r0, <x> = int i dr0/ds, <x^2> = -int d2r0/ds2

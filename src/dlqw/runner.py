@@ -4,6 +4,10 @@ Every run produces, in its output directory, a machine-readable ``report.kv``
 (key = value lines), a human ``report.txt``, and the CSV files the metrics are
 derived from, so each summary number can be recomputed from the emitted data.
 The process exit status encodes whether all declared tolerance checks passed.
+
+Each scenario function computes the sizes it will run with and yields what
+they need before it allocates or writes anything, so the resource check
+(:func:`check_resources`) and the run read one account of each run.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,14 +170,18 @@ def _snapshot_steps(cfg: ScenarioConfig, n_steps: int) -> list[int]:
     return np.unique(np.linspace(0, n_steps, count).round().astype(int)).tolist()
 
 
-def _walk_size(cfg: ScenarioConfig) -> tuple[int, int]:
-    """(sites, steps) of a walk run."""
+# A scenario function yields what its run needs once, before it allocates or
+# writes anything, and then runs; check_resources reads that yield with no report.
+# The needs are the site counts of the run's (x, x') fields, its other buffers as
+# (name, bytes), its cell-steps (a cell is one site of one walk or trajectory, or
+# one (x, x') pair of a field) and its spectral points.
+Needs = tuple[list[int], list[tuple[str, int]], int, int]
+
+
+def run_walk(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     n_steps = cfg.n_steps or 500
-    return cfg.n or (2 * n_steps + 64), n_steps
-
-
-def run_walk(cfg: ScenarioConfig, report: RunReport) -> None:
-    n, n_steps = _walk_size(cfg)
+    n = cfg.n or (2 * n_steps + 64)
+    yield [], [("the walk buffers", walk_bytes(1, n))], n * n_steps, 0
     grid = LatticeGrid(n_sites=n)
     state = WaveState.delta(grid)
     field_ = AngleField(theta_bar=cfg.theta)  # eps = 1: angles applied as given
@@ -192,10 +201,12 @@ def run_walk(cfg: ScenarioConfig, report: RunReport) -> None:
     report.checks.append(Check("edge_mass", state.edge_mass(), 0.0, 1e-12, "le"))
 
 
-def run_channel(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_channel(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     grid = _lattice_grid(cfg)
+    n, n_steps = grid.n_sites, step_count(cfg.t_final, cfg.eps)
+    # one (x, x') block field, though a band that leaves modes out builds it only at the end
+    yield [n], [], n * n * n_steps, 0
     rates = noise.ChannelRates(cfg.pi1_rate, cfg.pi2_rate)
-    n_steps = step_count(cfg.t_final, cfg.eps)
     marks = _snapshot_steps(cfg, n_steps)
     result = noise.channel_run(_lattice_init(cfg, grid), AngleField.massive(cfg.m), rates, marks)
     # the band path builds the final blocks here, and they go once the defect is read
@@ -219,12 +230,16 @@ def run_channel(cfg: ScenarioConfig, report: RunReport) -> None:
     report.checks.append(Check("edge_mass", edge_mass, 0.0, cfg.tol_edge, "le"))
 
 
-def run_trajectories(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_trajectories(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     grid = _lattice_grid(cfg)
+    n, n_steps = grid.n_sites, step_count(cfg.t_final, cfg.eps)
+    batch = min(cfg.n_traj, noise.ENSEMBLE_BATCH)
+    # probabilities only, one batch at a time; a trajectory is set up even with no step
+    yield ([], [("the walk buffers", walk_bytes(batch, n, n_steps))],
+           cfg.n_traj * n * max(n_steps, 1), 0)
     init = _lattice_init(cfg, grid)
     spec = noise.NoiseSpec.single(cfg.noise_param, cfg.noise_kind, cfg.noise_delta)
     field_ = AngleField.massive(cfg.m)
-    n_steps = step_count(cfg.t_final, cfg.eps)
     ens = noise.run_ensemble(field_, spec, init, n_steps, cfg.n_traj, cfg.seed,
                              accumulate_blocks=False)
     p = ens.probability_mean()
@@ -253,9 +268,11 @@ def _measured_group_velocity(cfg: ScenarioConfig) -> float:
     return float((-3 * x0 + 4 * x1 - x2) / (2 * h))
 
 
-def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
-    params = pde.GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
+def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     if cfg.fast == "spectral":
+        momenta = analytic.spectral_momenta(cfg.p0, cfg.sigma)  # a sigma they cannot resolve raises
+        yield [], [], 0, (cfg.n_snapshots + 3) * momenta.size  # the snapshots and 3 fit times
+        params = pde.GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
         wp = analytic.DiracWavepacket(cfg.p0, cfg.sigma, cfg.m)
         if cfg.snapshot_spacing == "log":
             times = np.concatenate([[0.0], np.geomspace(cfg.t_final * 1e-3, cfg.t_final,
@@ -265,8 +282,14 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
         series = analytic.spectral_moments(wp, params, times)
     else:
         grid = _pde_grid(cfg)
+        n, n_steps = grid.n_sites, step_count(cfg.t_final, cfg.dx)
+        if cfg.fast == "diagonal":  # R0 and R3 only
+            yield [], [], n * n_steps, 0
+        else:  # one (x, x') field, though band_evolve builds it only for the binary dump
+            yield [n], [], n * n * n_steps, 0
+        params = pde.GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
         pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid)
-        marks = _snapshot_steps(cfg, step_count(cfg.t_final, cfg.dx))
+        marks = _snapshot_steps(cfg, n_steps)
         if cfg.fast == "diagonal":
             # R0 and R3 of the pure start, (|psi_L|^2 +- |psi_R|^2) / dx, with no (x, x') field
             left, right = np.abs(pk.state(0.0).amplitudes) ** 2 / grid.spacing
@@ -339,8 +362,10 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
                                    cfg.tol_slope, "rel"))
 
 
-def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     grid = _pde_grid(cfg)
+    n, n_steps = grid.n_sites, step_count(cfg.t_final, cfg.dx)
+    yield [n], [], n * n * n_steps, 0  # the whole (x, x') field, whatever fast says
     # as a numpy float, a huge ell squares to inf (a flat kernel), not an OverflowError
     ell = np.float64(cfg.kernel_ell)
     channel = pde.KernelChannel(cfg.kernel_rate,
@@ -355,7 +380,7 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
     else:
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
     field0 = pde.pauli_from_wave_state(state)
-    marks = _snapshot_steps(cfg, step_count(cfg.t_final, cfg.dx))
+    marks = _snapshot_steps(cfg, n_steps)
     res = pde.evolve(field0, params, cfg.t_final, kernels=kernels, alpha=cfg.alpha,
                      snapshot_steps=marks)
     series = res.series
@@ -383,14 +408,16 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> None:
         )
 
 
-def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     grid = _pde_grid(cfg)
+    n_steps = step_count(cfg.t_final, cfg.dx)
+    yield [], [], grid.n_sites * n_steps, 0  # R0 and R3 only
     x = grid.positions
     width = np.float64(cfg.init_width or 0.35)  # as in WaveState.gaussian
     prof = np.exp(-(x**2) / (2 * width**2))
     prof /= prof.sum() * grid.spacing
     params = pde.GeneratorParams(m=0.0, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
-    marks = _snapshot_steps(cfg, step_count(cfg.t_final, cfg.dx))
+    marks = _snapshot_steps(cfg, n_steps)
     res = pde.diagonal_evolve(prof, np.zeros_like(prof), grid, params, cfg.t_final,
                               alpha=cfg.alpha, snapshot_steps=marks)
     _write_moments_csv(report.add_file("moments.csv"), res.series)
@@ -412,8 +439,9 @@ def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> None:
     report.checks.append(Check("closed_form_match", err, 0.0, cfg.tol or 1e-3, "le"))
 
 
-def run_fourier(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_fourier(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     grid = _pde_grid(cfg)
+    yield [], [], grid.n_sites * step_count(cfg.t_final, cfg.dx), 0  # R0 and R3 only
     width = cfg.init_width or 0.35
     left, right = np.abs(WaveState.gaussian(grid, width=width).amplitudes) ** 2 / grid.spacing
     r0, r3 = left + right, left - right
@@ -429,11 +457,14 @@ def run_fourier(cfg: ScenarioConfig, report: RunReport) -> None:
     report.checks.append(Check("propagator_match", err, 0.0, cfg.tol or 1e-3, "le"))
 
 
-def run_dirac_free(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_dirac_free(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     grid = _pde_grid(cfg)
+    n, n_times = grid.n_sites, max(cfg.n_snapshots, 3)
+    # the (2, snapshots, n) complex amplitudes of every snapshot, stacked; no steps
+    yield [], [("the snapshot amplitudes", 2 * n_times * n * 16)], n * n_times, 0
     pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid)
     x = grid.positions
-    times = np.linspace(0.0, cfg.t_final, max(cfg.n_snapshots, 3))
+    times = np.linspace(0.0, cfg.t_final, n_times)
     # |psi_L|^2 / dx and |psi_R|^2 / dx, each as a (snapshots, n) stack
     amps = np.stack([pk.state(t).amplitudes for t in times], axis=1)
     left, right = np.abs(amps) ** 2 / grid.spacing
@@ -453,10 +484,16 @@ def run_dirac_free(cfg: ScenarioConfig, report: RunReport) -> None:
                                0.0, 1e-10, "le"))
 
 
-def run_compare(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_compare(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     """Channel model at each eps against one Lindblad PDE reference at fixed T."""
-    params = pde.GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
     grid_pde = _pde_grid(cfg)
+    n, n_steps = grid_pde.n_sites, step_count(cfg.t_final, cfg.dx)
+    lattices = [(LatticeGrid(n_sites=int(round(2 * cfg.half_width / eps)), spacing=eps),
+                 step_count(cfg.t_final, eps)) for eps in cfg.eps_list]
+    # the reference and each lattice as one (x, x') field, though each steps in a band
+    yield ([n] + [grid.n_sites for grid, _ in lattices], [],
+           n * n * n_steps + sum(grid.n_sites**2 * steps for grid, steps in lattices), 0)
+    params = pde.GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
     pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid_pde)
     res = pde.band_evolve(pk, params, cfg.t_final, alpha=cfg.alpha)
     ref_x = grid_pde.positions
@@ -467,11 +504,9 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> None:
     rates = noise.ChannelRates(0.5 * cfg.gamma1, 0.5 * cfg.gamma2)
     field_ = AngleField.massive(cfg.m)
     rows = []
-    for eps in cfg.eps_list:
-        n = int(round(2 * cfg.half_width / eps))
-        grid = LatticeGrid(n_sites=n, spacing=eps)
+    for grid, n_steps in lattices:
+        eps = grid.spacing
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
-        n_steps = step_count(cfg.t_final, eps)
         dens = noise.channel_run(state, field_, rates, [n_steps]).diagonals[-1].R[0]
         interp_ref = np.interp(grid.positions, ref_x, ref_density)
         l1 = observables.l1_density_distance(dens, interp_ref, eps)
@@ -489,12 +524,15 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> None:
                                1.0, 0.0, "bool"))
 
 
-def run_sweep(cfg: ScenarioConfig, report: RunReport) -> None:
+def run_sweep(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     base = ScenarioConfig(**{**cfg.metadata(), "scenario": "channel", "eps_list": ()})
+    subs = [replace(base, eps=eps) for eps in cfg.eps_list]
+    fields, buffers, cell_steps, points = zip(*map(_needs, subs))
+    yield sum(fields, []), sum(buffers, []), sum(cell_steps), sum(points)  # before any starts
     rows = []
-    for eps in cfg.eps_list:
-        base.eps = eps
-        sub = run(base, os.path.join(report.output_dir, f"eps-{eps:g}"))
+    for sub_cfg in subs:
+        eps = sub_cfg.eps
+        sub = run(sub_cfg, os.path.join(report.output_dir, f"eps-{eps:g}"))
         rows.append((eps, sub.metrics.get("trace_drift", np.nan),
                      sub.metrics.get("edge_mass", np.nan)))
         report.checks.extend(sub.checks)
@@ -553,60 +591,6 @@ def walk_bytes(walks: int, n: int, n_steps: int = 0) -> int:
     return 2 * walks * 2 * (n + 2) * 16 + walks * n_steps * 4 * 8
 
 
-def _demands(cfg: ScenarioConfig) -> tuple[list[int], list[tuple[str, int]], int, int]:
-    """Site counts of the run's (x, x') fields, its other buffers as
-    (name, bytes), its cell-steps and its spectral points.
-
-    A cell is one lattice site of one walk (or trajectory), or one (x, x')
-    pair of a field; each step advances every cell once.  Every Strang grid
-    is estimated as its (x, x') field, though a homogeneous one (``lindblad``
-    with ``fast = full``, the ``compare`` reference) steps in a band of
-    Fourier modes (:func:`pde.band_evolve`) and builds that field only for
-    the binary dump.  So is every flip channel, though one with a band that
-    leaves modes out (:func:`noise.band_channel`) builds its (x, x') blocks
-    once, at the end, for the hermiticity gate.  Only ``lindblad`` reads
-    ``fast``.
-    A ``t_final`` that is not a multiple of the step (:func:`step_count`)
-    raises ConfigurationError; ``dirac-free`` and ``fast = spectral`` take no steps.
-    So does a ``sigma`` that the momenta of ``fast = spectral`` cannot resolve.
-    """
-    s = cfg.scenario
-    if s == "walk":
-        n, n_steps = _walk_size(cfg)
-        return [], [("the walk buffers", walk_bytes(1, n))], n * n_steps, 0
-    if s == "sweep":
-        parts = [_demands(replace(cfg, scenario="channel", eps=eps)) for eps in cfg.eps_list]
-        return [n for f, _, _, _ in parts for n in f], [], sum(p[2] for p in parts), 0
-    if s in ("channel", "trajectories"):
-        n = _lattice_grid(cfg).n_sites
-        n_steps = step_count(cfg.t_final, cfg.eps)
-        if s == "channel":
-            return [n], [], n * n * n_steps, 0
-        # the run sums probabilities only, one batch of trajectories at a time;
-        # each trajectory is set up and summed even when it takes no step
-        batch = min(cfg.n_traj, noise.ENSEMBLE_BATCH)
-        return ([], [("the walk buffers", walk_bytes(batch, n, n_steps))],
-                cfg.n_traj * n * max(n_steps, 1), 0)
-    if s == "lindblad" and cfg.fast == "spectral":
-        # the momenta (a sigma they cannot resolve raises) at the run's
-        # snapshots and the three times of the group-velocity fit
-        momenta = analytic.spectral_momenta(cfg.p0, cfg.sigma)
-        return [], [], 0, (cfg.n_snapshots + 3) * momenta.size
-    n = _pde_grid(cfg).n_sites
-    if s == "dirac-free":
-        # the (2, snapshots, n) complex amplitudes of every snapshot, stacked
-        n_times = max(cfg.n_snapshots, 3)
-        return [], [("the snapshot amplitudes", 2 * n_times * n * 16)], n * n_times, 0
-    n_steps = step_count(cfg.t_final, cfg.dx)
-    if s in ("telegraph", "fourier") or (s == "lindblad" and cfg.fast == "diagonal"):
-        return [], [], n * n_steps, 0
-    if s == "compare":
-        sizes = [int(round(2 * cfg.half_width / eps)) for eps in cfg.eps_list]
-        work = sum(m * m * step_count(cfg.t_final, eps) for m, eps in zip(sizes, cfg.eps_list))
-        return [n] + sizes, [], n * n * n_steps + work, 0
-    return [n], [], n * n * n_steps, 0
-
-
 def _count(value: int) -> float:
     """A count as a float for a message: inf past the float range, where an
     absurd config (say ``half_width = 1e300``) puts its estimates."""
@@ -628,13 +612,23 @@ def _over_memory_limit(what: str, size: int) -> str:
     return f"{what} {need}, above the limit of {limit}"
 
 
+def _needs(cfg: ScenarioConfig) -> Needs:
+    """What the run of ``cfg`` needs: the first yield of its scenario function."""
+    scenario = _RUNNERS[cfg.scenario](cfg, None)
+    needs = next(scenario)  # an error in the sizes ends the generator here
+    scenario.close()
+    return needs
+
+
 def check_resources(cfg: ScenarioConfig) -> None:
     """Reject a run whose memory or work exceeds the stated limits, before it starts.
 
     Raises ConfigError listing every limit the run would exceed, or
-    ConfigurationError when ``t_final`` is not a multiple of the run's step.
+    ConfigurationError when ``t_final`` is not a multiple of the run's step
+    (``dirac-free`` and ``fast = spectral`` take no steps) or when the
+    momenta of ``fast = spectral`` cannot resolve its ``sigma``.
     """
-    fields, buffers, cell_steps, spectral_points = _demands(cfg)
+    fields, buffers, cell_steps, spectral_points = _needs(cfg)
     needs = [(f"a {n}-site (x, x') field needs", field_bytes(n)) for n in fields]
     needs += [(f"{name} need", size) for name, size in buffers]
     errors = [_over_memory_limit(what, size) for what, size in needs if size > MAX_FIELD_BYTES]
@@ -664,7 +658,8 @@ def run(cfg: ScenarioConfig, output_dir: str | None = None) -> RunReport:
         out = _fresh_output_dir(os.path.join(default_output_root(), f"{cfg.scenario}-{stamp}"))
     report = RunReport(scenario=cfg.scenario, label=cfg.label, output_dir=out,
                        config=cfg.metadata())
-    _RUNNERS[cfg.scenario](cfg, report)
+    for _ in _RUNNERS[cfg.scenario](cfg, report):
+        pass  # the needs, which check_resources has accepted
     report.write()
     return report
 

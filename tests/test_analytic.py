@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,12 @@ class TestPacket:
         total = adaptive_gauss_legendre(weight, -0.5, 2.5, tol=1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_norm_of_a_narrow_packet_off_zero_momentum(self):
+        # sigma = 1e-12 of p0: the weight is the spinor factor at p0 times a unit Gaussian
+        p0, m = 0.5, 0.5
+        want = 1.0 / (1.0 + ((dispersion(p0, m) + p0) / m) ** 2)
+        assert DiracWavepacket(p0=p0, sigma=1e-12, m=m).norm == pytest.approx(want, rel=1e-12)
+
     def test_quadrature_without_a_second_panel_count_raises(self):
         with pytest.raises(NumericalError):
             adaptive_gauss_legendre(np.cos, 0.0, 1.0, max_panels=1)
@@ -459,6 +466,19 @@ class TestSpectralMoments:
                                       np.linspace(0.0, 60.0, 121))
             plateaus[gamma] = regime_times(series, v_g=group_velocity(5.0, 0.5)).x_plateau
         assert plateaus[0.5] / plateaus[1.0] == pytest.approx(2.0, rel=0.1)
+
+    def test_log_spaced_times_hold_one_step_of_blocks(self):
+        # every log-spaced step is distinct, so no step's blocks are kept past it
+        wp = DiracWavepacket(p0=0.5, sigma=0.05, m=0.5)
+        times = np.concatenate([[0.0], np.geomspace(0.4, 400.0, 399)])
+        tracemalloc.start()
+        try:
+            series = spectral_moments(wp, GeneratorParams(m=0.5, gamma2=0.5), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.max_trace_drift() < 1e-10
+        assert peak < 40 * 2**20
 
     def test_eta_envelope_non_increasing_after_bend(self):
         from dlqw.observables import exponent_series, regime_times

@@ -368,8 +368,11 @@ class TestMain:
          "init must be one of packet/delta/gaussian, got 'abc'"),
         (KERNEL + "kernel_ell = 0.2\ninit = delta\n", "kernel-lindblad has no delta start"),
         (KERNEL.replace("identity", "") + "kernel_ell = 0.2\n", "unknown kernel_channel ''"),
+        # refused before the reference and the eps = 0.1 lattice run
+        ("scenario = compare\nm = 0.5\ngamma2 = 0.5\neps_list = 0.1, 20\nhalf_width = 10\n"
+         "dx = 0.1\nt_final = 20\n", "n_sites must be >= 4, got 1"),
     ], ids=["m-nan", "t_final-inf", "kernel_ell-zero", "eps_list-zero", "init-unknown",
-            "init-kernel-delta", "kernel_channel-empty"])
+            "init-kernel-delta", "kernel_channel-empty", "compare-lattice-too-small"])
     def test_bad_value_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
@@ -415,9 +418,21 @@ class TestMain:
         ("scenario = trajectories\neps = 0.1\nhalf_width = 8\nt_final = 0\n"
          "noise_delta = 0.5\nn_traj = 100000000000\n",
          "the run needs 1.6e+13 cell-steps, above the limit of 1e+10"),
+        # refused before the eps = 0.1 run, which fits, starts
+        ("scenario = sweep\neps_list = 0.1, 0.001\nhalf_width = 100\nt_final = 1\n",
+         "a 200000-site (x, x') field needs 2.33 TiB, above the limit of 1 GiB"),
+        ("scenario = compare\nm = 0.5\ngamma2 = 0.5\neps_list = 0.1, 0.001\n"
+         "half_width = 10\ndx = 0.025\nt_final = 2\n",
+         "a 20000-site (x, x') field needs 23.8 GiB, above the limit of 1 GiB"),
+        ("scenario = fourier\ngamma2 = 0.5\ndx = 0.01\nhalf_width = 5\nt_final = 1e9\n",
+         "the run needs 1e+14 cell-steps, above the limit of 1e+10"),
+        ("scenario = lindblad\nfast = diagonal\ngamma2 = 0.5\ndx = 0.01\nhalf_width = 5\n"
+         "t_final = 1e9\n",
+         "the run needs 1e+14 cell-steps, above the limit of 1e+10"),
     ], ids=["grid-field", "channel-blocks", "telegraph-steps", "spectral-snapshots",
             "walk-amplitudes", "kernel-fast-diagonal", "channel-overflow",
-            "trajectories-no-steps"])
+            "trajectories-no-steps", "sweep-second-lattice", "compare-lattice",
+            "fourier-steps", "lindblad-diagonal-steps"])
     def test_run_over_a_resource_limit_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "big.cfg"
         cfg_path.write_text(text)
@@ -431,7 +446,7 @@ class TestMain:
         assert rc == 2
         assert message in err and "Traceback" not in err
         assert peak < 2**20
-        assert not (tmp_path / "r").exists()
+        assert not (tmp_path / "r").exists() and not (tmp_path / "r" / "eps-0.1").exists()
 
     @pytest.mark.parametrize("kind, message", [
         ("missing", "cannot read config {}: No such file or directory"),
@@ -543,6 +558,15 @@ class TestMain:
         assert rc == 2
         assert f"error: sigma = {sigma} is too small" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-12", "1e-8"])
+    def test_narrow_spectral_packet_off_zero_momentum_runs(self, tmp_path, capsys, sigma):
+        cfg_path = tmp_path / "narrow.cfg"
+        cfg_path.write_text("scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\n"
+                            "dx = 0.25\nhalf_width = 4\nt_final = 1\nn_snapshots = 3\n"
+                            f"sigma = {sigma}\np0 = 0.5\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 0, capsys.readouterr().err
 
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "seed.cfg"
