@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
+from .noise import NOISE_KINDS, PARAM_NAMES
 from .walk import ConfigurationError
 
 VALID_SCENARIOS = (
@@ -223,6 +224,9 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("kernel_ell must be positive")
     if values.get("kernel_channel", "identity") not in ("identity", "phase-flip", "coin-flip"):
         errors.append(f"unknown kernel_channel {values.get('kernel_channel')!r}")
+    for key, valid in (("noise_param", PARAM_NAMES), ("noise_kind", NOISE_KINDS)):
+        if values.get(key, valid[0]) not in valid:
+            errors.append(f"{key} must be one of {'/'.join(valid)}, got {values[key]!r}")
     if values.get("snapshot_spacing", "uniform") not in ("uniform", "log"):
         errors.append("snapshot_spacing must be 'uniform' or 'log'")
     if values.get("t_final", 0.0) < 0:

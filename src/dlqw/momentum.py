@@ -12,8 +12,8 @@ two modes mix.  The pure start |psi><psi| of psi(x) = sum_k c[k]
 e^{2 pi i k x / n} is c(k) c*(k'), which vanishes to round-off outside the
 box of modes where |c| is above round-off, and such steps keep it there.
 So an engine steps only that box: :func:`dlqw.pde.band_evolve` (the
-homogeneous Strang grid) and :func:`dlqw.noise.band_channel` (the
-constant-coin flip channel) differ only in their mix and shifts.
+homogeneous Strang grid) and :func:`dlqw.noise.channel_run` (the
+constant-coin channel of either noise model) differ only in their mix and shifts.
 """
 
 from __future__ import annotations

@@ -11,11 +11,15 @@ Two noise models act on the walk of :mod:`dlqw.walk`:
   coin angles, scaled by sqrt(eps), and applies the resulting unitary; the
   ensemble average over trajectories estimates the Kraus integral.
 
-A run of the channel model with a constant coin from a pure start steps in a
-band of (k, k') Fourier modes (:func:`band_channel`), where each step is a
-4x4 mix and a phase per mode; :func:`channel_run` picks that path or the
-position-space :func:`channel_step`, and steps either through
-:func:`dlqw.walk.march`, the loop of the continuum engines too.
+With a constant coin, one step of either model's density is the same
+operation: a 4x4 mix of the shifted coin blocks plus a 4x4 mix of the
+unshifted ones.  The flip channel (:meth:`ChannelRates.step_mixes`) and the
+exact average of two-point random unitaries (:meth:`NoiseSpec.step_mixes`)
+differ only in those two matrices, and :func:`channel_run` steps both, in the
+band of (k, k') Fourier modes a pure start occupies or, when that band fills
+the axis, on the (x, x') blocks, through :func:`dlqw.walk.march`, the loop of
+the continuum engines too.  :func:`channel_step` is the one-step reference,
+per-site coins included.
 
 With matched rates (pi-rate == delta**2 per channel) the two models share one
 continuum limit, which is what the cross-model tests exercise.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -128,6 +133,13 @@ class ChannelRates:
             )
         return p1, p2
 
+    def step_mixes(self, angles, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (shifted, unshifted) 4x4 block mixes of one step with the coin C
+        of ``angles``: (1 - p1 - p2) kron(C, conj C) and p1 s3 x s3 + p2 s1 x s1."""
+        p1, p2 = self.step_probabilities(eps)
+        coin = coin_matrices(*angles)
+        return (1.0 - p1 - p2) * np.kron(coin, coin.conj()), p1 * _PHASE_FLIP + p2 * _COIN_FLIP
+
 
 @dataclass(frozen=True)
 class ParamNoise:
@@ -161,6 +173,28 @@ class NoiseSpec:
         if param not in PARAM_NAMES:
             raise ConfigurationError(f"unknown coin parameter {param!r}")
         return cls(**{param: ParamNoise(kind, delta)})
+
+    def step_mixes(self, angles, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """The exact (shifted, unshifted) 4x4 block mixes of one averaged
+        random-unitaries step with the coin of ``angles``.
+
+        Every noisy angle must carry a two-point distribution: the shifted mix
+        is the mean of kron(C_w, conj C_w) over the 2^k equally likely sign
+        branches of the offsets +-sqrt(eps) * delta, so no Monte-Carlo error
+        enters, and the unshifted mix is zero.
+        """
+        active = [l for l, e in enumerate(self.entries) if e.delta > 0]
+        if any(self.entries[l].kind != "two-point" for l in active):
+            raise ConfigurationError("exact channel average requires two-point noise")
+        deltas = np.sqrt(eps) * np.array([self.entries[l].delta for l in active])
+        branches = list(product((-1.0, 1.0), repeat=len(active)))
+        mix = np.zeros((4, 4), dtype=complex)
+        for signs in branches:
+            branch = np.array(angles, dtype=float)
+            branch[active] += np.array(signs) * deltas
+            coin = coin_matrices(*branch)
+            mix += np.kron(coin, coin.conj())
+        return mix / len(branches), np.zeros((4, 4))
 
 
 def rng_for_trajectory(seed: int, trajectory: int) -> np.random.Generator:
@@ -445,24 +479,19 @@ _COIN_FLIP = np.kron(SIGMA[1], SIGMA[1]).real
 _PAULI_OF_BLOCKS = SIGMA.transpose(0, 2, 1).reshape(4, 4)
 
 
-def walk_conjugate(rho: DensityGrid, field: AngleField, t: float,
-                   offsets: tuple | None = None) -> np.ndarray:
+def walk_conjugate(rho: DensityGrid, field: AngleField, t: float) -> np.ndarray:
     """Blocks of U rho U^dag for the walk unitary at time t.
 
-    A constant coin C (no callable angle field, scalar offsets) acts as one
-    4x4 mix kron(C, conj C) of the shifted blocks; per-site coins act on
-    both sides of each block by one einsum.
+    A constant coin C acts as one 4x4 mix kron(C, conj C) of the shifted
+    blocks; per-site coins act on both sides of each block by one einsum.
     """
     grid = rho.grid
     n = grid.n_sites
     shifted = roll_components(rho.blocks.reshape(4, n, n), BLOCK_SHIFTS)
-    if field.is_constant and all(np.ndim(o) == 0 for o in offsets or ()):
-        angles = grid.spacing * np.array(field.rates, dtype=float)
-        if offsets is not None:
-            angles = angles + np.asarray(offsets, dtype=float)
-        coin = coin_matrices(*angles)
+    if field.is_constant:
+        coin = coin_matrices(*(grid.spacing * np.array(field.rates, dtype=float)))
         return mix_components(np.kron(coin, coin.conj()), shifted).reshape(2, 2, n, n)
-    coins = step_coins(field, t, grid, offsets=offsets)
+    coins = step_coins(field, t, grid)
     return np.einsum("xua,abxy,yvb->uvxy", coins, shifted.reshape(2, 2, n, n), coins.conj())
 
 
@@ -477,7 +506,8 @@ def channel_step(
     rho <- (1 - pi1 - pi2) U rho U^dag + pi1 s3 rho s3 + pi2 s1 rho s1,
     with pi_l = eps * rate_l, eps the lattice spacing, and U the walk unitary
     applied blockwise.  The two flip branches fold into one 4x4 mix of the
-    unshifted blocks.
+    unshifted blocks.  This is the one-step reference of :func:`channel_run`,
+    and the only channel step with per-site coins.
     """
     p1, p2 = rates.step_probabilities(rho.grid.spacing)
     out = walk_conjugate(rho, field, t)
@@ -488,109 +518,50 @@ def channel_step(
     return DensityGrid(out, rho.grid)
 
 
-def _channel_march(rho, advance, block_diagonal, finish, grid: LatticeGrid, marks) -> EvolveResult:
-    """:func:`march` of a flip-channel state ``rho`` to the last of the sorted step ``marks``.
-
-    A snapshot mixes the block diagonals (b00, b01, b10, b11) that
-    ``block_diagonal`` reads into R^mu = tr(sigma^mu b) / a (R^0 = p / a);
-    the blow-up check reads them as they are, at most 1 in size for a
-    density, so a fine lattice does not trip it.
-    """
-    return march(rho, advance,
-                 lambda s: mix_components(_PAULI_OF_BLOCKS, block_diagonal(s)).real / grid.spacing,
-                 block_diagonal, grid, int(marks[-1]), marks, finish)
-
-
-def channel_run(state: WaveState, field: AngleField, rates: ChannelRates,
+def channel_run(state: WaveState, field: AngleField, model: ChannelRates | NoiseSpec,
                 marks) -> EvolveResult:
-    """The flip channel from the pure start |state><state| to the last of the
-    sorted step ``marks``, with the diagonals at each mark.
+    """The averaged density of either noise model from the pure start
+    |state><state| to the last of the sorted step ``marks``, with the
+    diagonals at each mark.
 
-    A constant coin steps in the band of modes the start occupies
-    (:func:`band_channel`) unless that band fills the axis, as for a delta
-    start or a start that does not vanish smoothly at the periodic edge;
-    then, and for per-site coins, the (2, 2, n, n) blocks step by
-    :func:`channel_step`, at t = step * a.  Either way the rates are checked
-    before any step, and the result's ``build_final`` returns the blocks at
-    the last mark as a :class:`DensityGrid`.
+    ``model.step_mixes`` gives the (shifted, unshifted) mixes (S, F) of the
+    constant coin of ``field``, checked before any step, and a step is
+    rho <- S shift(rho) + F rho.  The blocks step on the band of (k, k') modes
+    the start occupies, where the shift is a phase per mode, or as (4, n, n)
+    position blocks when that band fills the axis (a delta start, or a start
+    with a kink at the periodic edge).  Snapshots and the blow-up check read
+    the block diagonals; ``build_final`` returns the last blocks as a
+    :class:`DensityGrid`.  Per-site coins are refused: :func:`channel_step`
+    steps them.
     """
+    if not field.is_constant:
+        raise ConfigurationError("channel_run needs a constant coin; "
+                                 "channel_step steps per-site coins")
     grid = state.grid
-    a = grid.spacing
-    rates.step_probabilities(a)
-    if field.is_constant:
-        band = ModeBand(np.fft.fft(state.amplitudes, axis=1) / grid.n_sites)
-        if not band.fills_axis:
-            return band_channel(grid, band, field, rates, marks)
-
-    def advance(rho: DensityGrid, done: int, stop: int) -> DensityGrid:
-        for step in range(done, stop):
-            rho = channel_step(rho, field, rates, t=step * a)
-        return rho
-
-    return _channel_march(
-        DensityGrid.from_wave_state(state), advance,
-        lambda rho: np.diagonal(rho.blocks, axis1=2, axis2=3).reshape(4, -1),
-        lambda rho: rho, grid, marks)
-
-
-def band_channel(grid: LatticeGrid, band: ModeBand, field: AngleField, rates: ChannelRates,
-                 marks) -> EvolveResult:
-    """:func:`channel_step` with the constant coin C of ``field``, mode by mode.
-
-    ``band`` holds the start's coefficients c(k) on its kept modes, and the
-    blocks start as rho_uv(k, k') = c_u(k) c_v*(k').  In (k, k') space the
-    shift of the blocks by :data:`BLOCK_SHIFTS` is a phase table D, so a step
-    is (1 - p1 - p2) kron(C, conj C) (D * rho) + (p1 s3 x s3 + p2 s1 x s1) rho
-    for each mode, and no two modes mix.  Each mark's diagonal is one n-point
-    inverse FFT; the (2, 2, n, n) blocks are built, by one zero-padded
-    inverse 2-D FFT, on each call of ``build_final`` only.
-    """
     a, n = grid.spacing, grid.n_sites
-    p1, p2 = rates.step_probabilities(a)
-    coin = coin_matrices(*(a * np.array(field.rates, dtype=float)))
-    walk_mix = (1.0 - p1 - p2) * np.kron(coin, coin.conj())
-    shift = band.phases(BLOCK_SHIFTS)
-    flips = p1 * _PHASE_FLIP + p2 * _COIN_FLIP
-    c = band.coefficients
-    k = c.shape[1]
+    shifted_mix, unshifted_mix = model.step_mixes(a * np.array(field.rates, dtype=float), a)
+    band = ModeBand(np.fft.fft(state.amplitudes, axis=1) / n)
+    if band.fills_axis:
+        rho = DensityGrid.from_wave_state(state).blocks.reshape(4, n, n)
+        shift = partial(roll_components, shifts=BLOCK_SHIFTS)
+        diagonal = partial(np.diagonal, axis1=1, axis2=2)
+        position = np.asarray
+    else:
+        c = band.coefficients
+        k = c.shape[1]
+        rho = np.einsum("uk,vl->uvkl", c, c.conj()).reshape(4, k, k)
+        shift = partial(np.multiply, band.phases(BLOCK_SHIFTS))
+        diagonal, position = band.diagonal, band.field
+    mixes_unshifted = unshifted_mix.any()
 
     def advance(rho: np.ndarray, done: int, stop: int) -> np.ndarray:
         for _ in range(done, stop):
-            out = mix_components(walk_mix, shift * rho)
-            if p1 or p2:
-                out += mix_components(flips, rho)
+            out = mix_components(shifted_mix, shift(rho))
+            if mixes_unshifted:
+                out += mix_components(unshifted_mix, rho)
             rho = out
         return rho
 
-    return _channel_march(
-        np.einsum("uk,vl->uvkl", c, c.conj()).reshape(4, k, k), advance, band.diagonal,
-        lambda rho: DensityGrid(band.field(rho).reshape(2, 2, n, n), grid), grid, marks)
-
-
-def two_point_channel_step(
-    rho: DensityGrid,
-    field: AngleField,
-    spec: NoiseSpec,
-    t: float,
-) -> DensityGrid:
-    """Exact Kraus average of one random-unitaries step for two-point noise.
-
-    Every noisy angle must carry a two-point distribution; the average is the
-    equally weighted sum over the 2^k sign branches, so no Monte-Carlo error
-    enters.  Used by the vanishing-noise refinement checks.
-    """
-    root = np.sqrt(rho.grid.spacing)
-    active = [(l, e.delta) for l, e in enumerate(spec.entries) if e.delta > 0]
-    for l, e in enumerate(spec.entries):
-        if e.delta > 0 and e.kind != "two-point":
-            raise ConfigurationError("exact channel average requires two-point noise")
-    if not active:
-        return DensityGrid(walk_conjugate(rho, field, t), rho.grid)
-    out = np.zeros_like(rho.blocks)
-    branches = list(product((-1.0, 1.0), repeat=len(active)))
-    for signs in branches:
-        offs = [0.0, 0.0, 0.0, 0.0]
-        for (l, delta), s in zip(active, signs):
-            offs[l] = s * root * delta
-        out += walk_conjugate(rho, field, t, offsets=tuple(offs))
-    return DensityGrid(out / len(branches), rho.grid)
+    return march(rho, advance, lambda b: mix_components(_PAULI_OF_BLOCKS, diagonal(b)).real / a,
+                 diagonal, grid, int(marks[-1]), marks,
+                 lambda b: DensityGrid(position(b).reshape(2, 2, n, n), grid))

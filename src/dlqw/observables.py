@@ -143,6 +143,10 @@ BALLISTIC_TOL = 0.02
 SETTLED_TOL = 0.01
 # trailing share of the samples averaged into the plateau value
 PLATEAU_FRACTION = 0.1
+# a mean whose bend T^2 max|d2<x>/dt2| is below this share of T max|d<x>/dt|
+# (or of max|<x>|, if larger) is straight: fig3-free's free packet reads
+# 2.7e-11, the bent means of the other presets 0.06 to 169
+STRAIGHT_TOL = 1e-9
 
 
 def regime_times(series: MomentSeries, v_g: float) -> RegimeTimes:
@@ -154,7 +158,8 @@ def regime_times(series: MomentSeries, v_g: float) -> RegimeTimes:
     the largest-magnitude second finite-difference derivative of the mean
     (the sharpest bend between the ballistic and settled segments).  The
     plateau value is the average over the trailing PLATEAU_FRACTION of
-    samples.  t2 is absent when the series has not settled.
+    samples.  t2 is absent when the series has not settled, and t_mid when
+    the mean is straight to STRAIGHT_TOL or has fewer than 5 samples.
     """
     t = series.times
     m = series.mean_x
@@ -180,9 +185,14 @@ def regime_times(series: MomentSeries, v_g: float) -> RegimeTimes:
             i -= 1
         t2 = float(t[i])
 
-    d1 = np.gradient(m, t)
-    d2 = np.gradient(d1, t)
-    t_mid = float(t[int(np.argmax(np.abs(d2)))]) if t.size >= 5 else None
+    t_mid = None
+    if t.size >= 5:
+        d1 = np.gradient(m, t)
+        d2 = np.abs(np.gradient(d1, t))
+        # a straight mean has no bend: its d2 is round-off, not a crossover
+        span = t[-1] - t[0]
+        if span * span * d2.max() > STRAIGHT_TOL * max(span * np.abs(d1).max(), np.abs(m).max()):
+            t_mid = float(t[int(np.argmax(d2))])
     return RegimeTimes(t1=t1, t2=t2, t_mid=t_mid, x_plateau=x_plateau)
 
 

@@ -141,14 +141,12 @@ def _lattice_grid(cfg: ScenarioConfig) -> LatticeGrid:
     if cfg.n:
         return LatticeGrid(n_sites=cfg.n, spacing=cfg.eps)
     if cfg.half_width:
-        n = int(round(2 * cfg.half_width / cfg.eps))
-        return LatticeGrid(n_sites=n, spacing=cfg.eps)
+        return LatticeGrid.for_half_width(cfg.half_width, cfg.eps)
     return LatticeGrid.for_duration(cfg.t_final, cfg.eps, pad=4.0)
 
 
 def _pde_grid(cfg: ScenarioConfig) -> LatticeGrid:
-    n = int(round(2 * cfg.half_width / cfg.dx))
-    return LatticeGrid(n_sites=n, spacing=cfg.dx)
+    return LatticeGrid.for_half_width(cfg.half_width, cfg.dx)
 
 
 def _lattice_init(cfg: ScenarioConfig, grid: LatticeGrid) -> WaveState:
@@ -488,8 +486,8 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     """Channel model at each eps against one Lindblad PDE reference at fixed T."""
     grid_pde = _pde_grid(cfg)
     n, n_steps = grid_pde.n_sites, step_count(cfg.t_final, cfg.dx)
-    lattices = [(LatticeGrid(n_sites=int(round(2 * cfg.half_width / eps)), spacing=eps),
-                 step_count(cfg.t_final, eps)) for eps in cfg.eps_list]
+    lattices = [(LatticeGrid.for_half_width(cfg.half_width, eps), step_count(cfg.t_final, eps))
+                for eps in cfg.eps_list]
     # the reference and each lattice as one (x, x') field, though each steps in a band
     yield ([n] + [grid.n_sites for grid, _ in lattices], [],
            n * n * n_steps + sum(grid.n_sites**2 * steps for grid, steps in lattices), 0)

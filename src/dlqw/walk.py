@@ -86,8 +86,20 @@ class LatticeGrid:
     @classmethod
     def for_duration(cls, t_final: float, eps: float, pad: float = 0.0) -> "LatticeGrid":
         """Grid large enough that a centered start never reaches the wrap by t_final."""
-        half = int(math.ceil((t_final + pad) / eps)) + 2
-        return cls(n_sites=2 * half + 1, spacing=eps)
+        half = (t_final + pad) / eps
+        if not math.isfinite(half):
+            raise ConfigurationError(f"t_final = {t_final:g} at spacing {eps:g} "
+                                     "overflows the site count")
+        return cls(n_sites=2 * (math.ceil(half) + 2) + 1, spacing=eps)
+
+    @classmethod
+    def for_half_width(cls, half_width: float, spacing: float) -> "LatticeGrid":
+        """Grid of round(2 * half_width / spacing) sites at ``spacing``, centred on x = 0."""
+        sites = 2 * half_width / spacing
+        if not math.isfinite(sites):
+            raise ConfigurationError(f"half_width = {half_width:g} at spacing {spacing:g} "
+                                     "overflows the site count")
+        return cls(n_sites=int(round(sites)), spacing=spacing)
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,7 @@ import pytest
 
 from dlqw.analytic import DiracWavepacket, spectral_moments
 from dlqw.config import load_config
-from dlqw.noise import (
-    ChannelRates,
-    DensityGrid,
-    NoiseSpec,
-    channel_step,
-    run_ensemble,
-    two_point_channel_step,
-    walk_conjugate,
-)
+from dlqw.noise import ChannelRates, NoiseSpec, channel_run, run_ensemble
 from dlqw.observables import diffusion_fit, exponent_series, l1_density_distance
 from dlqw.pde import (
     GeneratorParams,
@@ -94,14 +86,13 @@ def test_criterion_02_model_equivalence(outdir):
     field = AngleField.massive(cfg_c.m)
     steps = int(round(t_final / eps))
 
-    rho = DensityGrid.from_wave_state(init)
-    for j in range(steps):
-        rho = channel_step(rho, field, ChannelRates(0.0, cfg_c.pi2_rate), t=j * eps)
+    channel = channel_run(init, field, ChannelRates(0.0, cfg_c.pi2_rate), [steps])
+    p = channel.diagonals[-1].R[0] * eps
 
     spec = NoiseSpec.single("theta", "gaussian", cfg_t.noise_delta)
     ens = run_ensemble(field, spec, init, steps, n_traj, cfg_t.seed,
                        accumulate_blocks=False)
-    l1 = float(np.abs(ens.probability_mean() - rho.site_probabilities()).sum())
+    l1 = float(np.abs(ens.probability_mean() - p).sum())
     se_l1 = float(ens.probability_se().sum())
     elapsed = time.perf_counter() - t0
     ok = l1 <= 3.0 * se_l1 and elapsed < 120.0
@@ -256,19 +247,12 @@ def test_criterion_09_conservation_suite():
         steps = round(1.0 / eps)
         g = LatticeGrid.for_duration(1.0, eps)
         field_l = AngleField(theta_bar=-2.0)
-        clean = DensityGrid.pure_site(g, coin=(1.0, 1.0))
+        start = WaveState.delta(g, coin=(1.0, 1.0))
+        clean = channel_run(start, field_l, ChannelRates(), [steps]).diagonals[-1].R[0]
         for which, bucket in (("chi", chi_dist), ("xi0", xi0_dist)):
-            noisy = DensityGrid.pure_site(g, coin=(1.0, 1.0))
-            ref = clean.copy()
             spec = NoiseSpec.single(which, "two-point", 1.0)
-            for j in range(steps):
-                t = eps * j
-                noisy = two_point_channel_step(noisy, field_l, spec, t)
-                ref = DensityGrid(walk_conjugate(ref, field_l, t), g)
-            bucket.append(
-                l1_density_distance(noisy.site_probabilities() / eps,
-                                    ref.site_probabilities() / eps, eps)
-            )
+            noisy = channel_run(start, field_l, spec, [steps]).diagonals[-1].R[0]
+            bucket.append(l1_density_distance(noisy, clean, eps))
 
     ok = (trace_drift <= 1e-6 and herm <= 1e-10 and g1_dev <= 1e-10
           and max(xi0_dist) <= 1e-12 and chi_dist[0] > chi_dist[1] > chi_dist[2])

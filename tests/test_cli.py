@@ -371,14 +371,44 @@ class TestMain:
         # refused before the reference and the eps = 0.1 lattice run
         ("scenario = compare\nm = 0.5\ngamma2 = 0.5\neps_list = 0.1, 20\nhalf_width = 10\n"
          "dx = 0.1\nt_final = 20\n", "n_sites must be >= 4, got 1"),
+        # site counts past the float range
+        ("scenario = channel\neps = 1e-10\nhalf_width = 1e300\nt_final = 1\n",
+         "half_width = 1e+300 at spacing 1e-10 overflows the site count"),
+        ("scenario = lindblad\nfast = full\ngamma2 = 0.5\ndx = 1e-10\nhalf_width = 1e300\n"
+         "t_final = 1\n", "half_width = 1e+300 at spacing 1e-10 overflows the site count"),
+        ("scenario = compare\nm = 0.5\ngamma2 = 0.5\neps_list = 1e-300\nhalf_width = 1e10\n"
+         "dx = 0.1\nt_final = 1\n",
+         "half_width = 1e+10 at spacing 1e-300 overflows the site count"),
+        ("scenario = channel\neps = 1e-300\nt_final = 1e10\n",
+         "t_final = 1e+10 at spacing 1e-300 overflows the site count"),
     ], ids=["m-nan", "t_final-inf", "kernel_ell-zero", "eps_list-zero", "init-unknown",
-            "init-kernel-delta", "kernel_channel-empty", "compare-lattice-too-small"])
+            "init-kernel-delta", "kernel_channel-empty", "compare-lattice-too-small",
+            "channel-sites-overflow", "lindblad-sites-overflow", "compare-sites-overflow",
+            "channel-duration-overflow"])
     def test_bad_value_exit_two(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("scenario", ["trajectories", "channel"])
+    def test_bad_noise_keys_exit_two(self, tmp_path, capsys, scenario):
+        # both keys are checked whatever the scenario, each with the other problems
+        cfg_path = tmp_path / "noise.cfg"
+        cfg_path.write_text(f"scenario = {scenario}\neps = 0.1\nhalf_width = 8\nt_final = 1\n"
+                            "noise_delta = 0.5\nnoise_param = foo\nnoise_kind = cauchy\n"
+                            "sigma = -1\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        for message in ("noise_param must be one of xi0/xi1/theta/chi, got 'foo'",
+                        "noise_kind must be one of gaussian/uniform/two-point, got 'cauchy'",
+                        "sigma must be positive"):
+            assert message in err
+        assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -18,7 +18,6 @@ from dlqw.noise import (
     sample_coin_offsets,
     trajectory_offsets,
     trajectory_step,
-    two_point_channel_step,
 )
 from dlqw.walk import (
     AngleField,
@@ -169,16 +168,23 @@ def channel_reference(state, field, rates, marks):
 
 
 @pytest.fixture
-def step_calls(monkeypatch):
-    """Counts the calls of :func:`channel_step` that :func:`channel_run` makes."""
+def roll_calls(monkeypatch):
+    """Counts the position-space block shifts (:func:`noise.roll_components`) that
+    :func:`channel_run` makes, one per step on the position path."""
     calls = []
+    roll = noise.roll_components
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return channel_step(*args, **kwargs)
+        return roll(*args, **kwargs)
 
-    monkeypatch.setattr(noise, "channel_step", counted)
+    monkeypatch.setattr(noise, "roll_components", counted)
     return calls
+
+
+def final_probabilities(state, field, model, steps):
+    """Site probabilities of :func:`channel_run` after ``steps`` steps."""
+    return channel_run(state, field, model, [steps]).diagonals[-1].R[0] * state.grid.spacing
 
 
 BAND_GRID = LatticeGrid(n_sites=200, spacing=0.1)
@@ -196,10 +202,10 @@ BAND_RUNS = {
 
 class TestBandChannel:
     @pytest.mark.parametrize("name", list(BAND_RUNS))
-    def test_matches_channel_step(self, name, step_calls):
+    def test_matches_channel_step(self, name, roll_calls):
         state, field, rates, marks = BAND_RUNS[name]
         got = channel_run(state, field, rates, marks)
-        assert step_calls == []  # the band path
+        assert roll_calls == []  # the band path
         r0, r3, rho = channel_reference(state, field, rates, marks)
         # each array to 1e-13 of its own largest entry
         got_r0, got_r3 = (np.stack([d.R[mu] for d in got.diagonals]) for mu in (0, 3))
@@ -216,16 +222,17 @@ class TestBandChannel:
         assert final.hermiticity_defect() <= 1e-14
         assert final.trace() == pytest.approx(1.0, abs=1e-12)
 
-    def test_delta_start_takes_the_position_path(self, step_calls):
+    def test_delta_start_takes_the_position_path(self, roll_calls):
         grid = LatticeGrid(n_sites=40, spacing=0.1)
         state = WaveState.delta(grid)
         rates = ChannelRates(0.3, 0.2)
         got = channel_run(state, AngleField.massive(0.5), rates, [0, 4, 9])
-        assert len(step_calls) == 9
+        assert len(roll_calls) == 9
         r0, r3, rho = channel_reference(state, AngleField.massive(0.5), rates, [0, 4, 9])
-        np.testing.assert_array_equal(np.stack([d.R[0] for d in got.diagonals]), r0)
-        np.testing.assert_array_equal(np.stack([d.R[3] for d in got.diagonals]), r3)
-        np.testing.assert_array_equal(got.build_final().blocks, rho.blocks)
+        # the band runs' bound: the walk mix carries the factor 1 - p1 - p2 here
+        got_r0, got_r3 = (np.stack([d.R[mu] for d in got.diagonals]) for mu in (0, 3))
+        for have, want in ((got_r0, r0), (got_r3, r3), (got.build_final().blocks, rho.blocks)):
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_fine_lattice_delta_start_is_not_a_blow_up(self):
         # the blow-up check reads probabilities, not R = p / a = 1e7 here
@@ -234,7 +241,7 @@ class TestBandChannel:
                           ChannelRates(0.3, 0.2), [0, 64, 70])
         assert got.series.trace == pytest.approx(np.ones(3), abs=1e-12)
 
-    def test_wrapped_gaussian_start_takes_the_position_path(self, step_calls):
+    def test_wrapped_gaussian_start_takes_the_position_path(self, roll_calls):
         # the acceptance-equivalence-channel start: its periodic wrap has a kink
         cfg = load_config("preset:acceptance-equivalence-channel")
         grid = runner._lattice_grid(cfg)
@@ -242,13 +249,14 @@ class TestBandChannel:
         assert ModeBand(np.fft.fft(state.amplitudes, axis=1)).fills_axis
         channel_run(state, AngleField.massive(cfg.m),
                     ChannelRates(cfg.pi1_rate, cfg.pi2_rate), [0, 1])
-        assert len(step_calls) == 1
+        assert len(roll_calls) == 1
 
-    def test_site_coin_takes_the_position_path(self, step_calls):
+    def test_site_coin_is_refused(self):
+        # with per-site coins no pointwise mix describes a step: channel_step steps them
         state, _, rates, _ = BAND_RUNS["packet"]
         field = AngleField(theta_bar=lambda t, x: -0.5 + 0.1 * np.sin(x))
-        channel_run(state, field, rates, [0, 2])
-        assert len(step_calls) == 2
+        with pytest.raises(ConfigurationError, match="constant coin"):
+            channel_run(state, field, rates, [0, 2])
 
     @pytest.mark.parametrize("path", ["band", "position"])
     def test_rates_checked_before_any_step(self, path):
@@ -482,17 +490,12 @@ class TestEnsembleDensity:
             steps = round(t_final / eps)
             grid = LatticeGrid(n_sites=int(6.4 / eps), spacing=eps)
             field = AngleField(theta_bar=-1.0)
-            init = DensityGrid.from_wave_state(WaveState.gaussian(grid, width=0.4))
+            init = WaveState.gaussian(grid, width=0.4)
             spec = NoiseSpec.single("xi1", "two-point", delta)
-            rho_rand, rho_r, rho_w = init, init.copy(), init.copy()
-            for j in range(steps):
-                t = eps * j
-                rho_rand = two_point_channel_step(rho_rand, field, spec, t)
-                rho_r = channel_step(rho_r, field, ChannelRates(delta**2, 0.0), t)
-                rho_w = channel_step(rho_w, field, ChannelRates(0.0, delta**2), t)
-            p = rho_rand.site_probabilities()
-            d_right.append(l1_probability_distance(p, rho_r.site_probabilities()))
-            d_wrong.append(l1_probability_distance(p, rho_w.site_probabilities()))
+            p, p_r, p_w = (final_probabilities(init, field, model, steps) for model in (
+                spec, ChannelRates(delta**2, 0.0), ChannelRates(0.0, delta**2)))
+            d_right.append(l1_probability_distance(p, p_r))
+            d_wrong.append(l1_probability_distance(p, p_w))
         assert d_right[0] > d_right[1] > d_right[2]
         assert d_right[2] < 0.3 * d_right[0]
         assert d_wrong[2] > 5.0 * d_right[2]
@@ -506,11 +509,9 @@ class TestEnsembleDensity:
 
         ens = run_ensemble(field, spec, init, steps, n_traj=2000, seed=101,
                            accumulate_blocks=False)
-        rho = DensityGrid.from_wave_state(init)
-        for j in range(steps):
-            rho = channel_step(rho, field, ChannelRates(0.0, 0.25), t=eps * j)
+        p = final_probabilities(init, field, ChannelRates(0.0, 0.25), steps)
 
-        l1 = l1_probability_distance(ens.probability_mean(), rho.site_probabilities())
+        l1 = l1_probability_distance(ens.probability_mean(), p)
         se_l1 = float(ens.probability_se().sum())
         assert l1 <= 3.0 * se_l1
 
@@ -521,18 +522,10 @@ class TestNullNoises:
         grid = LatticeGrid(n_sites=30, spacing=eps)
         field = AngleField(theta_bar=-1.0)
         spec = NoiseSpec.single("xi0", "two-point", 1.0)
-        rho = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
-        ref = rho.copy()
-        for j in range(steps):
-            rho = two_point_channel_step(rho, field, spec, eps * j)
-            ref = DensityGrid(
-                __import__("dlqw.noise", fromlist=["walk_conjugate"]).walk_conjugate(
-                    ref, field, eps * j
-                ),
-                grid,
-            )
+        start = WaveState.delta(grid, coin=(1.0, 1.0))
         assert l1_probability_distance(
-            rho.site_probabilities(), ref.site_probabilities()
+            final_probabilities(start, field, spec, steps),
+            final_probabilities(start, field, ChannelRates(), steps),
         ) < 1e-12
 
     def test_chi_noise_vanishes_under_refinement(self):
@@ -543,16 +536,51 @@ class TestNullNoises:
             grid = LatticeGrid.for_duration(t_final, eps)
             field = AngleField(theta_bar=-2.0)
             spec = NoiseSpec.single("chi", "two-point", 1.0)
-            noisy = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
-            clean = noisy.copy()
-            for j in range(steps):
-                t = eps * j
-                noisy = two_point_channel_step(noisy, field, spec, t)
-                clean = channel_step(clean, field, ChannelRates(), t)
+            start = WaveState.delta(grid, coin=(1.0, 1.0))
             # compare as densities on the shared physical interval
-            x = grid.positions
-            pn = noisy.site_probabilities() / eps
-            pc = clean.site_probabilities() / eps
+            pn = final_probabilities(start, field, spec, steps) / eps
+            pc = final_probabilities(start, field, ChannelRates(), steps) / eps
             dists.append(np.abs(pn - pc).sum() * eps)
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < dists[0] / 2
+
+
+TWO_POINT_SPECS = {
+    "theta": NoiseSpec.single("theta", "two-point", 0.5),
+    "theta+chi": NoiseSpec(theta=ParamNoise("two-point", 0.5), chi=ParamNoise("two-point", 0.5)),
+}
+
+
+class TestExactTwoPointAverage:
+    @pytest.mark.parametrize("steps", [20, 40])
+    @pytest.mark.parametrize("name", list(TWO_POINT_SPECS))
+    def test_band_average_within_monte_carlo_error(self, name, steps, roll_calls):
+        state, field, _, _ = BAND_RUNS["packet"]
+        spec = TWO_POINT_SPECS[name]
+        exact = final_probabilities(state, field, spec, steps)
+        assert roll_calls == []  # the band path: the start keeps 36 of 200 modes
+        assert exact.sum() == pytest.approx(1.0, abs=1e-14)
+        ens = run_ensemble(field, spec, state, steps, n_traj=2000, seed=0,
+                           accumulate_blocks=False)
+        mean, se = ens.probability_mean(), ens.probability_se()
+        assert l1_probability_distance(mean, exact) <= 3.0 * se.sum()
+        assert np.all(np.abs(mean - exact) <= 5.0 * se)
+
+    @pytest.mark.parametrize("model", [ChannelRates(0.1, 0.25), TWO_POINT_SPECS["theta+chi"]],
+                             ids=["flips", "two-point"])
+    def test_band_and_position_paths_agree(self, model, monkeypatch):
+        state, field, _, marks = BAND_RUNS["packet"]
+        band = channel_run(state, field, model, marks)
+        monkeypatch.setattr(ModeBand, "fills_axis", True)
+        position = channel_run(state, field, model, marks)
+        for mu in (0, 3):
+            have, want = (np.stack([d.R[mu] for d in run.diagonals]) for run in (band, position))
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        want = position.build_final().blocks
+        np.testing.assert_allclose(band.build_final().blocks, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_other_noise_kinds_are_refused(self):
+        state, field, _, _ = BAND_RUNS["packet"]
+        with pytest.raises(ConfigurationError, match="requires two-point noise"):
+            channel_run(state, field, NoiseSpec.single("theta", "gaussian", 0.5), [0, 2])

@@ -109,6 +109,15 @@ class TestRegimeTimes:
         assert r.t2 is not None and 3.0 < r.t2 < 10.0
         assert r.t_mid is not None and 0.5 < r.t_mid < 3.0
 
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 10, 50),
+                                       np.concatenate([[0.0], np.geomspace(0.4, 400, 30)])],
+                             ids=["uniform", "log"])
+    @pytest.mark.parametrize("slope", [0.7, 0.0])
+    def test_straight_mean_has_no_crossover(self, times, slope):
+        # the second difference of a line is round-off, whose argmax is no bend
+        s = MomentSeries(times=times, mean_x=0.3 + slope * times, second_moment=1 + times)
+        assert regime_times(s, v_g=0.5).t_mid is None
+
 
 class TestContinuityResidual:
     def test_static_uniform_zero(self):
