@@ -28,6 +28,7 @@ continuum limit, which is what the cross-model tests exercise.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import product
@@ -85,10 +86,6 @@ class DensityGrid:
     def trace(self) -> float:
         return float(np.trace(self.blocks[0, 0]).real + np.trace(self.blocks[1, 1]).real)
 
-    def site_probabilities(self) -> np.ndarray:
-        """Per-site occupation probabilities (coin-traced block diagonal)."""
-        return (np.diagonal(self.blocks[0, 0]) + np.diagonal(self.blocks[1, 1])).real
-
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.blocks - self.blocks.conj().transpose(1, 0, 3, 2)).max())
 
@@ -105,10 +102,6 @@ class DensityGrid:
         if self.grid.n_sites > 64:
             raise ConfigurationError("dense positivity check limited to n_sites <= 64")
         return float(np.linalg.eigvalsh(self.dense()).min())
-
-    def edge_mass(self) -> float:
-        p = self.site_probabilities()
-        return float(p[0] + p[-1])
 
     def copy(self) -> "DensityGrid":
         return DensityGrid(self.blocks.copy(), self.grid)
@@ -344,8 +337,26 @@ def trajectory_step(state: WaveState, field: AngleField, offsets, t: float) -> W
     return step_state(state, step_coins(field, t, state.grid, offsets=tuple(offsets)))
 
 
-# trajectories stepped together by run_ensemble (see there)
+# trajectories stepped together by run_ensemble, and about how many of them
+# one of its threads steps (see there)
 ENSEMBLE_BATCH = 1024
+ENSEMBLE_SLICE = 512
+
+
+def ensemble_threads(t: int) -> int:
+    """The threads that step a batch of t trajectories in :func:`run_ensemble`.
+
+    One per :data:`ENSEMBLE_SLICE` trajectories, rounded, and at least one,
+    but no more than the cores in the process's CPU affinity set (a CPU
+    quota is not read).  Each slice builds its coins in about 15 small numpy
+    calls per step whatever its size, mostly holding the GIL, so slices much
+    smaller than the 512 measured on 2 cores would repeat that cost on every
+    core and could run slower than one thread.  A full batch takes 2 threads
+    on any machine with 2 cores or more.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, min(cores, round(t / ENSEMBLE_SLICE)))
 
 
 @dataclass
@@ -353,7 +364,8 @@ class TrajectoryEnsemble:
     """Accumulator of pure-state trajectories into a density estimate.
 
     ``sum_blocks`` is the (2, 2, n, n) sum of the trajectories' densities,
-    or None when only the probabilities are accumulated.
+    or None when only the probabilities are accumulated.  ``threads`` is the
+    number of threads that stepped the largest batch.
     """
 
     grid: LatticeGrid
@@ -361,6 +373,7 @@ class TrajectoryEnsemble:
     sum_prob: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     sum_prob2: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     count: int = 0
+    threads: int = 1
 
     def __post_init__(self):
         n = self.grid.n_sites
@@ -398,22 +411,39 @@ def run_ensemble(
 
     Each trajectory k draws the offsets of all its steps as
     :func:`trajectory_offsets` does from :func:`rng_for_trajectory` (seed, k):
-    one generator is reset to each key of :func:`philox_keys`.  The sums take
-    the trajectories one after another in order, so the result is the same
-    bit for bit whatever the batch size is.  Each batch of up to
-    :data:`ENSEMBLE_BATCH` trajectories steps as one :class:`BatchedWalk`,
+    one generator is reset to each key of :func:`philox_keys`.  Each batch of
+    up to :data:`ENSEMBLE_BATCH` trajectories steps as one :class:`BatchedWalk`,
     with a (T, 2, 2) coin stack for spatially constant barred angles and a
     (T, n, 2, 2) stack for per-site fields.  That batch bounds those arrays
     (16 MB each at n = 240): 4096 trajectories were no faster, and 256 paid
     more per-step overhead.
+
+    The batch's T trajectories split into w = :func:`ensemble_threads` (T)
+    contiguous slices of about :data:`ENSEMBLE_SLICE`, and each slice runs
+    all its steps on a thread of its own.  It builds the coins of its rows
+    only (a per-site field is evaluated once per slice and step, on the
+    slice's thread) and steps its rows of the batch's one walk
+    (:meth:`BatchedWalk.rows`), so the walk buffers are allocated once per
+    batch, by the calling thread.  Every coin and amplitude element goes
+    through the same numpy operations whatever slice holds it, the draws
+    stay in the calling thread, and the probabilities and sums are taken
+    there after the threads join, trajectory by trajectory in order.  So
+    the result is the same bit for bit whatever the batch size and the
+    thread count are.  The threads overlap because einsum and the ufuncs
+    release the GIL; the process's CPU time rises with them, and no thread
+    outlives the call.
     """
     if not 1 <= n_traj <= 2**32:
         raise ConfigurationError("n_traj must lie in [1, 2**32] (one 32-bit word per id)")
+    # here rather than at module load, where it adds about 4 ms to every import
+    from concurrent.futures import ThreadPoolExecutor
+
     grid = init.grid
     eps = grid.spacing
     n = grid.n_sites
     batch = ENSEMBLE_BATCH
-    ens = TrajectoryEnsemble(grid=grid, sum_blocks=(
+    threads = ensemble_threads(min(batch, n_traj))  # the first batch is the largest
+    ens = TrajectoryEnsemble(grid=grid, threads=threads, sum_blocks=(
         np.zeros((2, 2, n, n), dtype=complex) if accumulate_blocks else None))
     base = eps * np.array(field.rates, dtype=float) if field.is_constant else None
     active, draw = _offset_sampler(spec, eps, n_steps)
@@ -424,36 +454,51 @@ def run_ensemble(
     # and the angles without noise stay 0
     drawn = np.empty((min(batch, n_traj), n_steps, len(active)))
     offsets = np.zeros((n_steps, min(batch, n_traj), 4))
-    for start in range(0, n_traj, batch):
-        ids = np.arange(start, min(start + batch, n_traj))
-        t = len(ids)
-        # each trajectory's stream is rng_for_trajectory(seed, k): its key, counter 0
-        for kk, key in enumerate(philox_keys(seed, ids)):
-            fresh["state"]["key"] = key
-            bits.state = fresh
-            drawn[kk] = draw(rng)
-        offsets[:, :t, active] = drawn[:t].transpose(1, 0, 2)
-        walk = BatchedWalk(np.broadcast_to(init.amplitudes, (t, 2, n)))
+
+    def advance(walk: BatchedWalk, lo: int, hi: int) -> BatchedWalk:
+        """Step trajectories lo..hi - 1 of the batch ``walk``, a view of its rows, to the end."""
+        part = walk.rows(lo, hi)
         for j in range(n_steps):
             if base is None:
                 # per-trajectory offsets as (T, 1) columns against the (n,) site angles
                 coins = step_coins(field, j * eps, grid,
-                                   offsets=tuple(offsets[j, :t].T[:, :, None]))
+                                   offsets=tuple(offsets[j, lo:hi].T[:, :, None]))
             else:
-                ang = base[None, :] + offsets[j, :t]
+                ang = base[None, :] + offsets[j, lo:hi]
                 coins = coin_matrices(ang[:, 0], ang[:, 1], ang[:, 2], ang[:, 3])
-            walk.step(coins)
-        amps = walk.amplitudes
-        if accumulate_blocks:
-            # one trajectory at a time, in order, like the probability sums below
-            for k in range(t):
-                ens.sum_blocks += np.einsum("ux,vy->uvxy", amps[k], amps[k].conj())
-        p = np.sum(np.abs(amps) ** 2, axis=1).real
-        # the running total heads the rows, so an axis-0 sum adds them in order
-        ens.sum_prob = np.concatenate([ens.sum_prob[None], p]).sum(axis=0)
-        ens.sum_prob2 = np.concatenate([ens.sum_prob2[None], p * p]).sum(axis=0)
-        ens.count += t
-        del walk, amps  # before the next batch builds its own buffers
+            part.step(coins)
+        return part
+
+    with ThreadPoolExecutor(threads) as pool:
+        for start in range(0, n_traj, batch):
+            ids = np.arange(start, min(start + batch, n_traj))
+            t = len(ids)
+            # each trajectory's stream is rng_for_trajectory(seed, k): its key, counter 0
+            for kk, key in enumerate(philox_keys(seed, ids)):
+                fresh["state"]["key"] = key
+                bits.state = fresh
+                drawn[kk] = draw(rng)
+            offsets[:, :t, active] = drawn[:t].transpose(1, 0, 2)
+            walk = BatchedWalk(np.broadcast_to(init.amplitudes, (t, 2, n)))
+            w = ensemble_threads(t)
+            cuts = [t * i // w for i in range(w + 1)]
+            # a worker's exception is raised again here, and leaving the pool
+            # waits for the other workers
+            parts = list(pool.map(partial(advance, walk), cuts[:-1], cuts[1:]))
+            if accumulate_blocks:
+                # one trajectory at a time, in order, like the probability sums below
+                for part in parts:
+                    for amp in part.amplitudes:
+                        ens.sum_blocks += np.einsum("ux,vy->uvxy", amp, amp.conj())
+            # here, not on the workers: their (T, 2, n) temporaries there raised
+            # the grid-noise benchmark's peak RSS from 72 to 77 MB
+            p = [np.sum(np.abs(part.amplitudes) ** 2, axis=1).real for part in parts]
+            # the running total heads the rows, so an axis-0 sum adds them in order
+            ens.sum_prob = np.concatenate([ens.sum_prob[None], *p]).sum(axis=0)
+            ens.sum_prob2 = np.concatenate([ens.sum_prob2[None], *(q * q for q in p)]
+                                           ).sum(axis=0)
+            ens.count += t
+            del walk, parts, p  # before the next batch builds its own buffers
     return ens
 
 

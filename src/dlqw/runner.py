@@ -249,6 +249,7 @@ def run_trajectories(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
         se_l1=float(se.sum()),
         edge_mass=float(p[0] + p[-1]),
         n_steps=n_steps,
+        ensemble_threads=ens.threads,
     )
     report.checks.append(
         Check("total_probability", float(p.sum()), 1.0, 3.0 / np.sqrt(cfg.n_traj), "abs")

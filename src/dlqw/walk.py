@@ -395,6 +395,13 @@ class BatchedWalk:
     shifted copy is made.  The contraction is one einsum per step; a matmul or
     a multiply-add would round differently and change every Monte-Carlo
     output in the last bits.
+
+    A step reads and writes only its own walks' rows, so :meth:`rows` hands
+    out a contiguous range of walks as a walk of its own on views of these
+    buffers, and disjoint ranges can step on separate threads (numpy's einsum
+    and ufuncs release the GIL).  Each output element goes through the same
+    einsum whatever the range is, so a split run equals the whole one bit for
+    bit.
     """
 
     def __init__(self, amplitudes: np.ndarray):
@@ -407,6 +414,17 @@ class BatchedWalk:
     def amplitudes(self) -> np.ndarray:
         """The current (T, 2, n) amplitudes: a view of the interior of one buffer."""
         return self._buffers[self._current, :, :, 1:-1]
+
+    def rows(self, lo: int, hi: int) -> "BatchedWalk":
+        """Walks lo..hi - 1 as a BatchedWalk that steps views of these buffers.
+
+        The range keeps its own step parity: read its amplitudes from it, not
+        from this walk, once it has stepped.
+        """
+        part = object.__new__(BatchedWalk)
+        part._buffers = self._buffers[:, lo:hi]
+        part._current = self._current
+        return part
 
     def shifted(self) -> np.ndarray:
         """The shifted field of the current amplitudes, as a read-only view.

@@ -147,7 +147,7 @@ def _channel_arrays(rho0: noise.DensityGrid, field: AngleField, rates: noise.Cha
     times, means, seconds, traces = [], [], [], []
 
     def record(step):
-        p = rho.site_probabilities()
+        p = (np.diagonal(rho.blocks[0, 0]) + np.diagonal(rho.blocks[1, 1])).real
         mean, second = moments(p / eps, grid.positions, eps, check_normalization=False)
         times.append(step * eps)
         means.append(mean)

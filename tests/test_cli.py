@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlqw import runner
+from dlqw import noise, runner
 from dlqw.analytic import build_packet
 from dlqw.cli import main
 from dlqw.config import ConfigError, list_presets, load_config, parse_config
@@ -693,6 +693,16 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "integrity:" in out
+
+    def test_report_shows_the_ensemble_threads(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(noise, "ensemble_threads", lambda t: 3)
+        cfg_path = tmp_path / "traj.cfg"
+        cfg_path.write_text(MINI_TRAJ.replace("n_traj = 64", "n_traj = 5"))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        assert "metric.ensemble_threads = 3\n" in (tmp_path / "t" / "report.kv").read_text()
+        assert main(["report", str(tmp_path / "t")]) == 0
+        assert "ensemble_threads" in capsys.readouterr().out
 
     @pytest.mark.parametrize("eps, message", [
         ("0,0.1", "eps_list values must be positive"),

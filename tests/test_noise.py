@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,7 +152,7 @@ class TestChannelStep:
         c = grid.center_index
         for k in range(1, 13):
             rho = channel_step(rho, self.field, ChannelRates(0.1, 0.2), t=float(k))
-            p = rho.site_probabilities()
+            p = (np.diagonal(rho.blocks[0, 0]) + np.diagonal(rho.blocks[1, 1])).real
             assert np.all(np.abs(p[: c - k]) < 1e-15)
             assert np.all(np.abs(p[c + k + 1 :]) < 1e-15)
 
@@ -162,7 +167,7 @@ def channel_reference(state, field, rates, marks):
         for step in range(done, stop):
             rho = channel_step(rho, field, rates, t=step * a)
         done = stop
-        r0.append(rho.site_probabilities() / a)
+        r0.append((np.diagonal(rho.blocks[0, 0]) + np.diagonal(rho.blocks[1, 1])).real / a)
         r3.append((np.diagonal(rho.blocks[0, 0]) - np.diagonal(rho.blocks[1, 1])).real / a)
     return np.array(r0), np.array(r3), rho
 
@@ -213,7 +218,8 @@ class TestBandChannel:
             assert have.shape == want.shape
             np.testing.assert_allclose(have, want, rtol=0, atol=1e-13 * np.abs(want).max())
         edge_mass = got.diagonals[-1].R[0][[0, -1]].sum() * state.grid.spacing
-        assert edge_mass == pytest.approx(rho.edge_mass(), abs=1e-15)
+        p = (np.diagonal(rho.blocks[0, 0]) + np.diagonal(rho.blocks[1, 1])).real
+        assert edge_mass == pytest.approx(p[0] + p[-1], abs=1e-15)
 
     @pytest.mark.parametrize("name", list(BAND_RUNS))
     def test_final_field_is_hermitian(self, name):
@@ -371,6 +377,24 @@ class TestTrajectoryOffsets:
         assert rng_a.random() == rng_b.random()
 
 
+def trajectory_loop(field, spec, init, n_steps, n_traj, seed):
+    """``sum_prob``, ``sum_prob2`` and ``sum_blocks`` of one trajectory at a time,
+    each drawn from :func:`rng_for_trajectory` and stepped by :func:`trajectory_step`."""
+    eps = init.grid.spacing
+    sum_prob = sum_prob2 = np.zeros(init.grid.n_sites)
+    blocks = 0
+    for k in range(n_traj):
+        offsets = trajectory_offsets(spec, eps, rng_for_trajectory(seed, k), n_steps)
+        s = init
+        for j in range(n_steps):
+            s = trajectory_step(s, field, offsets[j], j * eps)
+        p = s.probabilities()
+        sum_prob = sum_prob + p
+        sum_prob2 = sum_prob2 + p * p
+        blocks = blocks + DensityGrid.from_wave_state(s).blocks
+    return dict(sum_prob=sum_prob, sum_prob2=sum_prob2, sum_blocks=blocks)
+
+
 class TestTrajectoryStreams:
     """run_ensemble's batched set-up of the streams of rng_for_trajectory."""
 
@@ -399,18 +423,8 @@ class TestTrajectoryStreams:
         init = WaveState.gaussian(grid, width=0.3, p0=0.5)
         monkeypatch.setattr(noise, "ENSEMBLE_BATCH", 4)  # three batches, one partial
         ens = run_ensemble(field, spec, init, 7, n_traj=10, seed=2**33 + 5)
-
-        sum_prob = np.zeros(grid.n_sites)
-        blocks = np.zeros_like(ens.sum_blocks)
-        for k in range(10):
-            offsets = trajectory_offsets(spec, 0.1, rng_for_trajectory(2**33 + 5, k), 7)
-            s = init
-            for j in range(7):
-                s = trajectory_step(s, field, offsets[j], 0.1 * j)
-            sum_prob = sum_prob + s.probabilities()
-            blocks += DensityGrid.from_wave_state(s).blocks
-        np.testing.assert_array_equal(ens.sum_prob, sum_prob)
-        np.testing.assert_array_equal(ens.sum_blocks, blocks)
+        for key, value in trajectory_loop(field, spec, init, 7, 10, 2**33 + 5).items():
+            np.testing.assert_array_equal(getattr(ens, key), value, err_msg=key)
 
 
 class TestEnsembleDensity:
@@ -514,6 +528,131 @@ class TestEnsembleDensity:
         l1 = l1_probability_distance(ens.probability_mean(), p)
         se_l1 = float(ens.probability_se().sum())
         assert l1 <= 3.0 * se_l1
+
+
+class FieldFailure(RuntimeError):
+    pass
+
+
+class TestEnsembleThreads:
+    """run_ensemble steps each batch in contiguous slices, one thread each."""
+
+    @pytest.mark.parametrize("n_traj", [1, 5, 1025])
+    @pytest.mark.parametrize("field", [
+        AngleField(theta_bar=-1.0, xi1_bar=0.5),
+        AngleField(theta_bar=lambda t, x: -1.0 + 0.3 * np.sin(x - t), xi1_bar=0.5),
+    ], ids=["constant-coin", "per-site-coin"])
+    def test_sums_do_not_depend_on_the_thread_count(self, field, n_traj, monkeypatch):
+        # 1025 trajectories: a full batch in uneven slices, then a batch of one;
+        # one trajectory leaves two of three threads an empty slice
+        grid = LatticeGrid(n_sites=16, spacing=0.1)
+        init = WaveState.gaussian(grid, width=0.3, p0=0.5)
+        spec = NoiseSpec.single("theta", "gaussian", 0.5)
+        want = trajectory_loop(field, spec, init, 4, n_traj, seed=6)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(noise, "ensemble_threads", lambda t: threads)
+            ens = run_ensemble(field, spec, init, 4, n_traj, seed=6)
+            assert ens.threads == threads
+            for key, value in want.items():
+                np.testing.assert_array_equal(getattr(ens, key), value,
+                                              err_msg=f"{key}, {threads} threads")
+
+    @pytest.mark.parametrize("cores, t, want", [
+        (64, 1024, 2), (64, 952, 2), (64, 767, 1), (64, 768, 2), (64, 5, 1),
+        (3, 1500, 3), (2, 3000, 2), (1, 1024, 1),
+    ])
+    def test_thread_count_keeps_slices_near_the_measured_size(self, cores, t, want,
+                                                              monkeypatch):
+        # a full batch takes 2 threads however many cores there are, so a
+        # large host runs the case measured on 2 cores, not 64 small slices
+        monkeypatch.setattr(noise.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert noise.ensemble_threads(t) == want
+        assert noise.ensemble_threads(noise.ENSEMBLE_BATCH) <= 2
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # every thread writes its own rows of the shared buffers, switching
+        # often: a crossed or lost write would change the sums
+        grid = LatticeGrid(n_sites=16, spacing=0.1)
+        init = WaveState.gaussian(grid, width=0.3, p0=0.5)
+        spec = NoiseSpec.single("theta", "gaussian", 0.5)
+        field = AngleField(theta_bar=-1.0, xi1_bar=0.5)
+        threads = len(os.sched_getaffinity(0)) + 5  # the cores this process may use, and more
+        monkeypatch.setattr(noise, "ensemble_threads", lambda t: 1)
+        want = run_ensemble(field, spec, init, 12, 300, seed=8)
+        monkeypatch.setattr(noise, "ensemble_threads", lambda t: threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_ensemble(field, spec, init, 12, 300, seed=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.threads == threads
+        for key in ("sum_prob", "sum_prob2", "sum_blocks"):
+            np.testing.assert_array_equal(getattr(got, key), getattr(want, key), err_msg=key)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(noise, "ensemble_threads", lambda t: 2)
+        grid = LatticeGrid(n_sites=16, spacing=0.1)
+        init = WaveState.gaussian(grid, width=0.3)
+        spec = NoiseSpec.single("theta", "gaussian", 0.5)
+        raised = []
+
+        def theta(t, x):
+            if t > 0.25 and threading.current_thread() is not threading.main_thread():
+                raised.append(FieldFailure(f"no angle at t = {t:g}"))
+                raise raised[-1]
+            return -1.0 + 0.3 * np.sin(x - t)
+
+        before = threading.active_count()
+        run_ensemble(AngleField(theta_bar=theta), spec, init, 2, 10, seed=1)
+        assert threading.active_count() == before
+        with pytest.raises(FieldFailure) as info:
+            run_ensemble(AngleField(theta_bar=theta), spec, init, 6, 10, seed=1)
+        assert any(e is info.value for e in raised)
+        assert threading.active_count() == before
+
+    def test_threads_share_the_walk_buffers(self, monkeypatch):
+        grid = LatticeGrid(n_sites=64, spacing=0.1)
+        init = WaveState.gaussian(grid, width=0.3)
+        spec = NoiseSpec.single("theta", "gaussian", 0.5)
+        field = AngleField(theta_bar=-1.0)
+        n_traj = 256
+        built = []
+
+        class CountedWalk(noise.BatchedWalk):
+            def __init__(self, amplitudes):
+                built.append(len(amplitudes))
+                super().__init__(amplitudes)
+
+        def peak(threads):
+            monkeypatch.setattr(noise, "ensemble_threads", lambda t: threads)
+            built.clear()
+            tracemalloc.start()
+            try:
+                run_ensemble(field, spec, init, 6, n_traj, seed=1, accumulate_blocks=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                # one walk per batch, built by the caller; the threads step views of it
+                assert built == [n_traj]
+
+        run_ensemble(field, spec, init, 1, 2, seed=1)  # imports made once, untraced
+        monkeypatch.setattr(noise, "BatchedWalk", CountedWalk)
+        one, two = peak(1), peak(2)
+        # the workers hold the coins of their rows, of two steps at most:
+        # (T, 2, 2) complex in all, twice
+        coin_stacks = 2 * n_traj * 2 * 2 * 16
+        assert two <= one + coin_stacks
+        # so a second set of walk buffers would break the bound
+        assert runner.walk_bytes(n_traj, grid.n_sites) > 10 * coin_stacks
+
+    def test_trajectories_estimate_one_batch_of_walk_buffers(self):
+        cfg = load_config("preset:acceptance-equivalence-trajectories")
+        grid = runner._lattice_grid(cfg)
+        n_steps = runner.step_count(cfg.t_final, cfg.eps)
+        batch = min(cfg.n_traj, noise.ENSEMBLE_BATCH)
+        assert runner._needs(cfg)[1] == [
+            ("the walk buffers", runner.walk_bytes(batch, grid.n_sites, n_steps))]
 
 
 class TestNullNoises:
