@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .momentum import BAND_CUT
 from .observables import MomentSeries
 from .pde import GeneratorParams, NumericalError
 from .walk import ConfigurationError, DomainError, LatticeGrid, SIGMA, WaveState
@@ -222,17 +223,6 @@ def eigenvectors(p, m: float):
     v_plus = np.stack([ones, (e + pa) / m], axis=-1).astype(complex)
     v_minus = np.stack([ones, (-e + pa) / m], axis=-1).astype(complex)
     return v_plus, v_minus
-
-
-def free_hamiltonian(p, m: float) -> np.ndarray:
-    """h(p) = [[-p, m], [m, p]], the free generator in the coin basis."""
-    pa = np.asarray(p, dtype=float)
-    out = np.zeros(pa.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -pa
-    out[..., 1, 1] = pa
-    out[..., 0, 1] = m
-    out[..., 1, 0] = m
-    return out
 
 
 def group_velocity(p0: float, m: float) -> float:
@@ -618,6 +608,21 @@ def _triple_series(dt: float, u2: np.ndarray, u3: np.ndarray, reach: float) -> n
     return dt**2 * total
 
 
+def _momentum_band(forms) -> slice:
+    """The one slice of momenta on which some (4, n) form exceeds ``BAND_CUT``
+    of its own peak (by the norm over the components), and always holds each
+    form's peak.  Outside it every form is round-off, and so is the momentum's
+    share of the moments, which are linear in the forms."""
+    keep = np.zeros(forms[0].shape[1], dtype=bool)
+    for m in forms:
+        norm = np.linalg.norm(m, axis=0)
+        peak = np.argmax(norm)  # a NaN's index, if there is one
+        keep |= norm > BAND_CUT * norm[peak]
+        keep[peak] = True
+    kept = np.flatnonzero(keep)
+    return slice(kept[0], kept[-1] + 1)
+
+
 # momentum quadrature points of spectral_moments
 N_MOMENTA = 2048
 
@@ -653,11 +658,16 @@ def spectral_moments(
     offset s = p - q, so the Pauli vector at s = 0 together with its first two
     s-derivatives obeys a closed 12-dimensional linear system per momentum p.
     Integrals of those blocks give the trace and the first two position
-    moments.  The system is propagated in the eigenbasis of the 4x4 generator
-    (``_EigenPropagator``): one eigendecomposition per momentum, and a few
-    array operations per distinct time step.  The approximations are the
-    momentum quadrature and the eigenbasis rounding, which the cond(V) guard
-    bounds: momenta whose eigenvector matrix has a condition number above
+    moments.  Only the band of momenta where one of the three forms exceeds
+    ``BAND_CUT`` of its own peak is stepped (``_momentum_band``); outside it
+    a momentum's share is round-off, and the trapezoid weights stay those of
+    the whole axis.  The band's system is propagated in the eigenbasis of the
+    4x4 generator (``_EigenPropagator``): one eigendecomposition per momentum,
+    and a few array operations per distinct time step.  The weights are
+    folded into the row of V that is read back, so each time's moments are
+    three weighted sums.  The approximations are still the momentum
+    quadrature and the eigenbasis rounding, which the cond(V) guard bounds:
+    momenta whose eigenvector matrix has a condition number above
     ``_EIG_COND_MAX`` (near an exceptional point) are propagated by Pade
     matrix exponentials of the 12x12 system instead.
     """
@@ -674,23 +684,27 @@ def spectral_moments(
         return np.einsum("xa,mab,xb->mx", bra.conj(), SIGMA, ket)
 
     # the Pauli vector and its first two s-derivatives at s = 0, each (4, n_p)
-    m0 = pauli_form(psi, psi)
-    m1 = -pauli_form(dpsi, psi)
-    m2 = pauli_form(d2psi, psi)
+    forms = (pauli_form(psi, psi), -pauli_form(dpsi, psi), pauli_form(d2psi, psi))
+    # the whole axis's trapezoid weights (dp[i-1] + dp[i]) / 2: the band's sum is the full rule's
+    weight = 0.5 * (np.diff(p, prepend=p[0]) + np.diff(p, append=p[-1]))
+    band = _momentum_band(forms)
+    p, weight = p[band], weight[band]
+    m0, m1, m2 = (m[:, band] for m in forms)
 
     g0 = generator_matrix(p, p, params)  # (n_p, 4, 4), real at p = q
     lam, vec = np.linalg.eig(g0.real)
     ok, w = _well_conditioned(vec)
     bad = ~ok
     prop = _EigenPropagator(lam[ok], vec[ok], w)
-    # eigen coordinates z = W m of each 4-block; only row 0 of V is read back
+    # eigen coordinates z = W m of each 4-block; only row 0 of V is read back,
+    # with the quadrature weights folded in
     z0, z1, z2 = (np.einsum("xab,bx->ax", prop.w, m[:, ok]) for m in (m0, m1, m2))
-    row0 = prop.v[:, 0, :].T
+    row_w = np.ascontiguousarray(prop.v[:, 0, :].T) * weight[ok]
+    w_bad = weight[bad]
     big = _moment_generator(g0[bad])
     y = np.concatenate([m0.T, m1.T, m2.T], axis=1)[bad]  # (n_bad, 12)
 
     series = np.empty((times.size, 3))  # trace, mean, second moment
-    read = np.empty((3, n_momenta), dtype=complex)
     steps = np.diff(times, prepend=0.0)
     last_use = {round(dt, 15): i for i, dt in enumerate(steps)}  # blocks go after last use
     prop_cache: dict[float, tuple] = {}
@@ -707,10 +721,10 @@ def spectral_moments(
             z0 = e * z0
             if fallback is not None:
                 y = np.einsum("xab,xb->xa", fallback, y)
-        read[:, ok] = [(row0 * z).sum(axis=0) for z in (z0, z1, z2)]
-        read[:, bad] = y[:, 0::4].T
         # trace = int r0, <x> = int i dr0/ds, <x^2> = -int d2r0/ds2
-        series[i] = np.trapezoid(np.stack([read[0].real, -read[1].imag, -read[2].real]), p)
+        # (a pairwise sum: a BLAS dot was faster but summed with about 3x the error)
+        trace, mean, second = [(row_w * z).sum() for z in (z0, z1, z2)] + w_bad @ y[:, 0::4]
+        series[i] = trace.real, -mean.imag, -second.real
     not_finite = ~np.isfinite(series)
     if not_finite.any():
         i, col = np.argwhere(not_finite)[0]

@@ -23,7 +23,6 @@ from dlqw.analytic import (
     eigenvectors,
     expm_stack,
     fourier_propagate,
-    free_hamiltonian,
     generator_matrix,
     group_velocity,
     limit_position,
@@ -187,7 +186,7 @@ class TestDispersion:
     )
     @settings(max_examples=80, deadline=None)
     def test_eigen_residual(self, p, m):
-        h = free_hamiltonian(p, m)
+        h = np.array([[-p, m], [m, p]])  # the free generator in the coin basis
         e = dispersion(p, m)
         vp, vm = eigenvectors(p, m)
         assert np.abs(h @ vp - e * vp).max() < 1e-13 * max(1, e)
@@ -493,6 +492,72 @@ class TestSpectralMoments:
         assert np.all(np.diff(tail) <= 0.05)
 
 
+class TestMomentumBand:
+    """spectral_moments steps only the momenta where a Pauli form is above round-off."""
+
+    @staticmethod
+    def forms(wp, p):
+        psi, dpsi, d2psi = wp.momentum_spinor_derivatives(p)
+        form = lambda bra: np.einsum("xa,mab,xb->mx", bra.conj(), analytic.SIGMA, psi)
+        return form(psi), -form(dpsi), form(d2psi)
+
+    @pytest.mark.parametrize("physics, times", [
+        # fig2-a: the second moment reaches ~5e3
+        ((5.0, 0.5, 0.05, 0.5), np.linspace(0.0, 1500.0, 151)),
+        # fig3: 17 log-spaced times, every step distinct
+        ((0.5, 0.5, 0.05, 0.5), np.concatenate([[0.0], np.geomspace(0.4, 400.0, 16)])),
+    ], ids=["fig2-a", "fig3"])
+    def test_band_changes_nothing_above_round_off(self, monkeypatch, physics, times):
+        m, p0, sigma, gamma2 = physics
+        wp = DiracWavepacket(p0=p0, sigma=sigma, m=m)
+        params = GeneratorParams(m=m, gamma2=gamma2)
+        band = spectral_moments(wp, params, times)
+        monkeypatch.setattr(analytic, "BAND_CUT", 0.0)  # every momentum kept
+        full = spectral_moments(wp, params, times)
+        for name in ("mean_x", "second_moment", "trace"):
+            got, want = getattr(band, name), getattr(full, name)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
+                                       err_msg=name)
+
+    def test_band_drops_the_round_off_tails(self):
+        wp = DiracWavepacket(p0=0.5, sigma=0.05, m=0.5)
+        p = analytic.spectral_momenta(wp.p0, wp.sigma)
+        band = analytic._momentum_band(self.forms(wp, p))
+        q = (p[band][[0, -1]] - wp.p0) / wp.sigma
+        # |psi|^2 ~ e^{-q^2 / 2 sigma^2} is round-off past about 8 of the 12 sigma
+        assert -9.0 < q[0] < -7.5 and 7.5 < q[1] < 9.0
+
+    def test_narrow_window_keeps_every_momentum(self):
+        wp = DiracWavepacket(p0=0.5, sigma=0.05, m=0.5)
+        p = analytic.spectral_momenta(wp.p0, wp.sigma, 201, span=2.0)
+        assert analytic._momentum_band(self.forms(wp, p)) == slice(0, 201)
+
+    def test_band_always_holds_each_peak(self):
+        forms = [np.zeros((4, 9), dtype=complex) for _ in range(3)]
+        forms[1][2, 6] = 1.0
+        forms[2][0, 1] = np.nan
+        # the all-zero form keeps its first momentum, the NaN form its NaN
+        assert analytic._momentum_band(forms) == slice(0, 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["everywhere", "one momentum"])
+    def test_non_finite_forms_raise(self, monkeypatch, bad, where):
+        wp = DiracWavepacket(p0=0.5, sigma=0.05, m=0.5)
+        derivatives = DiracWavepacket.momentum_spinor_derivatives
+
+        def spoiled(self, p):
+            psi, dpsi, d2psi = derivatives(self, p)
+            if where == "everywhere":
+                psi[:] = bad
+            else:
+                psi[len(p) // 3, 0] = bad
+            return psi, dpsi, d2psi
+
+        monkeypatch.setattr(DiracWavepacket, "momentum_spinor_derivatives", spoiled)
+        with pytest.raises((NumericalError, ConfigurationError)):
+            spectral_moments(wp, GeneratorParams(m=0.5, gamma2=0.5), np.linspace(0.0, 4.0, 5))
+
+
 class TestEigenPropagator:
     """The eigenbasis blocks of spectral_moments against the 12x12 Pade exponential."""
 
@@ -535,14 +600,16 @@ class TestEigenPropagator:
         ref = spectral_moments(wp, params, times, n_momenta=65)
         eig = np.linalg.eig
 
-        def singular_at_32(a):
+        def singular_in_the_middle(a):
+            # the stack holds the band's momenta only, so its size depends on the packet
             lam, vec = eig(a)
-            vec[32, :, 1] = vec[32, :, 0]
+            mid = len(a) // 2
+            vec[mid, :, 1] = vec[mid, :, 0]
             return lam, vec
 
         rows = []
         pade = analytic.expm_stack
-        monkeypatch.setattr(analytic.np.linalg, "eig", singular_at_32)
+        monkeypatch.setattr(analytic.np.linalg, "eig", singular_in_the_middle)
         monkeypatch.setattr(analytic, "expm_stack", lambda a: rows.append(a.shape[0]) or pade(a))
         series = spectral_moments(wp, params, times, n_momenta=65)
         assert rows == [1]  # the one momentum, at the one distinct time step
