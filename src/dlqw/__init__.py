@@ -21,6 +21,7 @@ from .analytic import (
     group_velocity,
     limit_position,
     spectral_moments,
+    telegraph_on_grid,
     telegraph_solution,
 )
 from .config import ScenarioConfig, list_presets, load_config, parse_config

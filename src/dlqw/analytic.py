@@ -158,6 +158,20 @@ class InitialData1D:
     support: tuple[float, float] | None = None
 
 
+def _telegraph_kernels(params: TelegraphParams, t: float, z: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels that weigh f and g in the telegraph integral, at z = sqrt(t^2 - d^2).
+
+    K_f = (gamma2/4) t mu I1(mu z)/(mu z) + (kappa/4) I0(mu z) and
+    K_g = I0(mu z)/2, with mu = gamma2/2.  Both are entire in d, since the
+    series of I0(w) and I1(w)/w hold even powers of w only.
+    """
+    mu = 0.5 * params.gamma2
+    i0 = bessel_i(0, mu * z)
+    kf = 0.25 * params.gamma2 * t * mu * bessel_i1_over_x(mu * z) + 0.25 * params.kappa * i0
+    return kf, 0.5 * i0
+
+
 def telegraph_solution(params: TelegraphParams, init: InitialData1D, t: float, x,
                        tol: float = 1e-8):
     """Closed-form solution of d_tt F + kappa d_t F = d_xx F + b F.
@@ -165,13 +179,16 @@ def telegraph_solution(params: TelegraphParams, init: InitialData1D, t: float, x
     Evaluates, for kappa = 2*gamma1 + gamma2 and b = -gamma1*(gamma1 + gamma2),
 
         F(t, x) = e^{-kappa t/2} { [f(x+t) + f(x-t)]/2
-                  + (gamma2/2)(t/2) Int I1(mu z)/z f(y) dy
-                  + (1/2) Int I0(mu z) [g(y) + (kappa/2) f(y)] dy },
+                  + Int K_f(z) f(y) + K_g(z) g(y) dy },
 
-    with mu = gamma2/2, z = sqrt(t^2 - (x-y)^2), the integrals running over
-    [x-t, x+t].  Substituting y = x + t*u makes the Bessel factors shared by
-    all evaluation points and the integrand analytic in u, so a few
-    Gauss-Legendre panels reach tol.
+    with the kernels of :func:`_telegraph_kernels` (the Bessel I0 and I1
+    terms), z = sqrt(t^2 - (x-y)^2) and the integral over [x-t, x+t].
+    Substituting y = x + t*u makes the kernels shared by all evaluation
+    points.  Composite Gauss-Legendre panels are doubled until ``tol``: for
+    smooth ``f`` and ``g`` a few panels reach it, but kinked data (such as
+    an interpolant of node values) converge only algebraically, and every
+    pass evaluates the whole (points x quadrature nodes) grid.  For node
+    values use :func:`telegraph_on_grid`, which is exact.
     """
     if t < 0:
         raise DomainError("t must be >= 0")
@@ -180,23 +197,83 @@ def telegraph_solution(params: TelegraphParams, init: InitialData1D, t: float, x
     if t == 0:
         vals = np.asarray(init.f(xa), dtype=float)
         return float(vals[0]) if scalar else vals
-    kappa = params.kappa
-    mu = 0.5 * params.gamma2
-    damp = math.exp(-0.5 * kappa * t)
+    damp = math.exp(-0.5 * params.kappa * t)
     boundary = 0.5 * damp * (np.asarray(init.f(xa + t)) + np.asarray(init.f(xa - t)))
 
     def integrand(u):
         y = xa[:, None] + t * u[None, :]
-        z = t * np.sqrt(np.maximum(1.0 - u * u, 0.0))
-        fy = np.asarray(init.f(y))
-        gy = np.asarray(init.g(y))
-        wave = 0.25 * params.gamma2 * t * mu * bessel_i1_over_x(mu * z)[None, :] * fy
-        diff = 0.5 * bessel_i(0, mu * z)[None, :] * (gy + 0.5 * kappa * fy)
-        return wave + diff
+        kf, kg = _telegraph_kernels(params, t, t * np.sqrt(np.maximum(1.0 - u * u, 0.0)))
+        return kf * np.asarray(init.f(y)) + kg * np.asarray(init.g(y))
 
     integral = adaptive_gauss_legendre(integrand, -1.0, 1.0, tol=tol)
     vals = boundary + damp * t * integral
     return float(vals[0]) if scalar else vals
+
+
+def _telegraph_reach(n_sites: int, spacing: float, t: float) -> int:
+    """Cells of the light cone on each side of a node, as far as the grid reaches."""
+    return min(math.ceil(t / spacing), n_sites)
+
+
+def telegraph_grid_bytes(n_sites: int, spacing: float, t: float) -> int:
+    """Bytes that :func:`telegraph_on_grid` holds at most on ``n_sites`` nodes.
+
+    At most 16 float arrays of its (2 * reach, 16) cell quadrature points
+    are alive at once (most of them inside the Bessel series), and 8 of
+    the node values and taps.
+    """
+    reach = _telegraph_reach(n_sites, spacing, t)
+    return 16 * (2 * reach * 16 * 8) + 8 * (n_sites + 2 * reach) * 8
+
+
+def telegraph_on_grid(params: TelegraphParams, f, g, spacing: float, t: float) -> np.ndarray:
+    """:func:`telegraph_solution` of node data, at the nodes, with no quadrature grid.
+
+    ``f`` and ``g`` are values at the n nodes ``spacing * j`` of a uniform
+    grid; the data between them are their linear interpolant, zero outside
+    the end nodes, as ``np.interp(y, x, f, left=0, right=0)`` gives.  So the
+    data are sums of hats (one-sided at the two end nodes), and the integral
+    over [x_i - t, x_i + t] is a correlation of the node values with taps
+    w[k] = Int K(d) hat(d/dx - k) dd over |d| <= t, one per node offset k
+    within the light cone (at most n - 1 either way).  A cell's share of a
+    tap is a polynomial in d times a kernel that is entire in d, so one
+    16-point Gauss-Legendre rule per cell is exact to round-off.
+    """
+    if t < 0:
+        raise DomainError("t must be >= 0")
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if t == 0:
+        return f.copy()
+    n = f.size
+    x = spacing * np.arange(n)
+    damp = math.exp(-0.5 * params.kappa * t)
+    boundary = 0.5 * damp * (np.interp(x + t, x, f, left=0.0, right=0.0)
+                             + np.interp(x - t, x, f, left=0.0, right=0.0))
+
+    # cells [c, c + 1] * spacing, c = -reach .. reach - 1, clipped to |d| <= t
+    reach = _telegraph_reach(n, spacing, t)
+    c = np.arange(-reach, reach)
+    lo = np.maximum(c * spacing, -t)
+    hi = np.minimum((c + 1) * spacing, t)
+    half = 0.5 * np.maximum(hi - lo, 0.0)  # an outer cell can round to empty
+    d = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL_NODES  # (cells, 16)
+    kf, kg = _telegraph_kernels(params, t, np.sqrt(np.maximum((t - d) * (t + d), 0.0)))
+    rise = d / spacing - c[:, None]  # the hat of the cell's right node, 0 -> 1
+    i = np.arange(n)
+    first, last = i[: reach + 1], i[max(n - 1 - reach, 0):]  # nodes that reach an end node
+    integral = np.zeros(n)
+    for data, kern in ((f, kf), (g, kg)):
+        kw = kern * (half[:, None] * _GL_WEIGHTS)
+        # the taps' halves at k = -reach .. reach: node k rises over cell k - 1, falls over cell k
+        rising = np.concatenate([[0.0], (kw * rise).sum(axis=1)])
+        falling = np.concatenate([(kw * (1.0 - rise)).sum(axis=1), [0.0]])
+        # integral[i] = sum_j data[j] w[j - i]: the full convolution with w reversed
+        integral += np.convolve(data, (rising + falling)[::-1])[reach:reach + n]
+        # the end nodes' hats are one-sided: node 0 does not rise, node n - 1 does not fall
+        integral[first] -= data[0] * rising[reach - first]
+        integral[last] -= data[-1] * falling[reach + n - 1 - last]
+    return boundary + damp * integral
 
 
 def dispersion(p, m: float):
@@ -704,6 +781,12 @@ def spectral_moments(
     big = _moment_generator(g0[bad])
     y = np.concatenate([m0.T, m1.T, m2.T], axis=1)[bad]  # (n_bad, 12)
 
+    work = np.empty((4,) + z0.shape, dtype=complex)  # one (4, 4, n) product at a time
+
+    def contract(a, z):
+        # (a * z).sum(axis=1), the product written into ``work``
+        return np.multiply(a, z, out=work).sum(axis=1)
+
     series = np.empty((times.size, 3))  # trace, mean, second moment
     steps = np.diff(times, prepend=0.0)
     last_use = {round(dt, 15): i for i, dt in enumerate(steps)}  # blocks go after last use
@@ -716,8 +799,8 @@ def spectral_moments(
                 prop_cache[key] = prop.blocks(dt) + (fallback,)
             e, l, k, fallback = (prop_cache.pop(key) if last_use[key] == i
                                  else prop_cache[key])
-            z2 = e * z2 + 2.0 * ((l * z1).sum(axis=1) + (k * z0).sum(axis=1))
-            z1 = e * z1 + (l * z0).sum(axis=1)
+            z2 = e * z2 + 2.0 * (contract(l, z1) + contract(k, z0))
+            z1 = e * z1 + contract(l, z0)
             z0 = e * z0
             if fallback is not None:
                 y = np.einsum("xab,xb->xa", fallback, y)

@@ -318,16 +318,19 @@ def unskew(s: np.ndarray) -> np.ndarray:
 SKEWED_SHIFTS = tuple((si, sj - si) for si, sj in ADVECTION_SHIFTS)
 
 
-def skewed_advect(s: np.ndarray) -> np.ndarray:
+def skewed_advect(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact advection of a skewed field over one step dt = dx.
 
     Each component shifts by one cell along both axes according to its
     characteristic speeds, a pure permutation with no dispersion error.  The
     (x, x') shift (si, sj) of a component is the (i, k) shift (si, sj - si).
-    Rolling the (b, i, k) view of ``s`` writes an output of the same memory
-    layout, so the result is again contiguous in (k, b, i).
+    The (b, i, k) view of ``s`` is rolled into the same view of ``out``
+    (a new contiguous (k, b, i) array by default), which is returned.
     """
-    return roll_components(s.transpose(1, 2, 0), SKEWED_SHIFTS).transpose(2, 0, 1)
+    if out is None:
+        out = np.empty_like(s)
+    roll_components(s.transpose(1, 2, 0), SKEWED_SHIFTS, out=out.transpose(1, 2, 0))
+    return out
 
 
 class KernelSourceOperator:
@@ -366,9 +369,9 @@ class KernelSourceOperator:
         out._by_offset = out.props[self._class_of_offset]
         return out
 
-    def apply(self, s: np.ndarray) -> np.ndarray:
-        """The source step on a skewed field ``s`` of shape (n, 4, n)."""
-        return np.matmul(self._by_offset, s)
+    def apply(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The source step on a skewed field ``s`` of shape (n, 4, n), into ``out``."""
+        return np.matmul(self._by_offset, s, out=out)
 
 
 def evolve(
@@ -386,14 +389,22 @@ def evolve(
     grid spacing (exact-advection constraint).  :func:`march` takes the
     steps; its snapshots, by default at the run's two ends, record the
     diagonal fields, each from the row s[0] in O(n), and the full field is
-    built from the last state only.
+    built from the last state only.  Every map writes into whichever of two
+    skewed buffers its input is not, so a step allocates no field.
     """
     grid = init.grid
     dt = grid.spacing
     n_steps = step_count(t_final, dt)
+    start = skew(v_transform(init))
+    buffers = (start, np.empty_like(start))
+
+    def into_other(step):
+        return lambda s: step(s, out=buffers[s is buffers[0]])
+
     half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
-    maps = _strang_maps(half.apply, half.squared().apply, skewed_advect)
-    return march(skew(v_transform(init)), _strang_advance(maps),
+    maps = _strang_maps(into_other(half.apply), into_other(half.squared().apply),
+                        into_other(skewed_advect))
+    return march(start, _strang_advance(maps),
                  lambda s: (U_CHAR_INV @ s[0]).real, lambda s: s, grid, n_steps,
                  snapshot_steps, lambda s: v_inverse(unskew(s), grid))
 

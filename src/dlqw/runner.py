@@ -409,8 +409,13 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> Iterator[Need
 
 def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     grid = _pde_grid(cfg)
-    n_steps = step_count(cfg.t_final, cfg.dx)
-    yield [], [], grid.n_sites * n_steps, 0  # R0 and R3 only
+    n, n_steps = grid.n_sites, step_count(cfg.t_final, cfg.dx)
+    # R0 and R3 only; the diagonals of at most this many snapshots are listed, then stacked
+    snapshots = min(cfg.n_snapshots, n_steps + 1)
+    buffers = [("the snapshot diagonals", 2 * snapshots * 4 * n * 8),
+               ("the closed-form oracle's buffers",
+                analytic.telegraph_grid_bytes(n, cfg.dx, cfg.t_final))]
+    yield [], buffers, n * n_steps, 0
     x = grid.positions
     width = np.float64(cfg.init_width or 0.35)  # as in WaveState.gaussian
     prof = np.exp(-(x**2) / (2 * width**2))
@@ -420,15 +425,8 @@ def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     res = pde.diagonal_evolve(prof, np.zeros_like(prof), grid, params, cfg.t_final,
                               alpha=cfg.alpha, snapshot_steps=marks)
     _write_moments_csv(report.add_file("moments.csv"), res.series)
-
-    def f(y):
-        return np.interp(y, x, prof, left=0.0, right=0.0)
-
-    oracle = analytic.telegraph_solution(
-        analytic.TelegraphParams(0.0, cfg.gamma2),
-        analytic.InitialData1D(f=f, g=lambda y: np.zeros_like(np.asarray(y))),
-        cfg.t_final, x,
-    )
+    oracle = analytic.telegraph_on_grid(analytic.TelegraphParams(0.0, cfg.gamma2), prof,
+                                        np.zeros_like(prof), grid.spacing, cfg.t_final)
     numeric = res.diagonals[-1].R[0]
     np.savetxt(report.add_file("telegraph_compare.csv"),
                np.column_stack([x, numeric, oracle]), delimiter=",", comments="",

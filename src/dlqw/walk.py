@@ -264,13 +264,15 @@ def mix_components(m: np.ndarray, field: np.ndarray) -> np.ndarray:
     return (m @ field.reshape(k, -1)).reshape(field.shape)
 
 
-def roll_components(field: np.ndarray, shifts) -> np.ndarray:
+def roll_components(field: np.ndarray, shifts, out: np.ndarray | None = None) -> np.ndarray:
     """Roll component ``field[k]`` by the integer shifts ``shifts[k]``, one per cell axis.
 
     Same result as ``np.roll(field[k], shifts[k], axis=(0, 1, ...))`` for each
-    k, written straight into the output without an intermediate copy.
+    k, written straight into ``out`` (a new array by default, which must not
+    overlap ``field``) without an intermediate copy.
     """
-    out = np.empty_like(field)
+    if out is None:
+        out = np.empty_like(field)
     for k, shift in enumerate(shifts):
         src, dst = field[k], out[k]
         pieces = []

@@ -27,6 +27,7 @@ from dlqw.analytic import (
     group_velocity,
     limit_position,
     spectral_moments,
+    telegraph_on_grid,
     telegraph_solution,
 )
 from dlqw.observables import diffusion_fit
@@ -162,13 +163,115 @@ class TestTelegraphSolution:
         t1_num = res.final.antidiagonal().T[1].real
 
         fvals = envelope**2
-        from numpy import interp
-
-        f = lambda y: interp(y, x, fvals, left=0.0, right=0.0)
-        g = lambda y: -g1 * f(y)
-        oracle = telegraph_solution(TelegraphParams(g1, g2), InitialData1D(f, g),
-                                    t_final, x)
+        oracle = telegraph_on_grid(TelegraphParams(g1, g2), fvals, -g1 * fvals, dx, t_final)
         assert np.abs(t1_num - oracle).max() <= 2e-3
+
+
+def interp_data(values, spacing):
+    """The interpolant of node values at ``spacing * j`` that the grid oracle assumes."""
+    x = spacing * np.arange(values.size)
+    return lambda y: np.interp(y, x, values, left=0.0, right=0.0)
+
+
+def telegraph_by_cells(params, f, g, spacing, t):
+    """The closed form at the nodes, by scipy quad on each cell between nodes."""
+    from scipy.integrate import quad
+
+    x = spacing * np.arange(f.size)
+    fi, gi = interp_data(f, spacing), interp_data(g, spacing)
+    damp = math.exp(-0.5 * params.kappa * t)
+    out = []
+    mu = 0.5 * params.gamma2
+    for xi in x:
+        def integrand(y):
+            w = mu * math.sqrt(max((t - y + xi) * (t + y - xi), 0.0))
+            i1_over_w = scipy.special.i1(w) / w if w > 0 else 0.5
+            kf = 0.25 * params.gamma2 * t * mu * i1_over_w + 0.25 * params.kappa * scipy.special.i0(w)
+            return kf * float(fi(y)) + 0.5 * scipy.special.i0(w) * float(gi(y))
+
+        lo, hi = max(xi - t, x[0]), min(xi + t, x[-1])
+        edges = [lo] + [p for p in x if lo < p < hi] + [hi]
+        total = sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                    for a, b in zip(edges[:-1], edges[1:]) if b > a)
+        out.append(0.5 * damp * (fi(xi + t) + fi(xi - t)) + damp * total)
+    return np.array(out)
+
+
+class TestTelegraphOnGrid:
+    def test_free_case_is_dalembert_plus_trapezoid(self):
+        # gamma = 0: F = [f(x+t) + f(x-t)]/2 + (1/2) Int g, and the integral of
+        # piecewise-linear g between nodes is the trapezoid rule
+        rng = np.random.default_rng(3)
+        n, dx, cells = 41, 0.1, 5
+        f, g = rng.random(n), rng.random(n)
+        g[:cells] = g[-cells:] = 0.0
+        got = telegraph_on_grid(TelegraphParams(0.0, 0.0), f, g, dx, cells * dx)
+        fp = np.pad(f, cells)
+        gp = np.pad(g, cells)
+        want = np.empty(n)
+        for i in range(n):
+            window = gp[i:i + 2 * cells + 1]
+            trapezoid = dx * (window.sum() - 0.5 * (window[0] + window[-1]))
+            want[i] = 0.5 * (fp[i + 2 * cells] + fp[i]) + 0.5 * trapezoid
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_matches_adaptive_quadrature(self):
+        # both rates on, t not a multiple of dx, smooth data at the nodes
+        params, dx, t = TelegraphParams(0.3, 0.7), 0.05, 0.93
+        y = dx * np.arange(121) - 3.0
+        f = np.exp(-y**2 / (2 * 0.4**2))
+        g = -0.3 * f
+        got = telegraph_on_grid(params, f, g, dx, t)
+        ref = telegraph_solution(params, InitialData1D(interp_data(f, dx), interp_data(g, dx)),
+                                 t, dx * np.arange(y.size), tol=1e-9)
+        assert np.abs(got - ref).max() <= 5e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("t", [0.73, 1.0], ids=["off-node", "on-node"])
+    def test_nonzero_end_nodes(self, t):
+        # the interpolant jumps to 0 past the end nodes: their hats are one-sided
+        rng = np.random.default_rng(5)
+        f, g = 1.0 + rng.random(30), 1.0 + rng.random(30)
+        params = TelegraphParams(0.2, 0.6)
+        got = telegraph_on_grid(params, f, g, 0.1, t)
+        want = telegraph_by_cells(params, f, g, 0.1, t)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_t_zero_returns_data(self):
+        f = np.linspace(0.0, 1.0, 9)
+        got = telegraph_on_grid(TelegraphParams(0.3, 0.7), f, np.ones(9), 0.1, 0.0)
+        np.testing.assert_array_equal(got, f)
+        assert got is not f
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(DomainError):
+            telegraph_on_grid(TelegraphParams(), np.ones(3), np.ones(3), 0.1, -1.0)
+
+    @pytest.mark.parametrize("n, t", [(500, 2.0), (4000, 1.0), (300, 40.0)],
+                             ids=["benchmark", "short-cone", "cone-past-grid"])
+    def test_peak_within_its_stated_bytes(self, n, t):
+        params, f, g = TelegraphParams(0.2, 0.5), np.ones(n), np.ones(n)
+        telegraph_on_grid(params, f[:9], g[:9], 0.02, 0.1)  # imports made once, untraced
+        tracemalloc.start()
+        try:
+            telegraph_on_grid(params, f, g, 0.02, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= analytic.telegraph_grid_bytes(n, 0.02, t)
+
+    def test_light_cone_wider_than_grid(self):
+        # 2 ceil(t/dx) + 1 = 61 taps on 7 sites
+        rng = np.random.default_rng(7)
+        f, g = rng.random(7), rng.random(7)
+        dx, t = 0.1, 3.0
+        # gamma = 0: every node sees all of g, whose integral is the trapezoid rule
+        got = telegraph_on_grid(TelegraphParams(), f, g, dx, t)
+        want = 0.5 * dx * (g.sum() - 0.5 * (g[0] + g[-1]))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        params = TelegraphParams(0.2, 0.6)
+        got = telegraph_on_grid(params, f, g, dx, t)
+        want = telegraph_by_cells(params, f, g, dx, t)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 class TestDispersion:

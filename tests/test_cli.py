@@ -235,6 +235,22 @@ class TestRunner:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_telegraph_run_peaks_within_its_needs(self, tmp_path):
+        # 500 sites, a light cone of 100 cells either way; the slack holds the
+        # initial data, the moment series and the CSV rows
+        cfg = parse_config("scenario = telegraph\ngamma2 = 0.5\ndx = 0.02\nhalf_width = 5\n"
+                           "t_final = 2\n")
+        fields, buffers, _, _ = runner._needs(cfg)
+        assert runner._pde_grid(cfg).n_sites == 500 and not fields
+        run(cfg, str(tmp_path / "warm"))  # imports made once, untraced
+        tracemalloc.start()
+        try:
+            run(cfg, str(tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(size for _, size in buffers) + 128 * 1024
+
     @pytest.mark.parametrize("text", [
         "scenario = telegraph\ngamma2 = 0.5\ndx = 0.02\nhalf_width = 4\n",
         "scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
