@@ -32,7 +32,6 @@ from .noise import (
     ParamNoise,
     channel_run,
     channel_step,
-    ensemble_density,
     run_ensemble,
     sample_coin_offsets,
     trajectory_step,
@@ -52,7 +51,6 @@ from .pde import (
     KernelChannel,
     KernelSet,
     PauliField,
-    density_from_pauli,
     diagonal_evolve,
     evolve,
     pauli_from_density,
@@ -64,12 +62,9 @@ from .runner import RunReport, emit_plot_script, run, verify_report
 from .walk import (
     AngleField,
     BatchedWalk,
-    CoinAngles,
     LatticeGrid,
     WaveState,
     asymptotic_spread,
-    coin_matrix,
-    euler_angles,
     walk_step,
 )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,10 +142,6 @@ class TelegraphParams:
     @property
     def b(self) -> float:
         return -self.gamma1 * (self.gamma1 + self.gamma2)
-
-    @property
-    def diffusion(self) -> float:
-        return 1.0 / self.gamma2 if self.gamma2 > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -284,14 +279,14 @@ def dispersion(p, m: float):
 def eigenvectors(p, m: float):
     """Positive/negative-energy spinors of the free Hamiltonian at momentum p.
 
-    For m != 0 these are (1, (+-E+p)/m); for m = 0 the Hamiltonian is already
-    diagonal and the chirality basis is returned (with a warning), the
-    positive-energy vector being the one moving with velocity sign(p).
+    For m != 0 these are (1, (+-E+p)/m); for m = 0 the Hamiltonian
+    [[-p, 0], [0, p]] is diagonal, so the chirality basis is its exact
+    eigenbasis, the positive-energy vector being the one moving with
+    velocity sign(p).
     """
     pa = np.asarray(p, dtype=float)
     e = dispersion(pa, m)
     if m == 0.0:
-        warnings.warn("m = 0: falling back to the chirality eigenbasis", stacklevel=2)
         right = pa >= 0
         v_plus = np.stack([np.where(right, 0.0, 1.0), np.where(right, 1.0, 0.0)], axis=-1)
         v_minus = np.stack([np.where(right, 1.0, 0.0), np.where(right, 0.0, 1.0)], axis=-1)

@@ -79,32 +79,11 @@ class DensityGrid:
         blocks = np.einsum("ux,vy->uvxy", state.amplitudes, state.amplitudes.conj())
         return cls(blocks, state.grid)
 
-    @classmethod
-    def pure_site(cls, grid: LatticeGrid, coin=(1.0, 0.0), site: int | None = None) -> "DensityGrid":
-        return cls.from_wave_state(WaveState.delta(grid, coin=coin, site=site))
-
     def trace(self) -> float:
         return float(np.trace(self.blocks[0, 0]).real + np.trace(self.blocks[1, 1]).real)
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.blocks - self.blocks.conj().transpose(1, 0, 3, 2)).max())
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.blocks) ** 2))
-
-    def dense(self) -> np.ndarray:
-        """Full (2n x 2n) matrix in the |u, x> basis (u major); small grids only."""
-        n = self.grid.n_sites
-        return self.blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the dense operator; diagnostic for n <= 64."""
-        if self.grid.n_sites > 64:
-            raise ConfigurationError("dense positivity check limited to n_sites <= 64")
-        return float(np.linalg.eigvalsh(self.dense()).min())
-
-    def copy(self) -> "DensityGrid":
-        return DensityGrid(self.blocks.copy(), self.grid)
 
 
 @dataclass(frozen=True)
@@ -500,18 +479,6 @@ def run_ensemble(
             ens.count += t
             del walk, parts, p  # before the next batch builds its own buffers
     return ens
-
-
-def ensemble_density(
-    field: AngleField,
-    spec: NoiseSpec,
-    init: WaveState,
-    n_steps: int,
-    n_traj: int,
-    seed: int,
-) -> DensityGrid:
-    """Monte-Carlo estimate of the Kraus-averaged density after n_steps."""
-    return run_ensemble(field, spec, init, n_steps, n_traj, seed).density()
 
 
 # Coin-conditioned shift of the block grid, per block (u, v) = k // 2, k % 2:

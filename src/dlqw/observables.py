@@ -30,14 +30,6 @@ class DiagonalFields:
         if self.R.shape != (4, self.x.size):
             raise DiagnosticError(f"R shape {self.R.shape} != (4, {self.x.size})")
 
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.R[0]
-
 
 @dataclass
 class AntiDiagonalFields:
@@ -79,15 +71,14 @@ class MomentSeries:
         return float(np.abs(np.asarray(self.trace) - 1.0).max())
 
 
-def moments(density: np.ndarray, x: np.ndarray, dx: float | None = None,
-            check_normalization: bool = True) -> tuple[float, float]:
-    """Midpoint-rule first and second (non-centered) moments of a density."""
+def moments(density: np.ndarray, x: np.ndarray, dx: float) -> tuple[float, float]:
+    """Midpoint-rule first and second (non-centered) moments of a density.
+
+    The density is not renormalized: the trace is graded on its own
+    (:attr:`MomentSeries.trace`).
+    """
     density = np.asarray(density, dtype=float)
     x = np.asarray(x, dtype=float)
-    dx = float(x[1] - x[0]) if dx is None else dx
-    total = density.sum() * dx
-    if check_normalization and abs(total - 1.0) > 1e-6:
-        raise DiagnosticError(f"density integrates to {total}, expected 1 within 1e-6")
     mean = float((x * density).sum() * dx)
     second = float((x**2 * density).sum() * dx)
     return mean, second
@@ -228,7 +219,7 @@ def moment_series(times: np.ndarray, x: np.ndarray, dx: float,
     r0 = np.asarray(r0, dtype=float)
     r3 = np.asarray(r3, dtype=float)
     times = np.asarray(times, dtype=float)
-    pairs = np.reshape([moments(r, x, dx, check_normalization=False) for r in r0], (-1, 2))
+    pairs = np.reshape([moments(r, x, dx) for r in r0], (-1, 2))
     residuals = np.zeros(times.size)
     for i in range(1, times.size):
         residuals[i] = continuity_residual(r0[i - 1], r0[i], r3[i - 1], r3[i],

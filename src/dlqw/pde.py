@@ -9,8 +9,8 @@ operator splitting.  The source is integrated with an explicit-implicit
 one-step scheme (parameter alpha, default 0.5) and composed symmetrically
 (half source, full advection, half source), giving second-order accuracy.
 
-The skewed (x, x') grid of :func:`evolve` is the one position-space engine.
-Its noise part may carry per-separation coefficients kappa(|x - x'|),
+The skewed (x, x') grid of :func:`evolve` is the position-space Strang
+engine.  Its noise part may carry per-separation coefficients kappa(|x - x'|),
 handled by one propagator per distance class of the periodic grid; the
 default :class:`KernelSet` takes the uniform rates of
 :class:`GeneratorParams`, and that run is the reference for
@@ -19,7 +19,11 @@ runs in skewed storage, s[k, b, i] = v[b, i, (i + k) mod n]: a cell's
 distance class depends on the offset k alone, so the source step is one
 batched matmul over k, the exact advection is an integer roll per
 component, and the diagonal is the row s[0].  The field is skewed once at
-the start of a run and unskewed once at the end.
+the start of a run and unskewed once at the end.  The flip channel's
+full-band path (:func:`dlqw.noise.channel_run`) steps raw (4, n, n) blocks
+with the same :func:`dlqw.walk.roll_components` instead: its mix is one
+4x4 matrix for every cell, so one flat matmul, which is faster than the
+per-offset matmul of skewed storage, and raw blocks need no skew gather.
 
 A homogeneous run from a pure momentum packet needs no position grid at all
 (:func:`band_evolve`): in (p, p') Fourier space the Strang step is a 4x4 mix
@@ -134,11 +138,6 @@ def pauli_from_density(rho: DensityGrid) -> PauliField:
     """
     r = np.einsum("mvu,uvxy->mxy", SIGMA, rho.blocks) / rho.grid.spacing
     return PauliField(r, rho.grid)
-
-
-def density_from_pauli(field: PauliField) -> DensityGrid:
-    blocks = 0.5 * field.grid.spacing * np.einsum("mxy,muv->uvxy", field.r, SIGMA)
-    return DensityGrid(blocks, field.grid)
 
 
 def pauli_from_wave_state(state: WaveState) -> PauliField:
@@ -384,9 +383,11 @@ def evolve(
 ) -> EvolveResult:
     """Integrate the full (x, x') system to t_final with the Strang scheme.
 
-    The one position-space engine, stepped in skewed storage (:func:`skew`);
-    the default ``kernels`` take the uniform rates of ``params``.  dt is the
-    grid spacing (exact-advection constraint).  :func:`march` takes the
+    The position-space Strang engine, stepped in skewed storage
+    (:func:`skew`), where a cell's distance class is its offset alone; the
+    flip channel keeps raw blocks (see the module notes).  The default
+    ``kernels`` take the uniform rates of ``params``.  dt is the grid
+    spacing (exact-advection constraint).  :func:`march` takes the
     steps; its snapshots, by default at the run's two ends, record the
     diagonal fields, each from the row s[0] in O(n), and the full field is
     built from the last state only.  Every map writes into whichever of two

@@ -117,24 +117,24 @@ def _fmt(val) -> str:
     return str(val)
 
 
+def _write_csv(path: str, header: str, data) -> None:
+    """Rows of ``data`` at full precision under a one-line comma-separated header."""
+    np.savetxt(path, data, delimiter=",", comments="", fmt="%.17g", header=header)
+
+
 def _write_moments_csv(path: str, series: observables.MomentSeries) -> None:
     eta = series.eta if series.eta is not None else np.full_like(series.times, np.nan)
-    data = np.column_stack(
-        [series.times, series.mean_x, series.second_moment, eta,
-         series.trace, series.continuity_residual]
-    )
-    np.savetxt(path, data, delimiter=",", comments="", fmt="%.17g",
-               header="t,mean_x,second_moment,eta,trace,continuity_residual")
+    _write_csv(path, "t,mean_x,second_moment,eta,trace,continuity_residual",
+               np.column_stack([series.times, series.mean_x, series.second_moment, eta,
+                                series.trace, series.continuity_residual]))
 
 
 def _write_density_csv(path: str, x: np.ndarray, density: np.ndarray,
                        se: np.ndarray | None = None) -> None:
     if se is None:
-        np.savetxt(path, np.column_stack([x, density]), delimiter=",", comments="",
-                   fmt="%.17g", header="x,R0")
+        _write_csv(path, "x,R0", np.column_stack([x, density]))
     else:
-        np.savetxt(path, np.column_stack([x, density, se]), delimiter=",",
-                   comments="", fmt="%.17g", header="x,R0,se_R0")
+        _write_csv(path, "x,R0,se_R0", np.column_stack([x, density, se]))
 
 
 def _lattice_grid(cfg: ScenarioConfig) -> LatticeGrid:
@@ -428,9 +428,8 @@ def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     oracle = analytic.telegraph_on_grid(analytic.TelegraphParams(0.0, cfg.gamma2), prof,
                                         np.zeros_like(prof), grid.spacing, cfg.t_final)
     numeric = res.diagonals[-1].R[0]
-    np.savetxt(report.add_file("telegraph_compare.csv"),
-               np.column_stack([x, numeric, oracle]), delimiter=",", comments="",
-               fmt="%.17g", header="x,R0_numeric,R0_closed_form")
+    _write_csv(report.add_file("telegraph_compare.csv"), "x,R0_numeric,R0_closed_form",
+               np.column_stack([x, numeric, oracle]))
     err = float(np.abs(numeric - oracle).max())
     report.metrics.update(max_abs_error=err, dalembert_case=float(cfg.gamma2 == 0.0))
     report.checks.append(Check("closed_form_match", err, 0.0, cfg.tol or 1e-3, "le"))
@@ -446,9 +445,8 @@ def run_fourier(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     res = pde.diagonal_evolve(r0, r3, grid, params, cfg.t_final, alpha=cfg.alpha)
     numeric = res.diagonals[-1].R[0]
     reference = analytic.fourier_propagate(r0, r3, grid, params, cfg.t_final)[0]
-    np.savetxt(report.add_file("fourier_compare.csv"),
-               np.column_stack([grid.positions, numeric, reference]), delimiter=",",
-               comments="", fmt="%.17g", header="x,R0_strang,R0_propagator")
+    _write_csv(report.add_file("fourier_compare.csv"), "x,R0_strang,R0_propagator",
+               np.column_stack([grid.positions, numeric, reference]))
     err = float(np.abs(numeric - reference).max())
     report.metrics["max_abs_error"] = err
     report.checks.append(Check("propagator_match", err, 0.0, cfg.tol or 1e-3, "le"))
@@ -510,8 +508,7 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
         rows.append((eps, n_steps, l1))
         _write_density_csv(report.add_file(f"channel_eps{eps:g}.csv"),
                            grid.positions, dens)
-    np.savetxt(report.add_file("convergence.csv"), np.array(rows), delimiter=",",
-               comments="", fmt="%.17g", header="eps,n_steps,l1_distance")
+    _write_csv(report.add_file("convergence.csv"), "eps,n_steps,l1_distance", np.array(rows))
     l1s = [r[2] for r in rows]
     monotone = all(a > b for a, b in zip(l1s, l1s[1:]))
     for (eps, _, l1) in rows:
@@ -533,8 +530,8 @@ def run_sweep(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
         rows.append((eps, sub.metrics.get("trace_drift", np.nan),
                      sub.metrics.get("edge_mass", np.nan)))
         report.checks.extend(sub.checks)
-    np.savetxt(report.add_file("sweep_summary.csv"), np.array(rows), delimiter=",",
-               comments="", fmt="%.17g", header="eps,trace_drift,edge_mass")
+    _write_csv(report.add_file("sweep_summary.csv"), "eps,trace_drift,edge_mass",
+               np.array(rows))
     report.metrics["n_runs"] = len(rows)
 
 

@@ -39,22 +39,6 @@ class ConfigurationError(ValueError):
 
 
 @dataclass(frozen=True)
-class CoinAngles:
-    """The four angles (xi0, xi1, theta, chi) parametrizing a 2x2 unitary coin."""
-
-    xi0: float
-    xi1: float
-    theta: float
-    chi: float
-
-    def __post_init__(self):
-        for name in ("xi0", "xi1", "theta", "chi"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"coin angle {name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
 class LatticeGrid:
     """Periodic 1-D lattice with ballistic scaling: the spacing is also the time step.
 
@@ -211,28 +195,14 @@ SIGMA = np.array(
 )
 
 
-def coin_matrix(angles: CoinAngles) -> np.ndarray:
-    """2x2 unitary coin for the given angles.
-
-    Returns e^{i xi0} [[e^{i xi1} cos th, i e^{i chi} sin th],
-                       [i e^{-i chi} sin th, e^{-i xi1} cos th]].
-    """
-    x0, x1, th, ch = angles.xi0, angles.xi1, angles.theta, angles.chi
-    c, s = np.cos(th), np.sin(th)
-    m = np.array(
-        [
-            [np.exp(1j * x1) * c, 1j * np.exp(1j * ch) * s],
-            [1j * np.exp(-1j * ch) * s, np.exp(-1j * x1) * c],
-        ],
-        dtype=complex,
-    )
-    return np.exp(1j * x0) * m
-
-
 def coin_matrices(
     xi0: np.ndarray, xi1: np.ndarray, theta: np.ndarray, chi: np.ndarray
 ) -> np.ndarray:
-    """Vectorized coin construction; returns shape (n, 2, 2) for angle arrays."""
+    """2x2 unitary coins for broadcast angle arrays; returns shape (..., 2, 2).
+
+    Each coin is e^{i xi0} [[e^{i xi1} cos th, i e^{i chi} sin th],
+                            [i e^{-i chi} sin th, e^{-i xi1} cos th]].
+    """
     xi0, xi1, theta, chi = np.broadcast_arrays(xi0, xi1, theta, chi)
     c, s = np.cos(theta), np.sin(theta)
     out = np.empty(xi0.shape + (2, 2), dtype=complex)
@@ -242,16 +212,6 @@ def coin_matrices(
     out[..., 1, 1] = np.exp(-1j * xi1) * c
     out *= np.exp(1j * xi0)[..., None, None]
     return out
-
-
-def euler_angles(angles: CoinAngles) -> tuple[float, float, float]:
-    """Map (xi1, theta, chi) to the Euler angles (psi, phi, Theta) of the rotation part."""
-    return (angles.xi1 - angles.chi, angles.xi1 + angles.chi, 2.0 * angles.theta)
-
-
-def coin_from_euler(psi: float, phi: float, Theta: float, xi0: float = 0.0) -> CoinAngles:
-    """Inverse of :func:`euler_angles` (the global phase xi0 is a free choice)."""
-    return CoinAngles(xi0=xi0, xi1=0.5 * (psi + phi), theta=0.5 * Theta, chi=0.5 * (phi - psi))
 
 
 def mix_components(m: np.ndarray, field: np.ndarray) -> np.ndarray:

@@ -148,7 +148,7 @@ def _channel_arrays(rho0: noise.DensityGrid, field: AngleField, rates: noise.Cha
 
     def record(step):
         p = (np.diagonal(rho.blocks[0, 0]) + np.diagonal(rho.blocks[1, 1])).real
-        mean, second = moments(p / eps, grid.positions, eps, check_normalization=False)
+        mean, second = moments(p / eps, grid.positions, eps)
         times.append(step * eps)
         means.append(mean)
         seconds.append(second)
@@ -286,7 +286,7 @@ def _ensemble_arrays(field: AngleField, spec: noise.NoiseSpec, init: WaveState,
     for n_steps in checkpoints:
         ens = noise.run_ensemble(field, spec, init, n_steps, n_traj, seed)
         p = ens.probability_mean()
-        mean, second = moments(p / eps, grid.positions, eps, check_normalization=False)
+        mean, second = moments(p / eps, grid.positions, eps)
         means.append(mean)
         seconds.append(second)
         traces.append(ens.density().trace())

@@ -296,9 +296,11 @@ class TestDispersion:
         assert np.abs(h @ vm + e * vm).max() < 1e-13 * max(1, e)
 
     def test_massless_fallback_warns(self):
-        with pytest.warns(UserWarning):
-            vp, vm = eigenvectors(2.0, 0.0)
-        np.testing.assert_allclose(vp, [0.0, 1.0], atol=1e-15)
+        for p in (2.0, -2.0):
+            h = np.array([[-p, 0.0], [0.0, p]])
+            vp, vm = eigenvectors(p, 0.0)
+            np.testing.assert_allclose(h @ vp, abs(p) * vp, atol=1e-15)
+            np.testing.assert_allclose(h @ vm, -abs(p) * vm, atol=1e-15)
 
 
 class TestPacket:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,33 @@ KERNEL = ("scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 
 
 SPECTRAL_PRESETS = [name for name in list_presets()
                     if load_config(f"preset:{name}").fast == "spectral"]
+
+MOMENTS_HEADER = "t,mean_x,second_moment,eta,trace,continuity_residual"
+DIAG_HEADER = "x,R0,R1,R2,R3"
+
+# each scenario's CSVs, by file-name pattern, and the first line each must have
+CSV_HEADERS = {
+    "telegraph": ("scenario = telegraph\ngamma2 = 0.5\ndx = 0.1\nhalf_width = 4\nt_final = 0.5\n",
+                  {"moments.csv": MOMENTS_HEADER,
+                   "telegraph_compare.csv": "x,R0_numeric,R0_closed_form"}),
+    "fourier": ("scenario = fourier\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 4\nt_final = 0.5\n",
+                {"fourier_compare.csv": "x,R0_strang,R0_propagator"}),
+    "compare": ("scenario = compare\nm = 0.5\ngamma2 = 0.5\np0 = 1\nsigma = 0.5\n"
+                "eps_list = 0.5, 0.25\nt_final = 1\ndx = 0.25\nhalf_width = 4\n",
+                {"pde_diag.csv": DIAG_HEADER, "channel_eps*.csv": "x,R0",
+                 "convergence.csv": "eps,n_steps,l1_distance"}),
+    "sweep": ("scenario = sweep\neps_list = 0.5, 0.25\nt_final = 1\nhalf_width = 4\n"
+              "pi2_rate = 0.5\nm = 0.5\ninit = delta\n",
+              {"sweep_summary.csv": "eps,trace_drift,edge_mass", "moments.csv": MOMENTS_HEADER,
+               "density.csv": "x,R0"}),
+    "trajectories": ("scenario = trajectories\neps = 0.25\nt_final = 0.5\nhalf_width = 4\n"
+                     "noise_delta = 0.5\nn_traj = 4\nseed = 3\ninit = delta\n",
+                     {"density.csv": "x,R0,se_R0"}),
+    "lindblad-full": ("scenario = lindblad\nfast = full\nm = 0.5\ngamma2 = 0.5\ndx = 0.25\n"
+                      "half_width = 4\nt_final = 0.5\nn_snapshots = 3\np0 = 1\nsigma = 0.5\n",
+                      {"moments.csv": MOMENTS_HEADER, "final_diag.csv": DIAG_HEADER,
+                       "diag_t*.csv": DIAG_HEADER}),
+}
 
 
 class TestParseConfig:
@@ -189,7 +217,6 @@ class TestRunner:
         assert any("x_plateau reproduced" in m for m in messages)
         assert any("d_est reproduced" in m for m in messages)
 
-    @pytest.mark.filterwarnings("ignore:m = 0")
     def test_log_spaced_diagonal_run_records_geometric_times(self, tmp_path):
         cfg = parse_config(
             "scenario = lindblad\nfast = diagonal\nm = 0\ngamma2 = 0.5\ndx = 0.05\n"
@@ -202,7 +229,6 @@ class TestRunner:
         ratios = times[2:] / times[1:-1]
         assert ratios.min() >= 2.0  # uniform spacing would give ratios near 1
 
-    @pytest.mark.filterwarnings("ignore:m = 0")
     def test_diagonal_run_starts_from_the_pure_state_diagonal(self, tmp_path):
         cfg = parse_config(
             "scenario = lindblad\nfast = diagonal\nm = 0\ngamma1 = 0.3\ngamma2 = 0.7\n"
@@ -220,7 +246,6 @@ class TestRunner:
         for column, ref in zip((got[:, 1], got[:, 4]), want):
             np.testing.assert_allclose(column, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
-    @pytest.mark.filterwarnings("ignore:m = 0")
     def test_diagonal_run_allocates_no_xx_field(self, tmp_path):
         # n = 1000: one (2, 2, n, n) complex field alone would be 64 MB
         cfg = parse_config(
@@ -310,6 +335,19 @@ class TestRunner:
         report = run(parse_config(text + "vg_target = 0.894427191\n"), str(tmp_path / "t"))
         assert report.checks[0].target == 0.894427191
         assert not report.passed
+
+    @pytest.mark.parametrize("scenario", sorted(CSV_HEADERS))
+    def test_csv_headers(self, tmp_path, scenario):
+        text, headers = CSV_HEADERS[scenario]
+        run(parse_config(text), str(tmp_path / "run"))
+        seen = set()
+        for path in sorted((tmp_path / "run").rglob("*.csv")):
+            patterns = [p for p in headers if fnmatch(path.name, p)]
+            assert len(patterns) == 1, f"unexpected CSV {path.name}"
+            # a diagonal's header may end in a "  # t=..." comment
+            assert path.read_text().splitlines()[0].split("  #")[0] == headers[patterns[0]]
+            seen.update(patterns)
+        assert seen == set(headers)
 
     def test_emit_plot_script_writes_file(self, tmp_path):
         cfg = load_config("preset:fig2-e")

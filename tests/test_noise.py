@@ -17,7 +17,6 @@ from dlqw.noise import (
     ParamNoise,
     channel_run,
     channel_step,
-    ensemble_density,
     rng_for_trajectory,
     run_ensemble,
     sample_coin_offsets,
@@ -37,13 +36,27 @@ def l1_probability_distance(p, q):
     return float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def pure_site(grid, coin=(1.0, 0.0), site=None):
+    return DensityGrid.from_wave_state(WaveState.delta(grid, coin=coin, site=site))
+
+
+def dense(rho):
+    """Full (2n x 2n) matrix of ``rho`` in the |u, x> basis (u major); small grids only."""
+    n = rho.grid.n_sites
+    return rho.blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
+def purity(rho):
+    return float(np.sum(np.abs(rho.blocks) ** 2))
+
+
 class TestDensityGrid:
     def test_pure_state_trace_and_hermiticity(self):
         grid = LatticeGrid(n_sites=16)
-        rho = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
+        rho = pure_site(grid, coin=(1.0, 1.0))
         assert rho.trace() == pytest.approx(1.0, abs=1e-14)
         assert rho.hermiticity_defect() < 1e-14
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_dense_round_trip(self):
         grid = LatticeGrid(n_sites=6)
@@ -51,9 +64,8 @@ class TestDensityGrid:
         amp = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
         amp /= np.linalg.norm(amp)
         rho = DensityGrid.from_wave_state(WaveState(amp, grid))
-        dense = rho.dense()
         psi = amp.reshape(-1)
-        np.testing.assert_allclose(dense, np.outer(psi, psi.conj()), atol=1e-15)
+        np.testing.assert_allclose(dense(rho), np.outer(psi, psi.conj()), atol=1e-15)
 
 
 def dense_walk_matrix(grid, coins):
@@ -75,13 +87,13 @@ class TestChannelStep:
     def setup_method(self):
         self.grid = LatticeGrid(n_sites=24)
         self.field = AngleField(theta_bar=0.7, xi1_bar=0.2)
-        self.rho = DensityGrid.pure_site(self.grid, coin=(1.0, 1j))
+        self.rho = pure_site(self.grid, coin=(1.0, 1j))
 
     def test_zero_rates_is_unitary(self):
         out = self.rho
         for k in range(12):
             out = channel_step(out, self.field, ChannelRates(), t=float(k))
-        assert out.purity() == pytest.approx(1.0, abs=1e-10)
+        assert purity(out) == pytest.approx(1.0, abs=1e-10)
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_preserved_any_rates(self):
@@ -101,16 +113,16 @@ class TestChannelStep:
     def test_dense_oracle_four_sites(self):
         # one step, identity coin, per-step probabilities 0.1 / 0.2 (eps = 1)
         grid = LatticeGrid(n_sites=4)
-        rho = DensityGrid.pure_site(grid, coin=(1.0, 0.0), site=0)
+        rho = pure_site(grid, coin=(1.0, 0.0), site=0)
         out = channel_step(rho, AngleField(), ChannelRates(0.1, 0.2), t=0.0)
 
         n = 4
         u = dense_walk_matrix(grid, np.broadcast_to(np.eye(2), (n, 2, 2)))
         s3 = np.kron(np.diag([1.0, -1.0]), np.eye(n))
         s1 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
-        rd = rho.dense()
+        rd = dense(rho)
         expected = 0.7 * u @ rd @ u.conj().T + 0.1 * s3 @ rd @ s3 + 0.2 * s1 @ rd @ s1
-        np.testing.assert_allclose(out.dense(), expected, atol=1e-14)
+        np.testing.assert_allclose(dense(out), expected, atol=1e-14)
 
     def test_dense_oracle_generic_coin_and_rates(self):
         grid = LatticeGrid(n_sites=6, spacing=0.5)
@@ -128,10 +140,10 @@ class TestChannelStep:
         u = dense_walk_matrix(grid, coins)
         s3 = np.kron(np.diag([1.0, -1.0]), np.eye(6))
         s1 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(6))
-        rd = rho.dense()
+        rd = dense(rho)
         p1, p2 = 0.5 * 0.3, 0.5 * 0.5
         expected = (1 - p1 - p2) * u @ rd @ u.conj().T + p1 * s3 @ rd @ s3 + p2 * s1 @ rd @ s1
-        np.testing.assert_allclose(out.dense(), expected, atol=1e-13)
+        np.testing.assert_allclose(dense(out), expected, atol=1e-13)
 
     def test_rate_overflow_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -141,14 +153,14 @@ class TestChannelStep:
 
     def test_positivity_diagnostic(self):
         grid = LatticeGrid(n_sites=16)
-        rho = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
+        rho = pure_site(grid, coin=(1.0, 1.0))
         for k in range(8):
             rho = channel_step(rho, self.field, ChannelRates(0.15, 0.25), t=float(k))
-        assert rho.min_eigenvalue() >= -1e-8
+        assert np.linalg.eigvalsh(dense(rho)).min() >= -1e-8
 
     def test_light_cone(self):
         grid = LatticeGrid(n_sites=41)
-        rho = DensityGrid.pure_site(grid, coin=(1.0, 1.0))
+        rho = pure_site(grid, coin=(1.0, 1.0))
         c = grid.center_index
         for k in range(1, 13):
             rho = channel_step(rho, self.field, ChannelRates(0.1, 0.2), t=float(k))
@@ -432,21 +444,21 @@ class TestEnsembleDensity:
         grid = LatticeGrid(n_sites=24, spacing=0.1)
         field = AngleField(theta_bar=-1.0)
         init = WaveState.delta(grid)
-        rho = ensemble_density(field, NoiseSpec(), init, n_steps=10, n_traj=1, seed=0)
+        rho = run_ensemble(field, NoiseSpec(), init, n_steps=10, n_traj=1, seed=0).density()
         s = init
         for j in range(10):
             s = walk_step(s, field, t=0.1 * j)
         np.testing.assert_allclose(
             rho.blocks, DensityGrid.from_wave_state(s).blocks, atol=1e-12
         )
-        assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_batched_matches_explicit_loop(self):
         grid = LatticeGrid(n_sites=20, spacing=0.1)
         field = AngleField(theta_bar=-1.0, xi1_bar=0.5)
         init = WaveState.delta(grid)
         spec = NoiseSpec.single("theta", "gaussian", 0.5)
-        rho = ensemble_density(field, spec, init, n_steps=8, n_traj=3, seed=9)
+        rho = run_ensemble(field, spec, init, n_steps=8, n_traj=3, seed=9).density()
 
         acc = np.zeros_like(rho.blocks)
         for k in range(3):
@@ -489,7 +501,7 @@ class TestEnsembleDensity:
         grid = LatticeGrid(n_sites=24, spacing=0.1)
         field = AngleField(theta_bar=-1.0)
         spec = NoiseSpec.single("theta", "gaussian", 0.4)
-        rho = ensemble_density(field, spec, WaveState.delta(grid), 10, 64, seed=3)
+        rho = run_ensemble(field, spec, WaveState.delta(grid), 10, 64, seed=3).density()
         assert rho.trace() == pytest.approx(1.0, abs=1e-10)
         assert rho.hermiticity_defect() < 1e-12
 

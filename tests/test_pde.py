@@ -24,7 +24,6 @@ from dlqw.pde import (
     _propagator_from_f,
     _strang_advance,
     band_evolve,
-    density_from_pauli,
     diagonal_evolve,
     evolve,
     pauli_from_density,
@@ -41,6 +40,7 @@ from dlqw.pde import (
 from dlqw.walk import (
     ConfigurationError,
     LatticeGrid,
+    SIGMA,
     WaveState,
     mix_components,
     roll_components,
@@ -94,8 +94,9 @@ class TestPauliConversion:
         blocks = rng.normal(size=(2, 2, 10, 10)) + 1j * rng.normal(size=(2, 2, 10, 10))
         blocks = 0.5 * (blocks + blocks.conj().transpose(1, 0, 3, 2))
         rho = DensityGrid(blocks, grid)
-        back = density_from_pauli(pauli_from_density(rho))
-        np.testing.assert_allclose(back.blocks, rho.blocks, atol=1e-13)
+        r = pauli_from_density(rho).r
+        back = 0.5 * grid.spacing * np.einsum("mxy,muv->uvxy", r, SIGMA)  # rho = r^mu sigma^mu / 2
+        np.testing.assert_allclose(back, rho.blocks, atol=1e-13)
 
     def test_wave_state_normalization(self):
         grid = make_grid(64, 0.05)

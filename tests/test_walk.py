@@ -6,16 +6,11 @@ from hypothesis import strategies as st
 from dlqw.walk import (
     AngleField,
     BatchedWalk,
-    CoinAngles,
     ConfigurationError,
-    DomainError,
     LatticeGrid,
     WaveState,
     asymptotic_spread,
-    coin_from_euler,
     coin_matrices,
-    coin_matrix,
-    euler_angles,
     mix_components,
     roll_components,
     step_coins,
@@ -38,47 +33,17 @@ def run_walk(theta, steps, coin=(1.0, 1.0), n=None):
 
 class TestCoinMatrix:
     def test_identity_at_zero(self):
-        np.testing.assert_allclose(coin_matrix(CoinAngles(0, 0, 0, 0)), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(coin_matrices(0, 0, 0, 0), np.eye(2), atol=1e-15)
 
     def test_half_pi_theta_is_i_sigma1(self):
         expected = np.array([[0, 1j], [1j, 0]])
-        np.testing.assert_allclose(
-            coin_matrix(CoinAngles(0, 0, np.pi / 2, 0)), expected, atol=1e-15
-        )
+        np.testing.assert_allclose(coin_matrices(0, 0, np.pi / 2, 0), expected, atol=1e-15)
 
     @given(angles_st, angles_st, angles_st, angles_st)
     @settings(max_examples=200, deadline=None)
     def test_unitarity(self, x0, x1, th, ch):
-        u = coin_matrix(CoinAngles(x0, x1, th, ch))
+        u = coin_matrices(x0, x1, th, ch)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-13)
-
-    def test_nonfinite_angle_rejected(self):
-        with pytest.raises(DomainError):
-            CoinAngles(np.nan, 0, 0, 0)
-        with pytest.raises(DomainError):
-            CoinAngles(0, np.inf, 0, 0)
-
-
-class TestEulerAngles:
-    def test_zero(self):
-        assert euler_angles(CoinAngles(0, 0, 0, 0)) == (0, 0, 0)
-
-    def test_chi_zero_collapses(self):
-        a, b = 0.7, -0.4
-        assert euler_angles(CoinAngles(0, a, b, 0)) == pytest.approx((a, a, 2 * b))
-
-    def test_worked_example(self):
-        # psi = xi1 - chi, phi = xi1 + chi, Theta = 2 theta
-        assert euler_angles(CoinAngles(0, 0.3, 0.2, 0.1)) == pytest.approx((0.2, 0.4, 0.4))
-
-    @given(angles_st, angles_st, angles_st)
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, x1, th, ch):
-        psi, phi, big = euler_angles(CoinAngles(0, x1, th, ch))
-        back = coin_from_euler(psi, phi, big)
-        assert back.xi1 == pytest.approx(x1, abs=1e-12)
-        assert back.theta == pytest.approx(th, abs=1e-12)
-        assert back.chi == pytest.approx(ch, abs=1e-12)
 
 
 def shift(state):
