@@ -9,10 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, list_presets, load_config, parse_eps_list
+from .config import list_presets, load_config, parse_eps_list
 from .observables import l1_density_distance
 from .pde import NumericalError
-from .runner import emit_plot_script, run, verify_report
+from .runner import PLOT_KINDS, emit_plot_script, read_csv, run, verify_report
 from .walk import ConfigurationError
 
 
@@ -51,13 +51,9 @@ def _cmd_compare(args) -> int:
     out = args.out or "dlqw-compare"
     report_a = run(cfg_a, os.path.join(out, "a"))
     report_b = run(cfg_b, os.path.join(out, "b"))
-    da = np.loadtxt(os.path.join(report_a.output_dir, "density.csv"),
-                    delimiter=",", skiprows=1)
-    db = np.loadtxt(os.path.join(report_b.output_dir, "density.csv"),
-                    delimiter=",", skiprows=1)
-    dens_b = np.interp(da[:, 0], db[:, 0], db[:, 1])
-    dx = da[1, 0] - da[0, 0]
-    l1 = l1_density_distance(da[:, 1], dens_b, dx)
+    da, db = (read_csv(os.path.join(r.output_dir, "density.csv")) for r in (report_a, report_b))
+    dens_b = np.interp(da["x"], db["x"], db["R0"])
+    l1 = l1_density_distance(da["R0"], dens_b, da["x"][1] - da["x"][0])
     print(f"L1 distance of final densities: {l1:.6g}")
     ok = report_a.passed and report_b.passed
     if args.tol is not None:
@@ -121,8 +117,7 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plot", help="emit a standalone plot script for a run")
     p_plot.add_argument("dir")
-    p_plot.add_argument("--kind", choices=("density", "mean", "exponent"),
-                        default="density")
+    p_plot.add_argument("--kind", choices=PLOT_KINDS, default="density")
     p_plot.set_defaults(func=_cmd_plot)
 
     p_pre = sub.add_parser("presets", help="list shipped presets")
@@ -131,7 +126,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigurationError) as exc:
+    except ConfigurationError as exc:  # config.ConfigError is one too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -215,6 +215,9 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append("fast = spectral requires m != 0; use fast = diagonal")
         if fast == "diagonal" and m != 0:
             errors.append("fast = diagonal requires m = 0")
+    if scenario in ("telegraph", "fourier") and values.get("m", 0.0) != 0:
+        # both run the massless telegraph limit of the paper; a mass would go unused
+        errors.append(f"{scenario} runs at m = 0, the telegraph limit; remove m or set m = 0")
     init = values.get("init", "packet")
     if init not in ("packet", "delta", "gaussian"):
         errors.append(f"init must be one of packet/delta/gaussian, got {init!r}")

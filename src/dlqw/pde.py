@@ -486,7 +486,8 @@ MAGIC = b"DLQW"
 
 
 def write_diagonal_csv(path, diag: DiagonalFields, t: float | None = None) -> None:
-    header = "x,R0,R1,R2,R3" + ("" if t is None else f"  # t={t!r}")
+    # float(t): a numpy time would print its repr, np.float64(...)
+    header = "x,R0,R1,R2,R3" + ("" if t is None else f"  # t={float(t)!r}")
     data = np.column_stack([diag.x, diag.R.T])
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 

@@ -658,185 +658,148 @@ def run(cfg: ScenarioConfig, output_dir: str | None = None) -> RunReport:
     return report
 
 
+def read_report(run_dir: str) -> dict[str, float | str]:
+    """The ``key = value`` lines of a run's report.kv, each value a float where
+    it reads as one and the text otherwise.  ``file`` lines repeat; the last is kept.
+
+    Raises FileNotFoundError when the run directory holds no report.kv.
+    """
+    report = {}
+    with open(os.path.join(run_dir, "report.kv"), "r", encoding="utf-8") as fh:
+        for line in fh:
+            key, _, val = line.rstrip("\n").partition(" = ")
+            try:
+                report[key] = float(val)
+            except ValueError:
+                report[key] = val
+    return report
+
+
+def read_csv(path: str) -> dict[str, np.ndarray]:
+    """A CSV's columns by header name; a diagonal's ``  # t=...`` comment is ignored."""
+    with open(path, "r", encoding="utf-8") as fh:
+        names = fh.readline().split("#")[0].strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return dict(zip(names, data.T))
+
+
 def verify_report(run_dir: str) -> tuple[bool, list[str]]:
     """Recompute summary metrics from the emitted CSVs and diff against report.kv.
 
     Covers the metrics that are pure functions of moments.csv (d_est and
     x_plateau); returns (ok, messages).
     """
-    kv_path = os.path.join(run_dir, "report.kv")
-    if not os.path.exists(kv_path):
+    try:
+        report = read_report(run_dir)
+    except FileNotFoundError:
         return False, [f"{run_dir}: no report.kv"]
-    metrics = {}
-    with open(kv_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("metric."):
-                key, val = line[len("metric."):].split("=", 1)
-                try:
-                    metrics[key.strip()] = float(val)
-                except ValueError:
-                    pass
-    messages = []
-    ok = True
+    metrics = {key[len("metric."):]: val for key, val in report.items()
+               if key.startswith("metric.") and isinstance(val, float)}
+    recomputed = {}
     moments_path = os.path.join(run_dir, "moments.csv")
     if os.path.exists(moments_path) and ("d_est" in metrics or "x_plateau" in metrics):
-        data = np.loadtxt(moments_path, delimiter=",", skiprows=1)
+        cols = read_csv(moments_path)
         series = observables.MomentSeries(
-            times=data[:, 0], mean_x=data[:, 1], second_moment=data[:, 2],
-            trace=data[:, 4], continuity_residual=data[:, 5],
+            times=cols["t"], mean_x=cols["mean_x"], second_moment=cols["second_moment"],
+            trace=cols["trace"], continuity_residual=cols["continuity_residual"],
         )
         if "x_plateau" in metrics:
-            reg = observables.regime_times(series, v_g=metrics.get("vg_formula", 1.0))
-            if abs(reg.x_plateau - metrics["x_plateau"]) > 1e-9 * max(1, abs(reg.x_plateau)):
-                ok = False
-                messages.append(
-                    f"x_plateau mismatch: csv {reg.x_plateau} vs report {metrics['x_plateau']}"
-                )
-            else:
-                messages.append("x_plateau reproduced from moments.csv")
+            v_g = metrics.get("vg_formula", 1.0)
+            recomputed["x_plateau"] = observables.regime_times(series, v_g=v_g).x_plateau
         if "d_est" in metrics:
             t_start = metrics.get("t2", 0.5 * series.times[-1])
-            fit = observables.diffusion_fit(series, t_start=t_start)
-            if abs(fit.d_est - metrics["d_est"]) > 1e-9 * max(1, abs(fit.d_est)):
-                ok = False
-                messages.append(f"d_est mismatch: csv {fit.d_est} vs report {metrics['d_est']}")
-            else:
-                messages.append("d_est reproduced from moments.csv")
-    if not messages:
-        messages.append("no recomputable metrics found (nothing to verify)")
-    return ok, messages
+            recomputed["d_est"] = observables.diffusion_fit(series, t_start=t_start).d_est
+    ok, messages = True, []
+    for name, value in recomputed.items():
+        if abs(value - metrics[name]) > 1e-9 * max(1, abs(value)):
+            ok = False
+            messages.append(f"{name} mismatch: csv {value} vs report {metrics[name]}")
+        else:
+            messages.append(f"{name} reproduced from moments.csv")
+    return ok, messages or ["no recomputable metrics found (nothing to verify)"]
 
 
-_PLOT_KINDS = ("density", "mean", "exponent")
+PLOT_KINDS = ("density", "mean", "exponent")
+
+# every plot script starts the same way: a backend with no display, and a loader
+# that reads a CSV's columns by header name, as read_csv does
+_SCRIPT_HEAD = '''#!/usr/bin/env python3
+"""Standalone plot script; reads CSVs from its own directory."""
+import os
+import matplotlib
+matplotlib.use('Agg')
+import matplotlib.pyplot as plt
+
+here = os.path.dirname(os.path.abspath(__file__))
+
+
+def columns(name):
+    """A CSV's columns by header name; a '  # t=...' comment is ignored."""
+    with open(os.path.join(here, name)) as fh:
+        names = fh.readline().split('#')[0].strip().split(',')
+        rows = [[float(v) for v in line.split(',')] for line in fh]
+    return {key: [row[i] for row in rows] for i, key in enumerate(names)}
+
+
+'''
 
 
 def emit_plot_script(run_dir: str, kind: str) -> str:
-    """Write a standalone matplotlib script that renders CSVs from a run."""
-    if kind not in _PLOT_KINDS:
-        raise ConfigurationError(f"unknown plot kind {kind!r}; valid: {_PLOT_KINDS}")
-    needed = {"density": ["density.csv", "final_diag.csv", "telegraph_compare.csv"],
-              "mean": ["moments.csv"],
-              "exponent": ["moments.csv"]}[kind]
+    """Write a standalone matplotlib script that renders CSVs from a run.
+
+    ``density`` overlays the run's diagonal slices (``diag_t*.csv``) when it
+    wrote any, and plots its one final density otherwise.
+    """
+    if kind not in PLOT_KINDS:
+        raise ConfigurationError(f"unknown plot kind {kind!r}; valid: {PLOT_KINDS}")
+    needed = (["density.csv", "final_diag.csv", "telegraph_compare.csv"] if kind == "density"
+              else ["moments.csv"])
     present = [f for f in needed if os.path.exists(os.path.join(run_dir, f))]
     slices = []
     if kind == "density" and os.path.isdir(run_dir):
-        slices = sorted(
-            f for f in os.listdir(run_dir)
-            if f.startswith("diag_t") and f.endswith(".csv")
-        )
+        slices = sorted(f for f in os.listdir(run_dir)
+                        if f.startswith("diag_t") and f.endswith(".csv"))
     if not present and not slices:
-        raise ConfigurationError(
-            f"{run_dir}: none of {needed} found; run a scenario first"
-        )
-    x_lim = None
-    vg = None
-    kv_path = os.path.join(run_dir, "report.kv")
-    if os.path.exists(kv_path):
-        with open(kv_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("metric.x_lim"):
-                    x_lim = float(line.split("=", 1)[1])
-                if line.startswith("metric.vg_formula"):
-                    vg = float(line.split("=", 1)[1])
-    if kind == "density" and slices:
-        body = _density_panels_script(slices)
-    else:
-        body = _plot_script_body(kind, present[0], x_lim, vg)
-    path = os.path.join(run_dir, f"plot_{kind}.py")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
-    return path
-
-
-def _density_panels_script(slices: list[str]) -> str:
-    """Overlaid density-vs-x curves, one per recorded time slice."""
-    return "\n".join([
-        "#!/usr/bin/env python3",
-        '"""Standalone plot script; reads CSVs from its own directory."""',
-        "import csv",
-        "import os",
-        "import matplotlib",
-        "matplotlib.use('Agg')",
-        "import matplotlib.pyplot as plt",
-        "",
-        "here = os.path.dirname(os.path.abspath(__file__))",
-        f"names = {slices!r}",
-        "for name in names:",
-        "    xs, ys = [], []",
-        "    with open(os.path.join(here, name)) as fh:",
-        "        reader = csv.reader(fh)",
-        "        next(reader)",
-        "        for row in reader:",
-        "            xs.append(float(row[0]))",
-        "            ys.append(float(row[1]))",
-        "    label = name[len('diag_t'):-len('.csv')]",
-        "    plt.plot(xs, ys, lw=1.0, label='t = ' + label)",
-        "plt.xlabel('x')",
-        "plt.ylabel('probability density')",
-        "plt.legend()",
-        "plt.tight_layout()",
-        "plt.savefig(os.path.join(here, 'density.png'), dpi=160)",
-        "print('wrote density.png')",
-        "",
-    ])
-
-
-def _plot_script_body(kind: str, csv_name: str, x_lim, vg) -> str:
-    lines = [
-        "#!/usr/bin/env python3",
-        '"""Standalone plot script; reads CSVs from its own directory."""',
-        "import csv",
-        "import os",
-        "import matplotlib",
-        "matplotlib.use('Agg')",
-        "import matplotlib.pyplot as plt",
-        "",
-        "here = os.path.dirname(os.path.abspath(__file__))",
-        "rows = []",
-        f"with open(os.path.join(here, {csv_name!r})) as fh:",
-        "    reader = csv.DictReader(fh)",
-        "    for row in reader:",
-        "        rows.append({k: float(v) for k, v in row.items()})",
-        "",
-    ]
+        raise ConfigurationError(f"{run_dir}: none of {needed} found; run a scenario first")
     if kind == "density":
-        ycol = "R0" if csv_name == "density.csv" else "R0_numeric" if "telegraph" in csv_name else "R0"
-        lines += [
-            "x = [r['x'] for r in rows]",
-            f"y = [r['{ycol}'] for r in rows]",
-            "plt.plot(x, y, lw=1.2)",
-            "plt.xlabel('x')",
-            "plt.ylabel('probability density')",
-        ]
+        if slices:
+            calls = [f"for name in {slices!r}:",
+                     "    c, t = columns(name), name[len('diag_t'):-len('.csv')]",
+                     "    plt.plot(c['x'], c['R0'], lw=1.0, label='t = ' + t)"]
+        else:
+            ycol = "R0_numeric" if present[0] == "telegraph_compare.csv" else "R0"
+            calls = [f"c = columns({present[0]!r})", f"plt.plot(c['x'], c[{ycol!r}], lw=1.2)"]
+        calls += ["plt.xlabel('x')", "plt.ylabel('probability density')"]
+        calls += ["plt.legend()"] if slices else []
     elif kind == "mean":
-        lines += [
-            "t = [r['t'] for r in rows]",
-            "m = [r['mean_x'] for r in rows]",
-            "plt.plot(t, m, lw=1.2, label='mean position')",
-        ]
+        kv = os.path.join(run_dir, "report.kv")
+        report = read_report(run_dir) if os.path.exists(kv) else {}
+        vg, x_lim = report.get("metric.vg_formula"), report.get("metric.x_lim")
+        calls = ["c = columns('moments.csv')",
+                 "plt.plot(c['t'], c['mean_x'], lw=1.2, label='mean position')"]
         if vg:
-            lines += [f"plt.plot(t, [{vg} * ti for ti in t], ls=':', label='ballistic')"]
+            calls += [f"plt.plot(c['t'], [{vg} * t for t in c['t']], ls=':', label='ballistic')"]
         if x_lim:
-            lines += [f"plt.axhline({x_lim}, ls='--', c='k', label='limit position')"]
-        lines += [
-            "plt.xlabel('t')",
-            "plt.ylabel('mean position')",
-            "plt.legend()",
-        ]
+            calls += [f"plt.axhline({x_lim}, ls='--', c='k', label='limit position')"]
+        calls += ["plt.xlabel('t')", "plt.ylabel('mean position')", "plt.legend()"]
     else:
-        lines += [
-            "t = [r['t'] for r in rows if r['eta'] == r['eta'] and r['t'] > 0]",
-            "e = [r['eta'] for r in rows if r['eta'] == r['eta'] and r['t'] > 0]",
-            "plt.semilogx(t, e, lw=1.2)",
+        calls = [
+            "c = columns('moments.csv')",
+            "# the times with an exponent: eta is nan where the run could not fit one",
+            "kept = [(t, e) for t, e in zip(c['t'], c['eta']) if e == e and t > 0]",
+            "plt.semilogx([t for t, _ in kept], [e for _, e in kept], lw=1.2)",
             "plt.axhline(2.0, ls=':', c='gray')",
             "plt.axhline(1.0, ls=':', c='gray')",
             "plt.xlabel('t')",
             "plt.ylabel('growth exponent')",
         ]
-    lines += [
+    calls += [
         "plt.tight_layout()",
         f"plt.savefig(os.path.join(here, '{kind}.png'), dpi=160)",
         f"print('wrote {kind}.png')",
         "",
     ]
-    return "\n".join(lines)
+    path = os.path.join(run_dir, f"plot_{kind}.py")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_SCRIPT_HEAD + "\n".join(calls))
+    return path

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +15,8 @@ from dlqw.analytic import build_packet
 from dlqw.cli import main
 from dlqw.config import ConfigError, list_presets, load_config, parse_config
 from dlqw.pde import GeneratorParams, diagonal_evolve, pauli_from_wave_state
-from dlqw.runner import check_resources, emit_plot_script, run, verify_report
+from dlqw.runner import (check_resources, emit_plot_script, read_csv, read_report, run,
+                         verify_report)
 from dlqw.walk import ConfigurationError
 
 MINI_TRAJ = """
@@ -78,6 +81,30 @@ CSV_HEADERS = {
 }
 
 
+# runs whose plot scripts are run under a logging stand-in for matplotlib:
+# diagonal slices, a channel density (with an all-nan eta column), the telegraph
+# comparison, and a spectral run with a limit position and a group velocity
+PLOT_RUNS = {
+    "lindblad-full": CSV_HEADERS["lindblad-full"][0],
+    "channel": "scenario = channel\neps = 0.25\nt_final = 0.5\nhalf_width = 4\n"
+               "pi2_rate = 0.5\nm = 0.5\ninit = delta\n",
+    "telegraph": CSV_HEADERS["telegraph"][0],
+    "spectral": "scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.25\n"
+                "half_width = 4\nt_final = 20\nn_snapshots = 17\nsnapshot_spacing = log\n",
+}
+
+STUB_PYPLOT = """import json
+import os
+
+
+def __getattr__(name):
+    def call(*args, **kwargs):
+        with open(os.environ["PLOT_LOG"], "a") as fh:
+            fh.write(json.dumps([name, args, kwargs]) + "\\n")
+    return call
+"""
+
+
 class TestParseConfig:
     def test_minimal_walk_defaults(self):
         cfg = parse_config("scenario = walk\ntheta = 0.5\nn_steps = 100\n")
@@ -121,6 +148,19 @@ class TestParseConfig:
         assert rc == 2
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("scenario", ["telegraph", "fourier"])
+    def test_massive_telegraph_limit_exit_two(self, tmp_path, capsys, scenario):
+        # both run at m = 0, so a mass would be reported in report.kv but not used
+        cfg_path = tmp_path / "massive.cfg"
+        cfg_path.write_text(f"scenario = {scenario}\nm = 0.7\ngamma2 = 0.5\ndx = 0.05\n"
+                            "half_width = 4\nt_final = 1\n")
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{scenario} runs at m = 0, the telegraph limit" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+        assert parse_config(cfg_path.read_text().replace("m = 0.7", "m = 0")).m == 0.0
 
     def test_unparsed_mass_is_not_compared_with_fast(self):
         with pytest.raises(ConfigError) as err:
@@ -344,8 +384,13 @@ class TestRunner:
         for path in sorted((tmp_path / "run").rglob("*.csv")):
             patterns = [p for p in headers if fnmatch(path.name, p)]
             assert len(patterns) == 1, f"unexpected CSV {path.name}"
-            # a diagonal's header may end in a "  # t=..." comment
-            assert path.read_text().splitlines()[0].split("  #")[0] == headers[patterns[0]]
+            # a diagonal's header may end in a "  # t=<time>" comment
+            header, _, comment = path.read_text().splitlines()[0].partition("  # t=")
+            assert header == headers[patterns[0]]
+            if path.name.startswith("diag_t"):
+                assert f"{float(comment):g}" == path.name[len("diag_t"):-len(".csv")]
+            elif comment:
+                float(comment)
             seen.update(patterns)
         assert seen == set(headers)
 
@@ -356,6 +401,79 @@ class TestRunner:
         text = open(path).read()
         assert "moments.csv" in text
         assert "matplotlib" in text
+
+    def test_read_report_and_csv(self, tmp_path):
+        report = run(load_config("preset:fig2-e"), str(tmp_path / "r"))
+        kv = read_report(str(tmp_path / "r"))
+        assert kv["scenario"] == "lindblad" and kv["passed"] == "True"
+        assert {key: kv[f"metric.{key}"] for key in report.metrics} == report.metrics
+        cols = read_csv(str(tmp_path / "r" / "moments.csv"))
+        assert list(cols) == MOMENTS_HEADER.split(",")
+        np.testing.assert_array_equal(
+            cols["mean_x"], np.loadtxt(tmp_path / "r" / "moments.csv", delimiter=",",
+                                       skiprows=1)[:, 1])
+        with pytest.raises(FileNotFoundError):
+            read_report(str(tmp_path))
+
+    @pytest.mark.parametrize("name", sorted(PLOT_RUNS))
+    def test_plot_scripts_plot_the_csv_columns(self, tmp_path, name):
+        # a stand-in matplotlib that logs every pyplot call, so the scripts run here
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("def use(backend):\n    pass\n")
+        (stub / "pyplot.py").write_text(STUB_PYPLOT)
+        out = tmp_path / "run"
+        run(parse_config(PLOT_RUNS[name]), str(out))
+        calls = {}
+        kinds = runner.PLOT_KINDS
+        if name == "spectral":  # no grid, so no density to plot
+            with pytest.raises(ConfigurationError, match="none of"):
+                emit_plot_script(str(out), "density")
+            kinds = ("mean", "exponent")
+        for kind in kinds:
+            log = tmp_path / f"{kind}.log"
+            proc = subprocess.run(
+                [sys.executable, emit_plot_script(str(out), kind)], capture_output=True,
+                text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(stub.parent),
+                                            "PLOT_LOG": str(log)})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == f"wrote {kind}.png\n"
+            calls[kind] = [json.loads(line) for line in log.read_text().splitlines()]
+            assert calls[kind][-1] == ["savefig", [str(out / f"{kind}.png")], {"dpi": 160}]
+
+        def curves(kind, function="plot"):
+            return [args for call, args, _ in calls.get(kind, []) if call == function]
+
+        density = {"lindblad-full": sorted(out.glob("diag_t*.csv")), "spectral": [],
+                   "channel": [out / "density.csv"],
+                   "telegraph": [out / "telegraph_compare.csv"]}[name]
+        assert len(curves("density")) == len(density)
+        for (x, y), path in zip(curves("density"), density):
+            cols = read_csv(str(path))
+            np.testing.assert_array_equal(x, cols["x"])
+            np.testing.assert_array_equal(y, cols.get("R0", cols.get("R0_numeric")))
+
+        moments = read_csv(str(out / "moments.csv"))
+        t, mean = curves("mean")[0]
+        np.testing.assert_array_equal(t, moments["t"])
+        np.testing.assert_array_equal(mean, moments["mean_x"])
+        metrics = read_report(str(out))
+        if name == "spectral":
+            assert {"metric.vg_formula", "metric.x_lim"} <= set(metrics)
+        if "metric.vg_formula" in metrics:
+            np.testing.assert_array_equal(curves("mean")[1][1],
+                                          metrics["metric.vg_formula"] * moments["t"])
+        if "metric.x_lim" in metrics:
+            assert curves("mean", "axhline") == [[metrics["metric.x_lim"]]]
+
+        keep = np.isfinite(moments["eta"]) & (moments["t"] > 0)
+        (t, eta), = curves("exponent", "semilogx")
+        np.testing.assert_array_equal(t, moments["t"][keep])
+        np.testing.assert_array_equal(eta, moments["eta"][keep])
+        if name == "spectral":
+            assert keep.sum() >= 8
+        if name == "channel":  # no exponent fit: eta is all nan, and nothing is plotted
+            assert not keep.any() and t == []
 
 
 class TestMain:
@@ -747,6 +865,22 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "integrity:" in out
+
+    def test_report_command_finds_a_tampered_metric(self, tmp_path, capsys):
+        run(load_config("preset:fig2-e"), str(tmp_path / "r"))
+        kv = tmp_path / "r" / "report.kv"
+        kv.write_text(re.sub(r"metric\.d_est = .*", "metric.d_est = 1.5", kv.read_text()))
+        assert main(["report", str(tmp_path / "r")]) == 1
+        out = capsys.readouterr().out
+        assert "integrity: x_plateau reproduced from moments.csv\n" in out
+        assert "integrity: d_est mismatch: csv 0." in out and " vs report 1.5\n" in out
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == f"integrity: {tmp_path}: no report.kv\n"
+        main(["run", "preset:acceptance-walk", "--out", str(tmp_path / "w")])
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "w")]) == 0
+        assert capsys.readouterr().out.endswith(
+            "integrity: no recomputable metrics found (nothing to verify)\n")
 
     def test_report_shows_the_ensemble_threads(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(noise, "ensemble_threads", lambda t: 3)

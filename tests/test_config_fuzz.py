@@ -29,8 +29,9 @@ TINY = {
                          "dx = 0.25\nhalf_width = 4\nt_final = 1\nn_snapshots = 3\np0 = 1\n"
                          "sigma = 0.5\n",
     "telegraph": "scenario = telegraph\ngamma2 = 0.5\ndx = 0.1\nhalf_width = 4\n"
-                 "t_final = 0.5\n",
-    "fourier": "scenario = fourier\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 4\nt_final = 0.5\n",
+                 "t_final = 0.5\nm = 0\n",
+    "fourier": "scenario = fourier\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 4\nt_final = 0.5\n"
+               "m = 0\n",
     "dirac-free": "scenario = dirac-free\nm = 0.5\ndx = 0.1\nhalf_width = 4\nt_final = 0.5\n",
     "kernel-lindblad": "scenario = kernel-lindblad\nkernel_channel = identity\nkernel_rate = 1\n"
                        "kernel_ell = 0.2\ndx = 0.1\nhalf_width = 2\nt_final = 0.5\n"
