@@ -16,18 +16,6 @@ from importlib import resources
 from .noise import NOISE_KINDS, PARAM_NAMES
 from .walk import ConfigurationError
 
-VALID_SCENARIOS = (
-    "walk",
-    "channel",
-    "trajectories",
-    "lindblad",
-    "kernel-lindblad",
-    "telegraph",
-    "fourier",
-    "dirac-free",
-    "compare",
-    "sweep",
-)
 
 class ConfigError(ConfigurationError):
     """Invalid configuration; carries the full list of problems found."""
@@ -69,13 +57,11 @@ class ScenarioConfig:
     t_final: float = 0.0
     n_steps: int = 0
     n_traj: int = 0
-    alpha: float = 0.5
     n_snapshots: int = 21
     half_width: float = 0.0
     init: str = "packet"
     init_width: float = 0.0
     fast: str = "full"
-    window: int = 7
     snapshot_spacing: str = "uniform"
 
     # declared targets and tolerances (gates are active when a target is set)
@@ -115,6 +101,8 @@ _REQUIRED = {
     "compare": ("eps_list", "t_final", "half_width", "dx"),
     "sweep": ("eps_list",),
 }
+
+VALID_SCENARIOS = tuple(_REQUIRED)
 
 _NONNEGATIVE_RATES = ("gamma1", "gamma2", "pi1_rate", "pi2_rate", "kernel_rate", "noise_delta")
 
@@ -242,10 +230,6 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("snapshot_spacing = log requires t_final > 0")
     if values.get("n_snapshots", 2) < 2:
         errors.append("n_snapshots must be >= 2")
-    if values.get("window", 2) < 2:
-        errors.append("window must be >= 2")
-    if not 0.0 <= values.get("alpha", 0.5) <= 1.0:
-        errors.append("alpha must lie in [0, 1]")
 
     if errors:
         raise ConfigError(errors)

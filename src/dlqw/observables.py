@@ -84,28 +84,30 @@ def moments(density: np.ndarray, x: np.ndarray, dx: float) -> tuple[float, float
     return mean, second
 
 
-def exponent_series(series: MomentSeries, window: int = 7) -> np.ndarray:
+# samples in the sliding fit of exponent_series
+EXPONENT_WINDOW = 7
+
+
+def exponent_series(series: MomentSeries) -> np.ndarray:
     """Running exponent eta_t = d ln(<x^2>_t - <x^2>_0) / d ln t.
 
     Least-squares slope of ln(increment) against ln(t) over a sliding window
-    of samples.  Entries where the increment is not positive (or t <= 0) are
-    reported as NaN rather than aborting the series.
+    of :data:`EXPONENT_WINDOW` samples.  Entries where the increment is not
+    positive (or t <= 0) are reported as NaN rather than aborting the series.
     """
-    if window < 2:
-        raise DiagnosticError("window must be >= 2 samples")
     t = series.times
-    if t.size < window + 1:
-        raise DiagnosticError(f"need at least {window + 1} samples, got {t.size}")
+    if t.size <= EXPONENT_WINDOW:
+        raise DiagnosticError(f"need at least {EXPONENT_WINDOW + 1} samples, got {t.size}")
     incr = series.second_moment - series.second_moment[0]
     valid = (t > 0) & (incr > 0)
     eta = np.full(t.size, np.nan)
     lt = np.where(valid, np.log(np.where(valid, t, 1.0)), np.nan)
     ly = np.where(valid, np.log(np.where(valid, incr, 1.0)), np.nan)
-    half = window // 2
+    half = EXPONENT_WINDOW // 2
     for i in range(t.size):
         if not valid[i]:
             continue  # gap stays NaN
-        lo, hi = max(0, i - half), min(t.size, i - half + window)
+        lo, hi = max(0, i - half), min(t.size, i - half + EXPONENT_WINDOW)
         sl_t, sl_y = lt[lo:hi], ly[lo:hi]
         keep = np.isfinite(sl_t) & np.isfinite(sl_y)
         if keep.sum() < 2:

@@ -5,9 +5,9 @@ four kernels r^mu(x, x') obey a first-order hyperbolic system with a pointwise
 source.  A unitary change of variables v = U r diagonalizes both advection
 matrices simultaneously, so with dt = dx the homogeneous flow is an exact
 integer grid shift per component and the only discretization error comes from
-operator splitting.  The source is integrated with an explicit-implicit
-one-step scheme (parameter alpha, default 0.5) and composed symmetrically
-(half source, full advection, half source), giving second-order accuracy.
+operator splitting.  The source is integrated with the trapezoid rule and
+composed symmetrically (half source, full advection, half source), giving
+second-order accuracy.
 
 The skewed (x, x') grid of :func:`evolve` is the position-space Strang
 engine.  Its noise part may carry per-separation coefficients kappa(|x - x'|),
@@ -41,7 +41,7 @@ import copy
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -167,37 +167,24 @@ def source_matrix(params: GeneratorParams) -> np.ndarray:
     )
 
 
-def _propagator_from_f(f: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    """Explicit-implicit one-step matrix (I - (1-a) dt F)^-1 (I + a dt F).
+def _propagator_from_f(f: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid one-step matrix (I - dt F/2)^-1 (I + dt F/2).
 
     Every source used here couples r^0 to nothing (its first row and column
     vanish except possibly the scalar decay F[0, 0]), so the propagator is a
     scalar on r^0 plus a 3x3 solve.  With F[0, 0] = 0 the r^0 factor is
     exactly 1, which keeps the trace bit-exact in the homogeneous case.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError("alpha must lie in [0, 1]")
-    lhs0 = 1.0 - (1.0 - alpha) * dt * f[0, 0]
-    lhs = np.eye(3) - (1.0 - alpha) * dt * f[1:, 1:]
-    rhs = np.eye(3) + alpha * dt * f[1:, 1:]
+    h = 0.5 * dt
+    lhs0 = 1.0 - h * f[0, 0]
+    lhs = np.eye(3) - h * f[1:, 1:]
+    rhs = np.eye(3) + h * f[1:, 1:]
     if abs(np.linalg.det(lhs)) < 1e-14 or abs(lhs0) < 1e-14:
         raise ConfigurationError("singular implicit source step; reduce dt")
     out = np.eye(4, dtype=f.dtype)
-    out[0, 0] = (1.0 + alpha * dt * f[0, 0]) / lhs0
+    out[0, 0] = (1.0 + h * f[0, 0]) / lhs0
     out[1:, 1:] = np.linalg.solve(lhs, rhs)
     return out
-
-
-@lru_cache(maxsize=128)
-def _source_propagator_v(dt: float, m: float, g1: float, g2: float, alpha: float) -> np.ndarray:
-    """The real source propagator in v variables.
-
-    Every factor i of U_CHAR multiplies r^1, and t_r couples r^1 to no other
-    component, so each i meets its conjugate: the imaginary part of
-    U_CHAR t_r U_CHAR^-1 is exactly 0.0 and ``.real`` drops nothing.
-    """
-    t_r = _propagator_from_f(source_matrix(GeneratorParams(m, g1, g2)), dt, alpha)
-    return np.ascontiguousarray((U_CHAR @ t_r @ U_CHAR_INV).real)
 
 
 StateMap = Callable[[State], State]
@@ -295,6 +282,15 @@ def _kernel_noise_diagonals(
     return out
 
 
+def _source_propagators(
+    params: GeneratorParams, kernels: KernelSet, dists: np.ndarray, dt: float
+) -> np.ndarray:
+    """The v-variable source propagator over ``dt`` at each distance, shape (n_d, 4, 4)."""
+    mass = source_matrix(GeneratorParams(params.m, 0.0, 0.0))
+    return np.stack([U_CHAR @ _propagator_from_f(mass + np.diag(d), dt) @ U_CHAR_INV
+                     for d in _kernel_noise_diagonals(kernels, params, dists)])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Skewed storage of a (4, n, n) field: ``s[k, b, i] = v[b, i, (i + k) mod n]``.
 
@@ -348,17 +344,13 @@ class KernelSourceOperator:
         kernels: KernelSet,
         params: GeneratorParams,
         dt: float,
-        alpha: float = 0.5,
     ):
         n = grid.n_sites
-        dists = np.arange(n // 2 + 1) * grid.spacing
-        diags = _kernel_noise_diagonals(kernels, params, dists)
-        mass = source_matrix(GeneratorParams(params.m, 0.0, 0.0))
         offsets = np.arange(n)
         self._class_of_offset = np.minimum(offsets, n - offsets)
         # (n/2 + 1, 4, 4), indexed by distance class
-        self.props = np.stack([U_CHAR @ _propagator_from_f(mass + np.diag(d), dt, alpha)
-                               @ U_CHAR_INV for d in diags])
+        self.props = _source_propagators(params, kernels,
+                                         np.arange(n // 2 + 1) * grid.spacing, dt)
         self._by_offset = self.props[self._class_of_offset]
 
     def squared(self) -> "KernelSourceOperator":
@@ -378,7 +370,6 @@ def evolve(
     params: GeneratorParams,
     t_final: float,
     kernels: KernelSet = KernelSet(),
-    alpha: float = 0.5,
     snapshot_steps: list[int] | None = None,
 ) -> EvolveResult:
     """Integrate the full (x, x') system to t_final with the Strang scheme.
@@ -402,7 +393,7 @@ def evolve(
     def into_other(step):
         return lambda s: step(s, out=buffers[s is buffers[0]])
 
-    half = KernelSourceOperator(grid, kernels, params, 0.5 * dt, alpha)
+    half = KernelSourceOperator(grid, kernels, params, 0.5 * dt)
     maps = _strang_maps(into_other(half.apply), into_other(half.squared().apply),
                         into_other(skewed_advect))
     return march(start, _strang_advance(maps),
@@ -414,7 +405,6 @@ def band_evolve(
     packet: "GridPacket",
     params: GeneratorParams,
     t_final: float,
-    alpha: float = 0.5,
     snapshot_steps: list[int] | None = None,
 ) -> EvolveResult:
     """:func:`evolve` of the pure start |psi><psi| of a momentum packet, mode by mode.
@@ -440,7 +430,11 @@ def band_evolve(
     c = modes.coefficients
     # v(x, x') = sum band[:, k, k'] e^{2 pi i (k x - k' x') / n} over the kept modes
     band = mix_components(U_CHAR, np.einsum("mvu,uk,vl->mkl", SIGMA, c, c.conj()) / dt)
-    t_half = _source_propagator_v(0.5 * dt, params.m, params.gamma1, params.gamma2, alpha)
+    # Every factor i of U_CHAR multiplies r^1, and the source couples r^1 to no
+    # other component, so each i meets its conjugate: the imaginary part of the
+    # uniform-rate propagator is exactly 0.0 and ``.real`` drops nothing.
+    t_half = np.ascontiguousarray(
+        _source_propagators(params, KernelSet(), np.zeros(1), 0.5 * dt)[0].real)
     maps = _mix_maps(t_half, partial(np.multiply, modes.phases(ADVECTION_SHIFTS)))
     return march(band, _strang_advance(maps), lambda b: (U_CHAR_INV @ modes.diagonal(b)).real,
                  modes.diagonal, grid, n_steps, snapshot_steps,
@@ -453,7 +447,6 @@ def diagonal_evolve(
     grid: LatticeGrid,
     params: GeneratorParams,
     t_final: float,
-    alpha: float = 0.5,
     snapshot_steps: list[int] | None = None,
 ) -> EvolveResult:
     """Massless fast path: the diagonal (R^0, R^3) system is closed when m = 0.
@@ -472,7 +465,7 @@ def diagonal_evolve(
     # propagator is exact on its own.  Characteristic variables
     # w_pm = (R0 -+ R3)/sqrt(2): w- advects right, w+ left.
     vmat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    t_r = _propagator_from_f(source_matrix(params), 0.5 * dt, alpha)[np.ix_([0, 3], [0, 3])]
+    t_r = _propagator_from_f(source_matrix(params), 0.5 * dt)[np.ix_([0, 3], [0, 3])]
     t_half = vmat.T @ t_r @ vmat
     maps = _mix_maps(t_half, partial(roll_components, shifts=((-1,), (1,))))
 

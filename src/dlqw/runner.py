@@ -293,10 +293,9 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
             # R0 and R3 of the pure start, (|psi_L|^2 +- |psi_R|^2) / dx, with no (x, x') field
             left, right = np.abs(pk.state(0.0).amplitudes) ** 2 / grid.spacing
             res = pde.diagonal_evolve(left + right, left - right, grid, params,
-                                      cfg.t_final, alpha=cfg.alpha, snapshot_steps=marks)
+                                      cfg.t_final, snapshot_steps=marks)
         else:
-            res = pde.band_evolve(pk, params, cfg.t_final, alpha=cfg.alpha,
-                                  snapshot_steps=marks)
+            res = pde.band_evolve(pk, params, cfg.t_final, snapshot_steps=marks)
         series = res.series
         pde.write_diagonal_csv(report.add_file("final_diag.csv"), res.diagonals[-1],
                                t=cfg.t_final)
@@ -315,7 +314,7 @@ def run_lindblad(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
         )
 
     try:
-        observables.exponent_series(series, window=cfg.window)
+        observables.exponent_series(series)
     except observables.DiagnosticError:
         pass
     _write_moments_csv(report.add_file("moments.csv"), series)
@@ -380,8 +379,7 @@ def run_kernel_lindblad(cfg: ScenarioConfig, report: RunReport) -> Iterator[Need
         state = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid).state(0.0)
     field0 = pde.pauli_from_wave_state(state)
     marks = _snapshot_steps(cfg, n_steps)
-    res = pde.evolve(field0, params, cfg.t_final, kernels=kernels, alpha=cfg.alpha,
-                     snapshot_steps=marks)
+    res = pde.evolve(field0, params, cfg.t_final, kernels=kernels, snapshot_steps=marks)
     series = res.series
     _write_moments_csv(report.add_file("moments.csv"), series)
     pde.write_diagonal_csv(report.add_file("final_diag.csv"), res.diagonals[-1],
@@ -423,7 +421,7 @@ def run_telegraph(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     params = pde.GeneratorParams(m=0.0, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
     marks = _snapshot_steps(cfg, n_steps)
     res = pde.diagonal_evolve(prof, np.zeros_like(prof), grid, params, cfg.t_final,
-                              alpha=cfg.alpha, snapshot_steps=marks)
+                              snapshot_steps=marks)
     _write_moments_csv(report.add_file("moments.csv"), res.series)
     oracle = analytic.telegraph_on_grid(analytic.TelegraphParams(0.0, cfg.gamma2), prof,
                                         np.zeros_like(prof), grid.spacing, cfg.t_final)
@@ -442,7 +440,7 @@ def run_fourier(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
     left, right = np.abs(WaveState.gaussian(grid, width=width).amplitudes) ** 2 / grid.spacing
     r0, r3 = left + right, left - right
     params = pde.GeneratorParams(m=0.0, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
-    res = pde.diagonal_evolve(r0, r3, grid, params, cfg.t_final, alpha=cfg.alpha)
+    res = pde.diagonal_evolve(r0, r3, grid, params, cfg.t_final)
     numeric = res.diagonals[-1].R[0]
     reference = analytic.fourier_propagate(r0, r3, grid, params, cfg.t_final)[0]
     _write_csv(report.add_file("fourier_compare.csv"), "x,R0_strang,R0_propagator",
@@ -490,7 +488,7 @@ def run_compare(cfg: ScenarioConfig, report: RunReport) -> Iterator[Needs]:
            n * n * n_steps + sum(grid.n_sites**2 * steps for grid, steps in lattices), 0)
     params = pde.GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
     pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid_pde)
-    res = pde.band_evolve(pk, params, cfg.t_final, alpha=cfg.alpha)
+    res = pde.band_evolve(pk, params, cfg.t_final)
     ref_x = grid_pde.positions
     ref_density = res.diagonals[-1].R[0]
     pde.write_diagonal_csv(report.add_file("pde_diag.csv"), res.diagonals[-1],
@@ -720,6 +718,16 @@ def verify_report(run_dir: str) -> tuple[bool, list[str]]:
 
 
 PLOT_KINDS = ("density", "mean", "exponent")
+# the CSV a density plot reads when a run wrote no diag_t*.csv, in order of
+# precedence, and its density column
+_DENSITY_COLUMNS = {
+    "density.csv": "R0",
+    "final_diag.csv": "R0",
+    "telegraph_compare.csv": "R0_numeric",
+    "fourier_compare.csv": "R0_strang",
+    "distribution.csv": "R0",
+    "pde_diag.csv": "R0",
+}
 
 # every plot script starts the same way: a backend with no display, and a loader
 # that reads a CSV's columns by header name, as read_csv does
@@ -752,8 +760,7 @@ def emit_plot_script(run_dir: str, kind: str) -> str:
     """
     if kind not in PLOT_KINDS:
         raise ConfigurationError(f"unknown plot kind {kind!r}; valid: {PLOT_KINDS}")
-    needed = (["density.csv", "final_diag.csv", "telegraph_compare.csv"] if kind == "density"
-              else ["moments.csv"])
+    needed = list(_DENSITY_COLUMNS) if kind == "density" else ["moments.csv"]
     present = [f for f in needed if os.path.exists(os.path.join(run_dir, f))]
     slices = []
     if kind == "density" and os.path.isdir(run_dir):
@@ -767,8 +774,8 @@ def emit_plot_script(run_dir: str, kind: str) -> str:
                      "    c, t = columns(name), name[len('diag_t'):-len('.csv')]",
                      "    plt.plot(c['x'], c['R0'], lw=1.0, label='t = ' + t)"]
         else:
-            ycol = "R0_numeric" if present[0] == "telegraph_compare.csv" else "R0"
-            calls = [f"c = columns({present[0]!r})", f"plt.plot(c['x'], c[{ycol!r}], lw=1.2)"]
+            calls = [f"c = columns({present[0]!r})",
+                     f"plt.plot(c['x'], c[{_DENSITY_COLUMNS[present[0]]!r}], lw=1.2)"]
         calls += ["plt.xlabel('x')", "plt.ylabel('probability density')"]
         calls += ["plt.legend()"] if slices else []
     elif kind == "mean":

@@ -122,23 +122,6 @@ def diagonal_evolve_log() -> dict[str, np.ndarray]:
                 final_r0_r3=res.diagonals[-1].R[[0, 3]])
 
 
-def diagonal_evolve_alpha() -> dict[str, np.ndarray]:
-    """The massless (R0, R3) path with alpha = 0.25 and gamma1, gamma2 > 0 on uneven snapshots.
-
-    alpha enters the implicit source step; gamma1 must not enter at all.
-    """
-    grid = LatticeGrid(n_sites=160, spacing=0.05)
-    d0 = pde.pauli_from_wave_state(
-        WaveState.gaussian(grid, width=0.3, coin=(1.0, 0.4 - 0.5j), p0=-0.8)).diagonal()
-    res = pde.diagonal_evolve(d0.R[0], d0.R[3], grid,
-                              pde.GeneratorParams(gamma1=0.4, gamma2=0.6), 3.0,
-                              alpha=0.25, snapshot_steps=[0, 1, 4, 5, 17, 40, 41, 59, 60])
-    s = res.series
-    return dict(times=s.times, mean_x=s.mean_x, second_moment=s.second_moment,
-                trace=s.trace, continuity_residual=s.continuity_residual,
-                snapshot_r0_r3=np.stack([d.R[[0, 3]] for d in res.diagonals]))
-
-
 def _channel_arrays(rho0: noise.DensityGrid, field: AngleField, rates: noise.ChannelRates,
                     n_steps: int) -> dict[str, np.ndarray]:
     grid = rho0.grid
@@ -388,7 +371,6 @@ CASES = {
     "channel_site_coin": (channel_site_coin, False),
     "runner_channel": (runner_channel, False),
     "diagonal_evolve_log": (diagonal_evolve_log, False),
-    "diagonal_evolve_alpha": (diagonal_evolve_alpha, False),
     "runner_compare": (runner_compare, False),
     "runner_lindblad_full": (runner_lindblad_full, False),
     "fourier_run": (fourier_run, False),

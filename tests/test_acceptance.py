@@ -55,7 +55,7 @@ def fig3_series():
     wp = DiracWavepacket(cfg.p0, cfg.sigma, cfg.m)
     params = GeneratorParams(m=cfg.m, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
     series = spectral_moments(wp, params, times)
-    exponent_series(series, window=cfg.window)
+    exponent_series(series)
     return cfg, series
 
 
@@ -170,7 +170,7 @@ def test_criterion_08a_exponent_noiseless(outdir):
     )
     wp = DiracWavepacket(cfg.p0, cfg.sigma, cfg.m)
     series = spectral_moments(wp, GeneratorParams(m=cfg.m), times)
-    eta = exponent_series(series, window=cfg.window)
+    eta = exponent_series(series)
     valid = np.isfinite(eta)
     dev = float(np.abs(eta[valid] - 2.0).max())
     ok = dev <= 0.02

@@ -590,7 +590,7 @@ class TestSpectralMoments:
         wp = DiracWavepacket(p0=0.5, sigma=0.05, m=0.5)
         times = np.concatenate([[0.0], np.geomspace(0.1, 200.0, 80)])
         series = spectral_moments(wp, GeneratorParams(m=0.5, gamma2=0.5), times)
-        eta = exponent_series(series, window=7)
+        eta = exponent_series(series)
         reg = regime_times(series, v_g=group_velocity(0.5, 0.5))
         sel = (series.times > (reg.t_mid or 1.0)) & np.isfinite(eta)
         tail = eta[sel]

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlqw import noise, runner
+from dlqw import noise, pde, runner
 from dlqw.analytic import build_packet
 from dlqw.cli import main
-from dlqw.config import ConfigError, list_presets, load_config, parse_config
+from dlqw.config import VALID_SCENARIOS, ConfigError, list_presets, load_config, parse_config
 from dlqw.pde import GeneratorParams, diagonal_evolve, pauli_from_wave_state
 from dlqw.runner import (check_resources, emit_plot_script, read_csv, read_report, run,
                          verify_report)
@@ -81,17 +81,25 @@ CSV_HEADERS = {
 }
 
 
-# runs whose plot scripts are run under a logging stand-in for matplotlib:
-# diagonal slices, a channel density (with an all-nan eta column), the telegraph
-# comparison, and a spectral run with a limit position and a group velocity
+# runs whose plot scripts are run under a logging stand-in for matplotlib, with
+# the CSVs the density script plots and their density column: diagonal slices,
+# a channel density (with an all-nan eta column), the telegraph and fourier
+# comparisons, a walk distribution, the compare run's PDE reference, and a
+# spectral run with a limit position and a group velocity but no density
 PLOT_RUNS = {
-    "lindblad-full": CSV_HEADERS["lindblad-full"][0],
-    "channel": "scenario = channel\neps = 0.25\nt_final = 0.5\nhalf_width = 4\n"
-               "pi2_rate = 0.5\nm = 0.5\ninit = delta\n",
-    "telegraph": CSV_HEADERS["telegraph"][0],
-    "spectral": "scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.25\n"
-                "half_width = 4\nt_final = 20\nn_snapshots = 17\nsnapshot_spacing = log\n",
+    "lindblad-full": (CSV_HEADERS["lindblad-full"][0], "diag_t*.csv", "R0"),
+    "channel": ("scenario = channel\neps = 0.25\nt_final = 0.5\nhalf_width = 4\n"
+                "pi2_rate = 0.5\nm = 0.5\ninit = delta\n", "density.csv", "R0"),
+    "telegraph": (CSV_HEADERS["telegraph"][0], "telegraph_compare.csv", "R0_numeric"),
+    "fourier": (CSV_HEADERS["fourier"][0], "fourier_compare.csv", "R0_strang"),
+    "walk": ("scenario = walk\ntheta = 0.5\nn_steps = 10\n", "distribution.csv", "R0"),
+    "compare": (CSV_HEADERS["compare"][0], "pde_diag.csv", "R0"),
+    "spectral": ("scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.25\n"
+                 "half_width = 4\nt_final = 20\nn_snapshots = 17\nsnapshot_spacing = log\n",
+                 None, None),
 }
+# the runs that write no moments.csv, so have no mean or exponent plot
+NO_MOMENTS = ("compare", "fourier", "walk")
 
 STUB_PYPLOT = """import json
 import os
@@ -110,8 +118,10 @@ class TestParseConfig:
         cfg = parse_config("scenario = walk\ntheta = 0.5\nn_steps = 100\n")
         assert cfg.scenario == "walk"
         assert cfg.seed == 0
-        assert cfg.alpha == 0.5
         assert cfg.formats == "csv"
+
+    def test_every_scenario_has_a_runner(self):
+        assert set(runner._RUNNERS) == set(VALID_SCENARIOS)
 
     def test_negative_rate_message(self):
         with pytest.raises(ConfigError) as err:
@@ -422,15 +432,16 @@ class TestRunner:
         stub.mkdir(parents=True)
         (stub / "__init__.py").write_text("def use(backend):\n    pass\n")
         (stub / "pyplot.py").write_text(STUB_PYPLOT)
+        text, density_csv, column = PLOT_RUNS[name]
         out = tmp_path / "run"
-        run(parse_config(PLOT_RUNS[name]), str(out))
+        run(parse_config(text), str(out))
         calls = {}
-        kinds = runner.PLOT_KINDS
-        if name == "spectral":  # no grid, so no density to plot
+        missing = (("density",) if density_csv is None else ()) + (
+            ("mean", "exponent") if name in NO_MOMENTS else ())
+        for kind in missing:
             with pytest.raises(ConfigurationError, match="none of"):
-                emit_plot_script(str(out), "density")
-            kinds = ("mean", "exponent")
-        for kind in kinds:
+                emit_plot_script(str(out), kind)
+        for kind in [k for k in runner.PLOT_KINDS if k not in missing]:
             log = tmp_path / f"{kind}.log"
             proc = subprocess.run(
                 [sys.executable, emit_plot_script(str(out), kind)], capture_output=True,
@@ -444,14 +455,14 @@ class TestRunner:
         def curves(kind, function="plot"):
             return [args for call, args, _ in calls.get(kind, []) if call == function]
 
-        density = {"lindblad-full": sorted(out.glob("diag_t*.csv")), "spectral": [],
-                   "channel": [out / "density.csv"],
-                   "telegraph": [out / "telegraph_compare.csv"]}[name]
+        density = sorted(out.glob(density_csv)) if density_csv else []
         assert len(curves("density")) == len(density)
         for (x, y), path in zip(curves("density"), density):
             cols = read_csv(str(path))
             np.testing.assert_array_equal(x, cols["x"])
-            np.testing.assert_array_equal(y, cols.get("R0", cols.get("R0_numeric")))
+            np.testing.assert_array_equal(y, cols[column])
+        if name in NO_MOMENTS:
+            return
 
         moments = read_csv(str(out / "moments.csv"))
         t, mean = curves("mean")[0]
@@ -501,8 +512,6 @@ class TestMain:
         ("t_final = -1\n", "t_final must be >= 0"),
         ("t_final = 0\nsnapshot_spacing = log\n", "requires t_final > 0"),
         ("t_final = 10\nsnapshot_spacing = log\nn_snapshots = 0\n", "n_snapshots must be >= 2"),
-        ("t_final = 400\nsnapshot_spacing = log\nn_snapshots = 17\neta_target = 5\nwindow = 1\n",
-         "window must be >= 2"),
     ])
     def test_bad_snapshot_config_exit_two(self, tmp_path, capsys, extra, message):
         cfg_path = tmp_path / "snapshots.cfg"
@@ -512,18 +521,24 @@ class TestMain:
         assert rc == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "scenario = telegraph\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 4\nt_final = 1\n"
-        "alpha = 1.5\n",
-        "scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.05\n"
-        "half_width = 40\nt_final = 1\nalpha = 7\n",
-    ], ids=["telegraph", "spectral"])
-    def test_alpha_out_of_range_exit_two(self, tmp_path, capsys, text):
-        cfg_path = tmp_path / "alpha.cfg"
+    @pytest.mark.parametrize("text, key", [
+        ("scenario = telegraph\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 4\nt_final = 1\n"
+         "alpha = 1.5\n", "alpha"),
+        ("scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.05\n"
+         "half_width = 40\nt_final = 1\nalpha = 0.5\n", "alpha"),
+        ("scenario = lindblad\nfast = spectral\nm = 0.5\ngamma2 = 0.5\ndx = 0.05\n"
+         "half_width = 40\nt_final = 400\nsnapshot_spacing = log\nn_snapshots = 17\n"
+         "eta_target = 5\nwindow = 1\n", "window"),
+    ], ids=["telegraph-alpha", "spectral-alpha", "spectral-window"])
+    def test_source_weight_and_exponent_window_are_unknown_keys(self, tmp_path, capsys,
+                                                                text, key):
+        # the trapezoid source step and the 7-sample exponent fit are fixed
+        cfg_path = tmp_path / "removed.cfg"
         cfg_path.write_text(text)
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
-        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("scenario = lindblad\nfast = spectral\ngamma2 = 0.5\ndx = 0.05\nhalf_width = 40\n"
@@ -840,7 +855,7 @@ class TestMain:
             check_resources(load_config(f"preset:{name}"))
 
     @pytest.mark.parametrize("extra, failing", [
-        ("eta_target = 5\nwindow = 40\nn_snapshots = 17\n", ["eta_final"]),
+        ("eta_target = 5\nn_snapshots = 7\n", ["eta_final"]),
         ("plateau_target = 99\nslope_target = 99\nn_snapshots = 7\n",
          ["x_plateau", "variance_slope"]),
     ], ids=["eta-window-too-wide", "plateau-slope-too-few-snapshots"])
@@ -987,10 +1002,11 @@ class TestMain:
         assert (tmp_path / "r" / "report.kv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_telegraph_blow_up_exit_one(self, tmp_path, capsys):
-        # the explicit source step (alpha = 1) is unstable at this rate
+    def test_telegraph_blow_up_exit_one(self, tmp_path, capsys, monkeypatch):
+        # the trapezoid step is stable at every rate, so the source step doubles every component
+        monkeypatch.setattr(pde, "_propagator_from_f", lambda f, dt: 2.0 * np.eye(4))
         cfg_path = tmp_path / "stiff.cfg"
-        cfg_path.write_text("scenario = telegraph\ngamma2 = 300\nalpha = 1\ndx = 0.05\n"
+        cfg_path.write_text("scenario = telegraph\ngamma2 = 300\ndx = 0.05\n"
                             "half_width = 1.6\nt_final = 4\n")
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dlqw import analytic, runner
+from dlqw import analytic, pde, runner
 from dlqw.config import load_config, parse_config
 from dlqw.noise import DensityGrid
 from dlqw.pde import (
@@ -151,9 +151,19 @@ def advect(v):
     return unskew(skewed_advect(skew(v)))
 
 
-def source(v, grid, dt, params, kernels=KernelSet(), alpha=0.5):
+def source(v, grid, dt, params, kernels=KernelSet()):
     """One source step of :class:`KernelSourceOperator` on a (4, n, n) field."""
-    return unskew(KernelSourceOperator(grid, kernels, params, dt, alpha).apply(skew(v)))
+    return unskew(KernelSourceOperator(grid, kernels, params, dt).apply(skew(v)))
+
+
+@pytest.fixture
+def amplifying_source(monkeypatch):
+    """A source step that doubles every component, so every run blows up.
+
+    The trapezoid step is A-stable for every source a config can build, so
+    no real rate makes a Strang run blow up.
+    """
+    monkeypatch.setattr(pde, "_propagator_from_f", lambda f, dt: 2.0 * np.eye(4))
 
 
 class TestHomogeneousStep:
@@ -218,17 +228,6 @@ class TestSourceStep:
         out = v_inverse(source(v_transform(field), grid, grid.spacing, params), grid)
         np.testing.assert_allclose(out.r[0], field.r[0], atol=1e-13)
 
-    def test_alpha_validated(self):
-        grid = make_grid(8)
-        v = v_transform(hermitian_field(grid))
-        with pytest.raises(ConfigurationError):
-            source(v, grid, grid.spacing, GeneratorParams(), alpha=1.5)
-        with pytest.raises(ConfigurationError):
-            evolve(hermitian_field(grid), GeneratorParams(), grid.spacing, alpha=1.5)
-        with pytest.raises(ConfigurationError):
-            diagonal_evolve(np.zeros(8), np.zeros(8), grid, GeneratorParams(gamma2=0.5),
-                            2 * grid.spacing, alpha=1.5)
-
 
 class TestStrangStep:
     @pytest.mark.parametrize("n", [5, 8])
@@ -255,12 +254,11 @@ class TestStrangStep:
                                                             shifts=ADVECTION_SHIFTS)))
         np.testing.assert_array_equal(advance(v, 0, steps), mix_components(t_half, want))
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_source_propagator_is_real_in_v_variables(self, alpha):
+    def test_source_propagator_is_real_in_v_variables(self):
         # so the ``.real`` of the v-variable source propagator drops nothing
         for m, g1, g2, dt in itertools.product([0.0, 0.8, 3.0], [0.0, 0.3], [0.0, 0.5, 2.0],
                                                [0.01, 0.05, 0.5]):
-            t_r = _propagator_from_f(source_matrix(GeneratorParams(m, g1, g2)), dt, alpha)
+            t_r = _propagator_from_f(source_matrix(GeneratorParams(m, g1, g2)), dt)
             assert np.all((U_CHAR @ t_r @ U_CHAR_INV).imag == 0.0)
 
     def test_free_is_pure_advection(self):
@@ -331,6 +329,16 @@ class TestMasslessStructure:
             series[g1] = np.stack([d.R[[0, 3]] for d in res.diagonals])
         np.testing.assert_allclose(series[0.0], series[0.3], atol=1e-10)
 
+    def test_gamma1_does_not_enter_the_fast_path(self):
+        grid = make_grid(160, 0.05)
+        d0 = gaussian_pauli(grid, width=0.3, coin=(1.0, 0.4 - 0.5j)).diagonal()
+        a, b = (diagonal_evolve(d0.R[0], d0.R[3], grid, GeneratorParams(0.0, g1, 0.6), 3.0,
+                                snapshot_steps=[0, 1, 4, 5, 17, 40, 41, 59, 60])
+                for g1 in (0.0, 0.3))
+        np.testing.assert_array_equal(np.stack([d.R for d in a.diagonals]),
+                                      np.stack([d.R for d in b.diagonals]))
+        np.testing.assert_array_equal(a.series.second_moment, b.series.second_moment)
+
     def test_diagonal_fast_path_matches_full_solver(self):
         grid = make_grid(64, 0.05)
         field = gaussian_pauli(grid, width=0.4)
@@ -352,13 +360,12 @@ class TestMasslessStructure:
         np.testing.assert_allclose(res.series.times, 0.05 * np.array(steps), rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_fast_path_blow_up_guard(self):
-        # the explicit source step (alpha = 1) is unstable at this rate
+    def test_fast_path_blow_up_guard(self, amplifying_source):
         grid = make_grid(32, 0.05)
         d0 = gaussian_pauli(grid).diagonal()
         with pytest.raises(NumericalError, match="blow-up at t="):
             diagonal_evolve(d0.R[0], d0.R[3], grid, GeneratorParams(gamma2=300.0),
-                            80 * grid.spacing, alpha=1.0)
+                            80 * grid.spacing)
 
     def test_fast_path_requires_massless(self):
         grid = make_grid(16, 0.1)
@@ -409,11 +416,11 @@ class TestEvolve:
         ratio = res_by_dx[0] / res_by_dx[1]
         assert 2.5 < ratio < 6.0
 
-    def test_blow_up_guard(self):
+    def test_blow_up_guard(self, amplifying_source):
         grid = make_grid(32, 0.05)
         field = gaussian_pauli(grid)
         with pytest.raises(NumericalError):
-            evolve(field, GeneratorParams(gamma2=300.0), 40 * 0.05 * 80, alpha=1.0)
+            evolve(field, GeneratorParams(gamma2=300.0), 40 * 0.05 * 80)
 
     def test_non_multiple_t_final_rejected(self):
         grid = make_grid(16, 0.1)
@@ -623,8 +630,8 @@ def band_and_evolve(cfg):
     pk = analytic.build_packet(cfg.p0, cfg.sigma, cfg.m, grid)
     marks = (runner._snapshot_steps(cfg, round(cfg.t_final / cfg.dx))
              if cfg.scenario == "lindblad" else None)
-    band = band_evolve(pk, params, cfg.t_final, alpha=cfg.alpha, snapshot_steps=marks)
-    ref = evolve(pauli_from_wave_state(pk.state(0.0)), params, cfg.t_final, alpha=cfg.alpha,
+    band = band_evolve(pk, params, cfg.t_final, snapshot_steps=marks)
+    ref = evolve(pauli_from_wave_state(pk.state(0.0)), params, cfg.t_final,
                  snapshot_steps=marks)
     return band, ref
 
@@ -672,8 +679,8 @@ class TestBandEvolve:
         assert "final" not in vars(band)
         assert band.final is band.final
 
-    def test_blow_up_guard(self):
+    def test_blow_up_guard(self, amplifying_source):
         grid = make_grid(64, 0.1)
         pk = analytic.build_packet(1.0, 1.0, 0.5, grid)
         with pytest.raises(NumericalError, match="blow-up at t=6.4"):
-            band_evolve(pk, GeneratorParams(m=0.5, gamma2=300.0), 80 * 0.1, alpha=1.0)
+            band_evolve(pk, GeneratorParams(m=0.5, gamma2=300.0), 80 * 0.1)

@@ -147,10 +147,12 @@ class TestWalkStep:
         # closed small ring, long run: drift must stay below 1e-8
         field = AngleField(theta_bar=0.6, xi1_bar=0.2)
         grid = LatticeGrid(n_sites=32)
-        s = WaveState.delta(grid)
-        for k in range(100_000):
-            s = walk_step(s, field, t=float(k))
-        assert abs(s.norm() - 1.0) < 1e-8
+        # walk_step's steps, bit for bit: the one constant coin on a batch of one walk
+        coins = coin_matrices(*(grid.spacing * np.array(field.rates)))[None]
+        walk = BatchedWalk(WaveState.delta(grid).amplitudes[None])
+        for _ in range(100_000):
+            walk.step(coins)
+        assert abs(WaveState(walk.amplitudes[0], grid).norm() - 1.0) < 1e-8
 
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 3])
     def test_spread_law(self, theta):
